@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import comb, rho
-from .core import Term, step as core_step
+from .core import StateBudgetExhausted, Successors, Term, explore, step, term_key
 
 Agent = Union[rho.Process, Term]
 
@@ -28,14 +28,10 @@ class BudgetExhausted(Exception):
 @dataclass(frozen=True)
 class _System:
     canon: Callable[[Agent], Agent]
-    successors: Callable[[Agent], tuple[Agent, ...]]
+    successors: Successors
     immediate_barbs: Callable[[Agent, tuple], frozenset]
     canon_name: Callable[[object], object]
     pretty: Callable[[Agent], str]
-
-
-def _rho_successors(p: rho.Process) -> tuple[rho.Process, ...]:
-    return tuple(sorted(rho.comm_step(p), key=rho.process_key))
 
 
 def _rho_barbs(p: rho.Process, names: tuple) -> frozenset:
@@ -50,17 +46,15 @@ def _rho_barbs(p: rho.Process, names: tuple) -> frozenset:
 
 _RHO = _System(
     canon=rho.canon_process,
-    successors=_rho_successors,
+    successors=rho.comm_edges,
     immediate_barbs=_rho_barbs,
     canon_name=rho.canon_name,
     pretty=repr,
 )
 
 
-def _comb_successors(t: Term) -> tuple[Term, ...]:
-    from .core import term_key
-
-    return tuple(sorted(core_step(comb._PRESENTATION, t), key=term_key))
+def _comb_successors(t: Term) -> list[tuple[None, Term]]:
+    return [(None, s) for s in sorted(step(comb._PRESENTATION, t), key=term_key)]
 
 
 def _comb_barbs(t: Term, names: tuple) -> frozenset:
@@ -117,28 +111,18 @@ class WeakBarbs:
 def weak_barbs(agent: Agent, names, bound: int) -> WeakBarbs:
     """Union of barbs over every agent reachable within `bound` steps.
 
-    Truncation (unexplored frontier at the bound) is reported on the result.
+    Truncation (some agent first reached in `bound` + 1 steps) is reported on
+    the result.  Exceeding the state budget raises StateBudgetExhausted.
     """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     system = _system_for(agent)
     canon_names = tuple(system.canon_name(n) for n in names)
-    start = system.canon(agent)
-    seen = {start}
-    frontier = [start]
     found: set = set()
-    for layer in range(bound + 1):
-        for a in frontier:
-            found |= system.immediate_barbs(a, canon_names)
-        nxt = []
-        for a in frontier:
-            for s in system.successors(a):
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        if not nxt:
-            return WeakBarbs(frozenset(found), False)
-        if layer == bound:
+    for a, depth in explore(system.canon(agent), system.successors, bound + 1):
+        if depth > bound:
             return WeakBarbs(frozenset(found), True)
-        frontier = nxt
+        found |= system.immediate_barbs(a, canon_names)
     return WeakBarbs(frozenset(found), False)
 
 
@@ -183,8 +167,11 @@ def bounded_bisim(a: Agent, b: Agent, names, depth: int,
     Each single step of one side must be matched by a multi-step of the
     other within the remaining depth, and every immediate barb by an
     eventual barb; the check is symmetric and memoized on canonical pairs.
-    Exhausting the state budget raises BudgetExhausted.
+    Exhausting the pair budget or the state budget of an exploration raises
+    BudgetExhausted.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     system = _system_for(a)
     if _system_for(b) is not system:
         raise TypeError("agents must belong to the same calculus")
@@ -192,23 +179,6 @@ def bounded_bisim(a: Agent, b: Agent, names, depth: int,
     a0, b0 = system.canon(a), system.canon(b)
     memo: dict = {}
     spent = [0]
-
-    def reachable(x: Agent, bound: int) -> list[Agent]:
-        seen = {x}
-        order = [x]
-        frontier = [x]
-        for _ in range(bound):
-            nxt = []
-            for cur in frontier:
-                for s in system.successors(cur):
-                    if s not in seen:
-                        seen.add(s)
-                        order.append(s)
-                        nxt.append(s)
-            if not nxt:
-                break
-            frontier = nxt
-        return order
 
     def check(x: Agent, y: Agent, d: int) -> Optional[Witness]:
         key = (x, y, d)
@@ -218,24 +188,32 @@ def bounded_bisim(a: Agent, b: Agent, names, depth: int,
         if spent[0] > budget:
             raise BudgetExhausted(f"pair budget {budget} exhausted")
         memo[key] = None  # assume matched while exploring this pair
+        reach: dict = {}
+
+        def reachable(q: Agent) -> list[Agent]:
+            if q not in reach:
+                reach[q] = [s for s, _ in explore(q, system.successors, d)]
+            return reach[q]
+
         result: Optional[Witness] = None
         for p, q, side in ((x, y, "left"), (y, x, "right")):
             mine = system.immediate_barbs(p, canon_names)
             if mine:
-                theirs = weak_barbs(q, canon_names, d)
+                theirs: set = set()
+                for s in reachable(q):
+                    theirs |= system.immediate_barbs(s, canon_names)
                 for name in sorted(mine, key=repr):
-                    if name not in theirs.names:
+                    if name not in theirs:
                         result = Witness("barb", side, p, q, d, name=name)
                         break
             if result is not None:
                 break
         if result is None and d > 0:
             for p, q, side in ((x, y, "left"), (y, x, "right")):
-                for succ in system.successors(p):
-                    answers = reachable(q, d)
+                for _, succ in system.successors(p):
                     inner_best: Optional[Witness] = None
                     matched = False
-                    for q2 in answers:
+                    for q2 in reachable(q):
                         w = check(succ, q2, d - 1) if side == "left" else check(q2, succ, d - 1)
                         if w is None:
                             matched = True
@@ -251,7 +229,10 @@ def bounded_bisim(a: Agent, b: Agent, names, depth: int,
         memo[key] = result
         return result
 
-    witness = check(a0, b0, depth)
+    try:
+        witness = check(a0, b0, depth)
+    except StateBudgetExhausted as err:
+        raise BudgetExhausted(str(err)) from err
     if witness is None:
         return BisimVerdict(True, depth)
     return BisimVerdict(False, depth, witness)

@@ -14,7 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bisim, comb, rho, ski
-from .core import FuelExhausted, Presentation, Trace, apply_redex, canonicalize, reduce
+from .core import FuelExhausted, Presentation, Trace, canonicalize, iter_redexes, reduce
 from .syntax import (
     ParseError,
     parse_comb,
@@ -84,21 +84,12 @@ def _parse_names(calculus: str, spec: Optional[str]):
     return names
 
 
-def trace_to_json(calculus: str, trace) -> dict:
-    if isinstance(trace, Trace):
-        steps = [
-            {
-                "rule": redex.rule,
-                "position": list(redex.position),
-                "result": _print_term(calculus, term),
-            }
-            for redex, term in trace.steps
-        ]
-    else:
-        steps = [
-            {"rule": rule, "position": [], "result": _print_term(calculus, term)}
-            for rule, term in trace.steps
-        ]
+def trace_to_json(calculus: str, trace: Trace) -> dict:
+    steps = [
+        {"rule": redex.rule, "position": list(redex.position),
+         "result": _print_term(calculus, term)}
+        for redex, term in trace.steps
+    ]
     return {
         "calculus": calculus,
         "initial": _print_term(calculus, trace.initial),
@@ -132,34 +123,23 @@ def validate_trace_json(obj: dict) -> None:
 def replay_trace_json(obj: dict):
     """Re-run a JSON trace step by step, returning the reproduced terms.
 
-    Every intermediate term must be reproducible through redex application
-    (or a communication step for the process calculus).
+    Every intermediate term must be the successor of a redex with the
+    step's rule and position (the communication redex for the process
+    calculus).
     """
     validate_trace_json(obj)
     calculus = obj["calculus"]
-    current = _parse_term(calculus, obj["initial"])
-    out = []
     if calculus == "rho":
-        current = rho.canon_process(current)
-        for entry in obj["steps"]:
-            want = rho.canon_process(_parse_term(calculus, entry["result"]))
-            if want not in rho.comm_step(current):
-                raise ValueError(f"step to {entry['result']!r} does not replay")
-            current = want
-            out.append(current)
-        return out
-    pres = _presentation(calculus)
-    current = canonicalize(pres, current)
+        canon, edges = rho.canon_process, rho.comm_edges
+    else:
+        pres = _presentation(calculus)
+        canon, edges = (lambda t: canonicalize(pres, t)), (lambda t: iter_redexes(pres, t))
+    current = canon(_parse_term(calculus, obj["initial"]))
+    out = []
     for entry in obj["steps"]:
-        want = canonicalize(pres, _parse_term(calculus, entry["result"]))
-        from .core import find_redexes
-
-        matches = [
-            r
-            for r in find_redexes(pres, current)
-            if r.rule == entry["rule"] and list(r.position) == entry["position"]
-        ]
-        if not any(apply_redex(pres, current, r) == want for r in matches):
+        want = canon(_parse_term(calculus, entry["result"]))
+        if not any(r.rule == entry["rule"] and list(r.position) == entry["position"]
+                   and succ == want for r, succ in edges(current)):
             raise ValueError(f"step to {entry['result']!r} does not replay")
         current = want
         out.append(current)
@@ -443,6 +423,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("fuel", "gas", "depth"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise CliError(f"--{flag} must be >= 0", EXIT_INPUT)
         if args.command == "reduce":
             return _cmd_reduce(args, verbose=False)
         if args.command == "trace":

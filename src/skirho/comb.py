@@ -30,7 +30,12 @@ from .core import (
     Sort,
     Term,
     canonicalize,
+    flatten_term,
+    group_join,
     reduce,
+    replace_at,
+    step,
+    subterm_at,
 )
 from .rho import Deref, Input, Output, Par, Process, Quote, Var, ZERO as RHO_ZERO
 
@@ -364,10 +369,6 @@ def sort_infer(t: Term) -> Optional[SortExpr]:
         return None
 
 
-def has_sort(t: Term, want: SortExpr) -> bool:
-    return sort_infer(t) == want
-
-
 # ---------------------------------------------------------------------------
 # combinators -> calculus
 
@@ -445,9 +446,7 @@ def _par_components(t: Term) -> list[Term]:
     group = _PRESENTATION.congruence.acu_groups[0]
     if t == group.unit:
         return [t]
-    from .core import _flatten_term
-
-    comps = _flatten_term(group, t)
+    comps = flatten_term(group, t)
     return comps if comps else [group.unit]
 
 
@@ -491,20 +490,6 @@ def _positions_of(t: Term) -> list[tuple[int, ...]]:
     return out
 
 
-def _sub_at(t: Term, pos: tuple[int, ...]) -> Term:
-    for i in pos:
-        t = t.children[i]
-    return t
-
-
-def _replace_at(t: Term, pos: tuple[int, ...], new: Term) -> Term:
-    if not pos:
-        return new
-    children = list(t.children)
-    children[pos[0]] = _replace_at(children[pos[0]], pos[1:], new)
-    return Term(t.head, tuple(children))
-
-
 def _junk(rng: _random.Random) -> Term:
     t = interp(rho.random_process(rng, 1))
     if rng.random() < 0.5:
@@ -514,7 +499,7 @@ def _junk(rng: _random.Random) -> Term:
 
 def _expand_once(t: Term, rng: _random.Random) -> Term:
     pos = rng.choice(_positions_of(t))
-    sub = _sub_at(t, pos)
+    sub = subterm_at(t, pos)
     kind = rng.choice(["i", "k", "s"])
     if kind == "i":
         new = ap(atom(I_DECL), sub)
@@ -525,7 +510,7 @@ def _expand_once(t: Term, rng: _random.Random) -> Term:
         new = aps(atom(S_DECL), ap(atom(K_DECL), f), ap(atom(K_DECL), a), _junk(rng))
     else:
         new = ap(atom(I_DECL), sub)
-    return _replace_at(t, pos, new)
+    return replace_at(t, pos, new)
 
 
 def normal_form_probe(samples: int = 50, seed: int = 0, depth: int = 3) -> dict:
@@ -547,10 +532,8 @@ def normal_form_probe(samples: int = 50, seed: int = 0, depth: int = 3) -> dict:
             stats["composite_fixed"] += 1
         succs = rho.comm_step(p)
         stats["comm_total"] += len(succs)
-        from .core import step as core_step
-
         wrapped = canon(wrap_context(image))
-        comb_succs = core_step(_PRESENTATION, wrapped, rules=("xi",))
+        comb_succs = step(_PRESENTATION, wrapped, rules=("xi",))
         translated = set()
         for s in comb_succs:
             inner = unwrap_context(s)
@@ -568,8 +551,5 @@ def unwrap_context(t: Term) -> Optional[Term]:
     comps = _par_components(t)
     rest = [c for c in comps if c.head != C_DECL]
     if len(rest) == len(comps) - 1:
-        group = _PRESENTATION.congruence.acu_groups[0]
-        from .core import group_join
-
-        return group_join(group, rest)
+        return group_join(_PRESENTATION.congruence.acu_groups[0], rest)
     return None

@@ -20,10 +20,11 @@ free model live.
 
 from __future__ import annotations
 
+import itertools
 import random as _random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 DEFAULT_ORIENTED_FUEL = 10_000
 DEFAULT_STATE_BUDGET = 200_000
@@ -41,6 +42,10 @@ class RewriteError(Exception):
 
 class FuelExhausted(RewriteError):
     """Raised when a fueled normalization exceeds its bound."""
+
+
+class StateBudgetExhausted(FuelExhausted):
+    """Raised when a search visits more states than its state budget."""
 
 
 class InvalidRedex(RewriteError):
@@ -179,14 +184,18 @@ class Redex:
     rest: Optional[Term] = None
 
 
+State = Any  # a term, a process, or any other hashable search state
+Successors = Callable[[State], Iterable[tuple[Redex, State]]]
+
+
 @dataclass
 class Trace:
-    initial: Term
-    steps: list[tuple[Redex, Term]]
+    initial: State
+    steps: list[tuple[Redex, State]]
     status: str
 
     @property
-    def final(self) -> Term:
+    def final(self) -> State:
         return self.steps[-1][1] if self.steps else self.initial
 
     def __len__(self) -> int:
@@ -206,10 +215,6 @@ class ValidationReport:
 def term_key(t: Term):
     """Fixed total order on terms: name, then arity, then children."""
     return (t.head.name, len(t.children), tuple(term_key(c) for c in t.children))
-
-
-def term_size(t: Term) -> int:
-    return 1 + sum(term_size(c) for c in t.children)
 
 
 def subterm_at(t: Term, position: Sequence[int]) -> Term:
@@ -311,7 +316,7 @@ def _group_of(p: Presentation, t: Term) -> Optional[AcuGroup]:
     return None
 
 
-def _flatten_term(g: AcuGroup, t: Term) -> list[Term]:
+def flatten_term(g: AcuGroup, t: Term) -> list[Term]:
     if t == g.unit:
         return []
     if (
@@ -321,7 +326,7 @@ def _flatten_term(g: AcuGroup, t: Term) -> list[Term]:
         and t.children[0].head == g.app
         and t.children[0].children[0] == g.operator
     ):
-        return _flatten_term(g, t.children[0].children[1]) + _flatten_term(g, t.children[1])
+        return flatten_term(g, t.children[0].children[1]) + flatten_term(g, t.children[1])
     return [t]
 
 
@@ -363,7 +368,7 @@ def _canon(p: Presentation, t: Term, budget: _Budget) -> Term:
             continue
         g = _group_of(p, t)
         if g is not None:
-            elems = _flatten_term(g, t)
+            elems = flatten_term(g, t)
             if g.commutative:
                 elems.sort(key=term_key)
             joined = group_join(g, elems)
@@ -462,7 +467,7 @@ def _match_acu(
     pelems, pvars = _flatten_pattern(p, g, pat)
     if rest_var is not None:
         pvars = pvars + [MetaVar(rest_var, g.unit.sort)]
-    telems = _flatten_term(g, t)
+    telems = flatten_term(g, t)
 
     # bound collector metavariables contribute a fixed sub-multiset
     pending: list[MetaVar] = []
@@ -471,7 +476,7 @@ def _match_acu(
         if bound is None:
             pending.append(mv)
             continue
-        needed = _flatten_term(g, bound)
+        needed = flatten_term(g, bound)
         remaining = list(telems)
         for item in needed:
             if item in remaining:
@@ -644,10 +649,11 @@ def _positions(p: Presentation, t: Term) -> list[tuple[tuple[int, ...], Term, Op
     return out
 
 
-def _iter_redexes(
+def iter_redexes(
     p: Presentation, t: Term, rules: Optional[Sequence[str]] = None
 ) -> Iterator[tuple[Redex, Term]]:
-    """Yield (redex, canonical successor) pairs in deterministic order.
+    """Yield (redex, canonical successor) pairs of a canonical term in
+    deterministic order.
 
     Order is rule-major: presentation rule order first, then leftmost-outermost
     position, then multiset decomposition order.
@@ -684,12 +690,12 @@ def _iter_redexes(
 
 def find_redexes(p: Presentation, t: Term, rules: Optional[Sequence[str]] = None) -> list[Redex]:
     t = canonicalize(p, t)
-    return [r for r, _ in _iter_redexes(p, t, rules)]
+    return [r for r, _ in iter_redexes(p, t, rules)]
 
 
 def apply_redex(p: Presentation, t: Term, r: Redex) -> Term:
     t = canonicalize(p, t)
-    for cand, succ in _iter_redexes(p, t):
+    for cand, succ in iter_redexes(p, t):
         if (
             cand.rule == r.rule
             and cand.position == tuple(r.position)
@@ -704,12 +710,12 @@ def apply_redex(p: Presentation, t: Term, r: Redex) -> Term:
 def step(p: Presentation, t: Term, rules: Optional[Sequence[str]] = None) -> set[Term]:
     """Set of canonical one-step successors, deduplicated."""
     t = canonicalize(p, t)
-    return {succ for _, succ in _iter_redexes(p, t, rules)}
+    return {succ for _, succ in iter_redexes(p, t, rules)}
 
 
 def is_normal(p: Presentation, t: Term, rules: Optional[Sequence[str]] = None) -> bool:
     t = canonicalize(p, t)
-    return next(_iter_redexes(p, t, rules), None) is None
+    return next(iter_redexes(p, t, rules), None) is None
 
 
 def reduce(
@@ -723,87 +729,122 @@ def reduce(
     target: Optional[Term] = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> Trace:
-    """Drive rewriting with one of the strategies first | all | random.
+    """Drive rewriting of t's canonical form with one of the strategies of `drive`."""
+    t0 = canonicalize(p, t)
+    goal = canonicalize(p, target) if target is not None else None
+    return drive(t0, lambda u: iter_redexes(p, u, rules), strategy, fuel,
+                 seed=seed, goal=goal, state_budget=state_budget)
 
-    ``first`` repeatedly applies the first redex in deterministic order,
-    ``random`` draws uniformly using the seed, ``all`` explores breadth-first
-    and returns a shortest trace to a normal form (or to ``target``) within
-    ``fuel`` steps.  Running out of fuel is a status, not an error.
+
+# ---------------------------------------------------------------------------
+# search
+
+
+def explore(
+    start: State,
+    successors: Successors,
+    fuel: int,
+    parents: Optional[dict] = None,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> Iterator[tuple[State, int]]:
+    """Breadth-first traversal yielding each state reachable within `fuel`
+    steps once, with its depth, in discovery order.
+
+    A yielded state is expanded when the consumer resumes, unless it lies at
+    depth `fuel`.  `parents`, when given, receives ``succ -> (state, redex)``
+    for every discovered state, a shortest path back to `start`.  Visiting
+    more than `state_budget` states raises StateBudgetExhausted.
+    """
+    seen = {start}
+    queue: deque[tuple[State, int]] = deque([(start, 0)])
+    visited = 0
+    while queue:
+        cur, depth = queue.popleft()
+        visited += 1
+        if visited > state_budget:
+            raise StateBudgetExhausted(f"state budget {state_budget} exhausted")
+        yield cur, depth
+        if depth == fuel:
+            continue
+        for redex, succ in successors(cur):
+            if succ not in seen:
+                seen.add(succ)
+                if parents is not None:
+                    parents[succ] = (cur, redex)
+                queue.append((succ, depth + 1))
+
+
+def drive(
+    start: State,
+    successors: Successors,
+    strategy: str = "first",
+    fuel: int = 1000,
+    *,
+    seed: Optional[int] = None,
+    goal: Optional[State] = None,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> Trace:
+    """Run one of the strategies first | all | random from `start`.
+
+    ``successors(state)`` yields ``(redex, successor)`` pairs in a fixed
+    order.  ``first`` repeatedly takes the first pair, ``random`` draws
+    uniformly using the seed, ``all`` explores breadth-first and returns a
+    shortest trace to a normal form (or to `goal`) within `fuel` steps.
+    Running out of fuel or of the state budget is the status
+    ``fuel_exhausted``, not an error.
     """
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
-    t0 = canonicalize(p, t)
-    goal = canonicalize(p, target) if target is not None else None
-
     if strategy == "all":
-        return _reduce_bfs(p, t0, fuel, rules, goal, state_budget)
+        parents: dict = {}
+        peeked: list = [None, None]  # a state and its edges, begun by the normal-form test
+
+        def edges(state: State) -> Iterable[tuple[Redex, State]]:
+            return peeked[1] if state is peeked[0] else successors(state)
+
+        try:
+            for cur, _ in explore(start, edges, fuel, parents, state_budget):
+                if goal is not None:
+                    if cur == goal:
+                        return Trace(start, _path(parents, cur), TARGET_REACHED)
+                    continue
+                rest = iter(successors(cur))
+                first = next(rest, None)
+                if first is None:
+                    return Trace(start, _path(parents, cur), NORMAL_FORM)
+                peeked[:] = [cur, itertools.chain((first,), rest)]
+        except StateBudgetExhausted:
+            pass
+        return Trace(start, [], FUEL_EXHAUSTED)
     if strategy not in ("first", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
     rng = _random.Random(seed)
-    steps: list[tuple[Redex, Term]] = []
-    cur = t0
-    for _ in range(fuel):
-        if goal is not None and cur == goal:
-            return Trace(t0, steps, TARGET_REACHED)
-        if strategy == "first":
-            found = next(_iter_redexes(p, cur, rules), None)
-            if found is None:
-                return Trace(t0, steps, NORMAL_FORM)
+    steps: list = []
+    cur = start
+    while goal is None or cur != goal:
+        if strategy == "first" or len(steps) == fuel:  # out of fuel: only test for a normal form
+            found = next(iter(successors(cur)), None)
         else:
-            options = list(_iter_redexes(p, cur, rules))
-            if not options:
-                return Trace(t0, steps, NORMAL_FORM)
-            found = options[rng.randrange(len(options))]
-        redex, succ = found
-        steps.append((redex, succ))
-        cur = succ
-    if goal is not None and cur == goal:
-        return Trace(t0, steps, TARGET_REACHED)
-    if next(_iter_redexes(p, cur, rules), None) is None:
-        return Trace(t0, steps, NORMAL_FORM)
-    return Trace(t0, steps, FUEL_EXHAUSTED)
+            options = list(successors(cur))
+            found = options[rng.randrange(len(options))] if options else None
+        if found is None:
+            return Trace(start, steps, NORMAL_FORM)
+        if len(steps) == fuel:
+            return Trace(start, steps, FUEL_EXHAUSTED)
+        steps.append(found)
+        cur = found[1]
+    return Trace(start, steps, TARGET_REACHED)
 
 
-def _reduce_bfs(
-    p: Presentation,
-    t0: Term,
-    fuel: int,
-    rules: Optional[Sequence[str]],
-    goal: Optional[Term],
-    state_budget: int,
-) -> Trace:
-    def rebuild(term: Term, parents: dict) -> list[tuple[Redex, Term]]:
-        chain: list[tuple[Redex, Term]] = []
-        while term != t0:
-            prev, redex = parents[term]
-            chain.append((redex, term))
-            term = prev
-        chain.reverse()
-        return chain
-
-    parents: dict[Term, tuple[Term, Redex]] = {}
-    seen = {t0}
-    queue: deque[tuple[Term, int]] = deque([(t0, 0)])
-    states = 0
-    while queue:
-        cur, depth = queue.popleft()
-        states += 1
-        if states > state_budget:
-            return Trace(t0, [], FUEL_EXHAUSTED)
-        if goal is not None:
-            if cur == goal:
-                return Trace(t0, rebuild(cur, parents), TARGET_REACHED)
-        elif next(_iter_redexes(p, cur, rules), None) is None:
-            return Trace(t0, rebuild(cur, parents), NORMAL_FORM)
-        if depth == fuel:
-            continue
-        for redex, succ in _iter_redexes(p, cur, rules):
-            if succ not in seen:
-                seen.add(succ)
-                parents[succ] = (cur, redex)
-                queue.append((succ, depth + 1))
-    return Trace(t0, [], FUEL_EXHAUSTED)
+def _path(parents: dict, state: State) -> list:
+    chain = []
+    while state in parents:
+        prev, redex = parents[state]
+        chain.append((redex, state))
+        state = prev
+    chain.reverse()
+    return chain
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ resolves to one.
 from __future__ import annotations
 
 import random as _random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
+
+from .core import Redex, Trace, drive
 
 
 @dataclass(frozen=True)
@@ -388,66 +389,19 @@ def comm_step(p: Process) -> set[Process]:
     return out
 
 
-@dataclass
-class RhoTrace:
-    initial: Process
-    steps: list[tuple[str, Process]]
-    status: str
+COMM = Redex("comm", (), {})
 
-    @property
-    def final(self) -> Process:
-        return self.steps[-1][1] if self.steps else self.initial
 
-    def __len__(self) -> int:
-        return len(self.steps)
+def comm_edges(p: Process) -> list[tuple[Redex, Process]]:
+    """The reducts of a closed process in the fixed process order, each
+    labelled with the one communication redex."""
+    return [(COMM, q) for q in sorted(comm_step(p), key=process_key)]
 
 
 def rho_reduce(p: Process, strategy: str = "first", fuel: int = 1000,
-               *, seed: Optional[int] = None) -> RhoTrace:
-    """Drive communication steps; mirrors the term rewriting strategies."""
-    if fuel < 0:
-        raise ValueError("fuel must be >= 0")
-    p0 = canon_process(p)
-
-    if strategy == "all":
-        parents: dict[Process, Process] = {}
-        seen = {p0}
-        queue = deque([(p0, 0)])
-        while queue:
-            cur, depth = queue.popleft()
-            succs = sorted(comm_step(cur), key=process_key)
-            if not succs:
-                chain = []
-                node = cur
-                while node != p0:
-                    chain.append(("comm", node))
-                    node = parents[node]
-                chain.reverse()
-                return RhoTrace(p0, chain, "normal_form")
-            if depth == fuel:
-                continue
-            for s in succs:
-                if s not in seen:
-                    seen.add(s)
-                    parents[s] = cur
-                    queue.append((s, depth + 1))
-        return RhoTrace(p0, [], "fuel_exhausted")
-
-    if strategy not in ("first", "random"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    rng = _random.Random(seed)
-    steps: list[tuple[str, Process]] = []
-    cur = p0
-    for _ in range(fuel):
-        succs = sorted(comm_step(cur), key=process_key)
-        if not succs:
-            return RhoTrace(p0, steps, "normal_form")
-        nxt = succs[0] if strategy == "first" else succs[rng.randrange(len(succs))]
-        steps.append(("comm", nxt))
-        cur = nxt
-    if not comm_step(cur):
-        return RhoTrace(p0, steps, "normal_form")
-    return RhoTrace(p0, steps, "fuel_exhausted")
+               *, seed: Optional[int] = None) -> Trace:
+    """Drive communication steps with the term rewriting strategies."""
+    return drive(canon_process(p), comm_edges, strategy, fuel, seed=seed)
 
 
 # ---------------------------------------------------------------------------

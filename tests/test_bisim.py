@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from skirho import comb, rho
+from skirho import bisim, comb, core, rho
 from skirho.bisim import (
     BudgetExhausted,
     barbs,
@@ -149,6 +149,19 @@ def test_bisim_monotone_in_depth():
 def test_bisim_budget_exhaustion():
     with pytest.raises(BudgetExhausted):
         bounded_bisim(relay(), relay(), [N0], 3, budget=1)
+
+
+def test_bisim_state_budget_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(bisim, "explore", lambda *args: core.explore(*args, state_budget=1))
+    with pytest.raises(BudgetExhausted):
+        bounded_bisim(relay(), relay(), [N0], 3)
+
+
+def test_negative_bounds_rejected():
+    with pytest.raises(ValueError):
+        weak_barbs(out0(), [N0], -1)
+    with pytest.raises(ValueError):
+        bounded_bisim(out0(), ZERO, [N0], -1)
 
 
 def test_bisim_rejects_mixed_calculi():

@@ -67,6 +67,23 @@ def test_fuel_exhaustion_exits_2(capsys):
     assert "status: fuel_exhausted" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "--calculus", "ski", "--fuel", "-1", "(I K)"),
+        ("reduce", "--calculus", "ski-gas", "--gas", "-1", "(I K)"),
+        ("barbs", "--calculus", "rho", "--depth", "-1", "--names", "&0", "&0!0"),
+        ("bisim", "--calculus", "rho", "--depth", "-1", "&0!0", "0"),
+        ("faithfulness", "--depth", "-1", "&0!0", "0"),
+    ],
+)
+def test_negative_bound_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "must be >= 0" in err
+
+
 def test_gas_run_cli(capsys):
     code, out, _ = run_cli(capsys, "reduce", "--calculus", "ski-gas", "--gas", "2", "(I K)")
     assert code == 0

@@ -16,12 +16,16 @@ from skirho.core import (
     OrientedEquation,
     PatternNode,
     Presentation,
+    Redex,
     RewriteRule,
     Sort,
+    StateBudgetExhausted,
     Term,
     apply_redex,
     canonicalize,
     congruent,
+    drive,
+    explore,
     find_redexes,
     is_normal,
     match_pattern,
@@ -29,7 +33,7 @@ from skirho.core import (
     step,
     validate_presentation,
 )
-from skirho import comb, ski
+from skirho import comb, rho, ski
 from skirho.comb import ATOM_DECLS, ZERO_DECL, PAR_DECL, AMP_DECL, BANG_DECL, FOR_DECL, K_DECL
 from skirho.ski import I, K, S, ap
 
@@ -265,6 +269,90 @@ def test_reduce_random_reproducible():
 def test_reduce_unknown_strategy():
     with pytest.raises(ValueError):
         reduce(PLAIN, K(), "weird", 1)
+
+
+# ---------------------------------------------------------------------------
+# drive and explore over a toy integer graph: 0 -> 1, 2; 1 -> 3; 2 -> 3, 0;
+# 3 -> 0, 4; 4 is the only normal form; 0 -> 1 -> 3 -> 0 is a cycle
+
+
+GRAPH = {0: (1, 2), 1: (3,), 2: (3, 0), 3: (0, 4), 4: ()}
+
+
+def toy(n):
+    for m in GRAPH[n]:
+        yield Redex(f"{n}>{m}", (), {}), m
+
+
+def labels(trace):
+    return [redex.rule for redex, _ in trace.steps]
+
+
+def test_explore_discovery_order_and_parents():
+    parents = {}
+    assert list(explore(0, toy, 10, parents)) == [(0, 0), (1, 1), (2, 1), (3, 2), (4, 3)]
+    assert {m: (n, r.rule) for m, (n, r) in parents.items()} == {
+        1: (0, "0>1"), 2: (0, "0>2"), 3: (1, "1>3"), 4: (3, "3>4")}
+
+
+def test_explore_does_not_expand_at_fuel():
+    assert list(explore(0, toy, 1)) == [(0, 0), (1, 1), (2, 1)]
+    assert list(explore(0, toy, 0)) == [(0, 0)]
+
+
+def test_explore_cycle_inside_bound_leaves_nothing_beyond():
+    # the rule weak_barbs uses: truncated iff some state lies at depth bound + 1
+    cycle = {0: (1,), 1: (2,), 2: (0,)}
+
+    def succ(n):
+        return [(None, m) for m in cycle[n]]
+
+    assert max(d for _, d in explore(0, succ, 2 + 1)) == 2
+    assert max(d for _, d in explore(0, succ, 1 + 1)) == 2
+
+
+def test_drive_all_is_shortest():
+    trace = drive(0, toy, "all", 10)
+    assert trace.status == "normal_form"
+    assert labels(trace) == ["0>1", "1>3", "3>4"]
+    assert trace.final == 4
+    trace = drive(0, toy, "all", 10, goal=3)
+    assert trace.status == "target_reached"
+    assert labels(trace) == ["0>1", "1>3"]
+    assert drive(0, toy, "all", 2).status == "fuel_exhausted"
+
+
+def test_drive_first_follows_first_edges():
+    trace = drive(0, toy, "first", 6)
+    assert trace.status == "fuel_exhausted"
+    assert [s for _, s in trace.steps] == [1, 3, 0, 1, 3, 0]
+    trace = drive(0, toy, "first", 6, goal=3)
+    assert trace.status == "target_reached"
+    assert labels(trace) == ["0>1", "1>3"]
+    assert drive(4, toy, "first", 0).status == "normal_form"
+
+
+def test_drive_random_is_seeded_walk():
+    a = drive(0, toy, "random", 100, seed=3)
+    assert a.status == "normal_form" and a.final == 4
+    walk = [0] + [s for _, s in a.steps]
+    assert all(m in GRAPH[n] for n, m in zip(walk, walk[1:]))
+    assert labels(drive(0, toy, "random", 100, seed=3)) == labels(a)
+
+
+def test_state_budget_reports_fuel_exhausted():
+    with pytest.raises(StateBudgetExhausted):
+        list(explore(0, toy, 10, state_budget=4))
+    assert len(list(explore(0, toy, 10, state_budget=5))) == 5
+    for goal in (None, 4):
+        trace = drive(0, toy, "all", 10, goal=goal, state_budget=2)
+        assert trace.status == "fuel_exhausted"
+        assert trace.steps == []
+    # the process calculus runs through the same driver
+    p = rho.canon_process(rho.par_of([rho.Input(rho.Quote(rho.ZERO), "y", rho.ZERO),
+                                      rho.Output(rho.Quote(rho.ZERO), rho.ZERO)]))
+    assert drive(p, rho.comm_edges, "all", 5).status == "normal_form"
+    assert drive(p, rho.comm_edges, "all", 5, state_budget=1).status == "fuel_exhausted"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 from skirho import rho
+from skirho.cli import trace_to_json
+from skirho.core import Trace
 from skirho.rho import (
     ZERO,
     Deref,
@@ -287,6 +289,15 @@ def test_rho_reduce_zero_fuel():
     p = Par(Input(N0, "y", ZERO), out0())
     trace = rho_reduce(p, "first", 0)
     assert trace.status == "fuel_exhausted"
+
+
+def test_rho_trace_is_core_trace():
+    p = Par(Input(N0, "y", Output(Var("y"), ZERO)), out0())
+    for strategy in ("first", "all", "random"):
+        trace = rho_reduce(p, strategy, 5, seed=1)
+        assert isinstance(trace, Trace)
+        assert trace_to_json("rho", trace)["steps"] == [
+            {"rule": "comm", "position": [], "result": "&0!0"}]
 
 
 def test_random_process_closed():
