@@ -16,7 +16,6 @@ from .core import (
     MetaVar,
     OrientedEquation,
     Pattern,
-    PatternNode,
     Presentation,
     Redex,
     RewriteRule,
@@ -44,7 +43,6 @@ __all__ = [
     "MetaVar",
     "OrientedEquation",
     "Pattern",
-    "PatternNode",
     "Presentation",
     "Redex",
     "RewriteRule",

@@ -31,7 +31,6 @@ class _System:
     successors: Successors
     immediate_barbs: Callable[[Agent, tuple], frozenset]
     canon_name: Callable[[object], object]
-    pretty: Callable[[Agent], str]
 
 
 def _rho_barbs(p: rho.Process, names: tuple) -> frozenset:
@@ -49,17 +48,16 @@ _RHO = _System(
     successors=rho.comm_edges,
     immediate_barbs=_rho_barbs,
     canon_name=rho.canon_name,
-    pretty=repr,
 )
 
 
 def _comb_successors(t: Term) -> list[tuple[None, Term]]:
-    return [(None, s) for s in sorted(step(comb._PRESENTATION, t), key=term_key)]
+    return [(None, s) for s in sorted(step(comb.PRESENTATION, t), key=term_key)]
 
 
 def _comb_barbs(t: Term, names: tuple) -> frozenset:
     found = set()
-    for component in comb._par_components(comb.canon(t)):
+    for component in comb.par_components(comb.canon(t)):
         if (
             component.head == comb.APP_DECL
             and component.children[0].head == comb.APP_DECL
@@ -76,7 +74,6 @@ _COMB = _System(
     successors=_comb_successors,
     immediate_barbs=_comb_barbs,
     canon_name=comb.canon,
-    pretty=repr,
 )
 
 
@@ -275,7 +272,7 @@ def faithfulness_check(p: rho.Process, q: rho.Process, names, depth: int,
 def names_occurring(agent: Agent) -> list:
     """All names occurring in an agent, canonical and deduplicated."""
     if isinstance(agent, Term):
-        quotes = comb._quote_subterms(comb.canon(agent))
+        quotes = comb.quote_subterms(comb.canon(agent))
         out = []
         for qt in quotes:
             name = comb.canon(comb.ap(comb.atom(comb.AMP_DECL), qt))

@@ -148,8 +148,8 @@ def replay_trace_json(obj: dict):
 
 def _presentation(calculus: str) -> Presentation:
     if calculus == "rho-comb":
-        return comb.comb_presentation()
-    return ski.ski_presentation(_ski_variant(calculus))
+        return comb.PRESENTATION
+    return ski.PRESENTATIONS[_ski_variant(calculus)]
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -339,7 +339,7 @@ def _cmd_roundtrip(args) -> int:
         except comb.TranslationError as err:
             raise CliError(str(err), EXIT_PROPERTY) from err
         target = comb.interp(process)
-        trace = reduce(comb.comb_presentation(), term, "all", args.fuel,
+        trace = reduce(comb.PRESENTATION, term, "all", args.fuel,
                        rules=comb.NON_COMM_RULES, target=target)
         ok1 = trace.status == "target_reached"
         checks.append(("reduces_to_composite_without_comm", ok1, print_comb(target)))
@@ -357,8 +357,15 @@ def _cmd_roundtrip(args) -> int:
 # argument plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line and exit 1; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}", EXIT_INPUT)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skirho",
         description="term rewriting for combinator calculi and a reflective process calculus",
     )
@@ -420,9 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         for flag in ("fuel", "gas", "depth"):
             value = getattr(args, flag, None)
             if value is not None and value < 0:
@@ -450,6 +456,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FuelExhausted as err:
         print(str(err), file=sys.stderr)
         return EXIT_FUEL
+    except RecursionError:
+        print("term nested too deeply", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -23,8 +23,6 @@ from .core import (
     CongruenceSpec,
     ConstructorDecl,
     MetaVar,
-    Pattern,
-    PatternNode,
     Presentation,
     RewriteRule,
     Sort,
@@ -102,67 +100,42 @@ def contains_constructor(t: Term, decl: ConstructorDecl) -> bool:
     return t.head == decl or any(contains_constructor(c, decl) for c in t.children)
 
 
-def _mv(name: str) -> MetaVar:
-    return MetaVar(name, T)
+def wrap_context(t: Term) -> Term:
+    return aps(atom(PAR_DECL), atom(C_DECL), t)
 
 
-def _pap(f: Pattern, x: Pattern) -> PatternNode:
-    return PatternNode(APP_DECL, (f, x))
+_P, _Q, _R = MetaVar("P", T), MetaVar("Q", T), MetaVar("R", T)
+_AMP = atom(AMP_DECL)
 
-
-def _paps(*pats: Pattern) -> Pattern:
-    out = pats[0]
-    for q in pats[1:]:
-        out = _pap(out, q)
-    return out
-
-
-def _patom(decl: ConstructorDecl) -> PatternNode:
-    return PatternNode(decl)
-
-
-_P, _Q, _R = _mv("P"), _mv("Q"), _mv("R")
+PRESENTATION = Presentation(
+    sorts=(T,),
+    constructors=ATOM_DECLS + (APP_DECL,),
+    congruence=CongruenceSpec(
+        acu_groups=(AcuGroup(app=APP_DECL, operator=atom(PAR_DECL), unit=atom(ZERO_DECL)),),
+    ),
+    rules=(
+        RewriteRule("sigma", aps(atom(S_DECL), _P, _Q, _R), ap(ap(_P, _R), ap(_Q, _R))),
+        RewriteRule("kappa", aps(atom(K_DECL), _P, _Q), _P),
+        RewriteRule("iota", ap(atom(I_DECL), _P), _P),
+        RewriteRule(
+            "xi",
+            wrap_context(aps(atom(PAR_DECL),
+                             aps(atom(FOR_DECL), ap(_AMP, _P), _Q),
+                             aps(atom(BANG_DECL), ap(_AMP, _P), _R))),
+            wrap_context(ap(_Q, ap(_AMP, _R))),
+        ),
+        RewriteRule("epsilon", wrap_context(ap(atom(STAR_DECL), ap(_AMP, _P))), wrap_context(_P)),
+    ),
+)
 
 
 def comb_presentation() -> Presentation:
-    par, c, amp = _patom(PAR_DECL), _patom(C_DECL), _patom(AMP_DECL)
-    return Presentation(
-        sorts=(T,),
-        constructors=ATOM_DECLS + (APP_DECL,),
-        congruence=CongruenceSpec(
-            acu_groups=(AcuGroup(app=APP_DECL, operator=atom(PAR_DECL), unit=atom(ZERO_DECL)),),
-        ),
-        rules=(
-            RewriteRule("sigma", _paps(_patom(S_DECL), _P, _Q, _R),
-                        _pap(_pap(_P, _R), _pap(_Q, _R))),
-            RewriteRule("kappa", _paps(_patom(K_DECL), _P, _Q), _P),
-            RewriteRule("iota", _pap(_patom(I_DECL), _P), _P),
-            RewriteRule(
-                "xi",
-                _paps(par, c,
-                      _paps(par,
-                            _pap(_pap(_patom(FOR_DECL), _pap(amp, _P)), _Q),
-                            _pap(_pap(_patom(BANG_DECL), _pap(amp, _P)), _R))),
-                _paps(par, c, _pap(_Q, _pap(amp, _R))),
-            ),
-            RewriteRule(
-                "epsilon",
-                _paps(par, c, _pap(_patom(STAR_DECL), _pap(amp, _P))),
-                _paps(par, c, _P),
-            ),
-        ),
-    )
-
-
-_PRESENTATION = comb_presentation()
+    """The combinator presentation, the module constant PRESENTATION."""
+    return PRESENTATION
 
 
 def canon(t: Term) -> Term:
-    return canonicalize(_PRESENTATION, t)
-
-
-def wrap_context(t: Term) -> Term:
-    return aps(atom(PAR_DECL), atom(C_DECL), t)
+    return canonicalize(PRESENTATION, t)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +364,7 @@ def backinterp(c: Term, fuel: int = DEFAULT_FUEL) -> Process:
 
 
 def _skinormal(c: Term, budget: list[int]) -> Term:
-    trace = reduce(_PRESENTATION, c, "first", max(budget[0], 0), rules=STRUCTURAL_RULES)
+    trace = reduce(PRESENTATION, c, "first", max(budget[0], 0), rules=STRUCTURAL_RULES)
     budget[0] -= len(trace.steps)
     if trace.status != "normal_form" or budget[0] < 0:
         raise TranslationError("ran out of fuel unwinding S/K/I applications")
@@ -405,18 +378,19 @@ def _fresh_family(i: int) -> Term:
     return out
 
 
-def _quote_subterms(t: Term) -> list[Term]:
+def quote_subterms(t: Term) -> list[Term]:
+    """Every quoted combinator ``q`` of a subterm ``(& q)``, in pre-order."""
     out = []
     if t.head == APP_DECL and t.children[0].head == AMP_DECL and not t.children[0].children:
         out.append(t.children[1])
     for ch in t.children:
-        out.extend(_quote_subterms(ch))
+        out.extend(quote_subterms(ch))
     return out
 
 
 def _backinterp(c: Term, budget: list[int]) -> Process:
     c = _skinormal(c, budget)
-    comps = _par_components(c)
+    comps = par_components(c)
     if len(comps) != 1:
         return rho.par_of([_backinterp(e, budget) for e in comps])
     (c,) = comps
@@ -442,8 +416,9 @@ def _as_quote(t: Term) -> Term:
     raise TranslationError(f"expected a quoted combinator, got {t!r}")
 
 
-def _par_components(t: Term) -> list[Term]:
-    group = _PRESENTATION.congruence.acu_groups[0]
+def par_components(t: Term) -> list[Term]:
+    """The components of a parallel group; the unit alone is one component."""
+    group = PRESENTATION.congruence.acu_groups[0]
     if t == group.unit:
         return [t]
     comps = flatten_term(group, t)
@@ -453,7 +428,7 @@ def _par_components(t: Term) -> list[Term]:
 def _backinterp_input(subject: Term, continuation: Term, budget: list[int]) -> Process:
     subject_p = _backinterp(subject, budget)
     taboo = {rho.canon_process(_backinterp(q, budget))
-             for q in _quote_subterms(continuation)}
+             for q in quote_subterms(continuation)}
     i = 0
     while True:
         fresh = _fresh_family(i)
@@ -533,7 +508,7 @@ def normal_form_probe(samples: int = 50, seed: int = 0, depth: int = 3) -> dict:
         succs = rho.comm_step(p)
         stats["comm_total"] += len(succs)
         wrapped = canon(wrap_context(image))
-        comb_succs = step(_PRESENTATION, wrapped, rules=("xi",))
+        comb_succs = step(PRESENTATION, wrapped, rules=("xi",))
         translated = set()
         for s in comb_succs:
             inner = unwrap_context(s)
@@ -548,8 +523,8 @@ def normal_form_probe(samples: int = 50, seed: int = 0, depth: int = 3) -> dict:
 
 def unwrap_context(t: Term) -> Optional[Term]:
     """Remove the single context resource from a wrapped parallel group."""
-    comps = _par_components(t)
+    comps = par_components(t)
     rest = [c for c in comps if c.head != C_DECL]
     if len(rest) == len(comps) - 1:
-        return group_join(_PRESENTATION.congruence.acu_groups[0], rest)
+        return group_join(PRESENTATION.congruence.acu_groups[0], rest)
     return None

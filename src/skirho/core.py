@@ -1,5 +1,9 @@
 """Generic multisorted term rewriting modulo a restricted structural congruence.
 
+A rule side, an oriented equation side or any other pattern is a `Term`
+whose leaves may be metavariables (`MetaVar`), so one set of term helpers
+serves terms and patterns alike.
+
 The congruence a presentation may declare is deliberately limited to two
 ingredients that keep matching decidable and fast:
 
@@ -15,7 +19,10 @@ parallel group (the remainder is kept), and a rule that mentions a floating
 marker may match with surplus markers peeled off into the surrounding
 context.  Both correspond to matching the rule inside some representative
 of the congruence class, which is exactly where the one-step edges of the
-free model live.
+free model live.  Each presentation analyses its rules once, on first use:
+every group-shaped node of a left-hand side is flattened into its element
+patterns and collector metavariables, and every marker-float shape is kept
+with the rule's spine-marker count.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import itertools
 import random as _random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 DEFAULT_ORIENTED_FUEL = 10_000
@@ -76,6 +84,8 @@ class ConstructorDecl:
 
 @dataclass(frozen=True)
 class Term:
+    """A constructor applied to children; a pattern when some leaves are MetaVars."""
+
     head: ConstructorDecl
     children: tuple["Term", ...] = ()
 
@@ -99,26 +109,18 @@ class Term:
 
 @dataclass(frozen=True)
 class MetaVar:
+    """A pattern leaf; as a leaf it has no head and no children."""
+
     name: str
     sort: Sort
+    head = None
+    children = ()
 
     def __repr__(self) -> str:
         return f"?{self.name}"
 
 
-@dataclass(frozen=True)
-class PatternNode:
-    head: ConstructorDecl
-    children: tuple["Pattern", ...] = ()
-
-    def __repr__(self) -> str:
-        if not self.children:
-            return self.head.name
-        inner = " ".join(repr(c) for c in self.children)
-        return f"({self.head.name} {inner})"
-
-
-Pattern = Union[MetaVar, PatternNode]
+Pattern = Union[MetaVar, Term]
 
 
 @dataclass(frozen=True)
@@ -128,8 +130,6 @@ class AcuGroup:
     app: ConstructorDecl
     operator: Term
     unit: Term
-    associative: bool = True
-    commutative: bool = True
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,18 @@ class Presentation:
             if rule.name == name:
                 return rule
         raise KeyError(name)
+
+    @cached_property
+    def _rule_table(self) -> tuple[tuple[RewriteRule, Union[Pattern, _Flat], tuple], ...]:
+        """Each rule with its compiled left-hand side and the marker-float
+        shapes ``(marker, binary, spine-marker count)`` that may peel for it."""
+        floats = _float_shapes(self)
+        return tuple(
+            (rule, _compile(self, rule.lhs),
+             tuple((u, b, c) for u, b in floats
+                   if (c := _pattern_spine_marker(u, b, rule.lhs)) is not None))
+            for rule in self.rules
+        )
 
 
 @dataclass
@@ -250,10 +262,6 @@ def pattern_metavars(pat: Pattern) -> dict[str, Sort]:
     return out
 
 
-def pattern_sort(pat: Pattern) -> Sort:
-    return pat.sort if isinstance(pat, MetaVar) else pat.head.result_sort
-
-
 def instantiate(pat: Pattern, binding: dict[str, Term]) -> Term:
     if isinstance(pat, MetaVar):
         try:
@@ -261,10 +269,6 @@ def instantiate(pat: Pattern, binding: dict[str, Term]) -> Term:
         except KeyError:
             raise RewriteError(f"metavariable {pat.name} is unbound") from None
     return Term(pat.head, tuple(instantiate(c, binding) for c in pat.children))
-
-
-def term_to_pattern(t: Term) -> PatternNode:
-    return PatternNode(t.head, tuple(term_to_pattern(c) for c in t.children))
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +324,7 @@ def flatten_term(g: AcuGroup, t: Term) -> list[Term]:
     if t == g.unit:
         return []
     if (
-        g.associative
-        and t.head == g.app
+        t.head == g.app
         and len(t.children) == 2
         and t.children[0].head == g.app
         and t.children[0].children[0] == g.operator
@@ -368,10 +371,7 @@ def _canon(p: Presentation, t: Term, budget: _Budget) -> Term:
             continue
         g = _group_of(p, t)
         if g is not None:
-            elems = flatten_term(g, t)
-            if g.commutative:
-                elems.sort(key=term_key)
-            joined = group_join(g, elems)
+            joined = group_join(g, sorted(flatten_term(g, t), key=term_key))
             if joined != t:
                 t = joined
                 continue
@@ -386,44 +386,30 @@ def congruent(p: Presentation, t: Term, u: Term) -> bool:
 # matching
 
 
-def _pattern_group(p: Presentation, pat: Pattern) -> Optional[AcuGroup]:
-    if not isinstance(pat, PatternNode):
-        return None
-    for g in p.congruence.acu_groups:
-        if (
-            pat.head == g.app
-            and len(pat.children) == 2
-            and isinstance(pat.children[0], PatternNode)
-            and pat.children[0].head == g.app
-            and pat.children[0].children[0] == term_to_pattern(g.operator)
-        ):
-            return g
-    return None
+@dataclass(frozen=True)
+class _Flat:
+    """A group-shaped pattern node, flattened: element patterns and collectors."""
+
+    group: AcuGroup
+    elems: tuple
+    collectors: tuple[MetaVar, ...]
 
 
-def _flatten_pattern(p: Presentation, g: AcuGroup, pat: Pattern) -> tuple[list[Pattern], list[MetaVar]]:
-    """Split an ACU-shaped pattern into element patterns and collector metavars."""
-    elems: list[Pattern] = []
-    mvars: list[MetaVar] = []
-    unit_pat = term_to_pattern(g.unit)
-
-    def walk(q: Pattern) -> None:
-        if isinstance(q, MetaVar):
-            mvars.append(q)
-            return
-        if q == unit_pat:
-            return
-        if _pattern_group(p, q) is g:
-            walk(q.children[0].children[1])
-            walk(q.children[1])
-            return
-        elems.append(q)
-
-    walk(pat)
-    return elems, mvars
+def _compile(p: Presentation, pat: Pattern) -> Union[Pattern, _Flat]:
+    """The pattern with every group-shaped node replaced by its `_Flat` node."""
+    if isinstance(pat, MetaVar):
+        return pat
+    g = _group_of(p, pat)
+    if g is None:
+        return Term(pat.head, tuple(_compile(p, c) for c in pat.children))
+    parts = flatten_term(g, pat)
+    return _Flat(g, tuple(_compile(p, q) for q in parts if not isinstance(q, MetaVar)),
+                 tuple(q for q in parts if isinstance(q, MetaVar)))
 
 
-def _match_gen(p: Presentation, pat: Pattern, t: Term, binding: dict[str, Term]) -> Iterator[dict[str, Term]]:
+def _match_gen(
+    pat: Union[Pattern, _Flat], t: Term, binding: dict[str, Term]
+) -> Iterator[dict[str, Term]]:
     """Yield every binding (deterministic order) making pat congruent to t.
 
     Repeated metavariables must bind canonically equal terms; matching under
@@ -439,9 +425,8 @@ def _match_gen(p: Presentation, pat: Pattern, t: Term, binding: dict[str, Term])
         elif bound == t:
             yield binding
         return
-    g = _pattern_group(p, pat)
-    if g is not None:
-        yield from _match_acu(p, g, pat, t, binding, rest_var=None)
+    if isinstance(pat, _Flat):
+        yield from _match_acu(pat, t, binding, rest_var=None)
         return
     if pat.head != t.head:
         return
@@ -450,23 +435,18 @@ def _match_gen(p: Presentation, pat: Pattern, t: Term, binding: dict[str, Term])
         if i == len(pat.children):
             yield b
             return
-        for b2 in _match_gen(p, pat.children[i], t.children[i], b):
+        for b2 in _match_gen(pat.children[i], t.children[i], b):
             yield from rec(i + 1, b2)
 
     yield from rec(0, binding)
 
 
 def _match_acu(
-    p: Presentation,
-    g: AcuGroup,
-    pat: Pattern,
-    t: Term,
-    binding: dict[str, Term],
-    rest_var: Optional[str],
+    pat: _Flat, t: Term, binding: dict[str, Term], rest_var: Optional[str]
 ) -> Iterator[dict[str, Term]]:
-    pelems, pvars = _flatten_pattern(p, g, pat)
+    g, pelems, pvars = pat.group, pat.elems, pat.collectors
     if rest_var is not None:
-        pvars = pvars + [MetaVar(rest_var, g.unit.sort)]
+        pvars = pvars + (MetaVar(rest_var, g.unit.sort),)
     telems = flatten_term(g, t)
 
     # bound collector metavariables contribute a fixed sub-multiset
@@ -529,7 +509,7 @@ def _match_acu(
         for j, te in enumerate(telems):
             if j in used:
                 continue
-            for b2 in _match_gen(p, pelems[i], te, b):
+            for b2 in _match_gen(pelems[i], te, b):
                 yield from match_elems(i + 1, used + (j,), b2)
 
     seen: set[tuple] = set()
@@ -543,7 +523,7 @@ def _match_acu(
 def match_pattern(p: Presentation, pat: Pattern, t: Term) -> Optional[dict[str, Term]]:
     """First binding making pat congruent to t, or None."""
     t = canonicalize(p, t)
-    for b in _match_gen(p, pat, t, {}):
+    for b in _match_gen(_compile(p, pat), t, {}):
         return b
     return None
 
@@ -557,16 +537,15 @@ def _float_shapes(p: Presentation) -> list[tuple[ConstructorDecl, ConstructorDec
     out = []
     for eq in p.congruence.oriented_equations:
         lhs, rhs = eq.lhs, eq.rhs
-        if not (isinstance(lhs, PatternNode) and lhs.head.arity == 1):
+        if not (isinstance(lhs, Term) and lhs.head.arity == 1):
             continue
         inner = lhs.children[0]
-        if not (isinstance(inner, PatternNode) and inner.head.arity == 2):
+        if not (isinstance(inner, Term) and inner.head.arity == 2):
             continue
         x, y = inner.children
         if not (isinstance(x, MetaVar) and isinstance(y, MetaVar)):
             continue
-        want = PatternNode(inner.head, (PatternNode(lhs.head, (x,)), y))
-        if rhs == want:
+        if rhs == Term(inner.head, (Term(lhs.head, (x,)), y)):
             out.append((lhs.head, inner.head))
     return out
 
@@ -592,10 +571,10 @@ def _pattern_spine_marker(
     u_ctor: ConstructorDecl, b_ctor: ConstructorDecl, pat: Pattern
 ) -> Optional[int]:
     """Marker count on the pattern's spine head; None if indeterminate."""
-    while isinstance(pat, PatternNode) and pat.head == b_ctor and len(pat.children) == 2:
+    while pat.head == b_ctor and len(pat.children) == 2:
         pat = pat.children[0]
     c = 0
-    while isinstance(pat, PatternNode) and pat.head == u_ctor:
+    while pat.head == u_ctor:
         pat = pat.children[0]
         c += 1
     if isinstance(pat, MetaVar):
@@ -604,18 +583,16 @@ def _pattern_spine_marker(
 
 
 def _peel_candidate(
-    floats: Sequence[tuple[ConstructorDecl, ConstructorDecl]], node: Term, lhs: Pattern
+    floats: Sequence[tuple[ConstructorDecl, ConstructorDecl, int]], node: Term
 ) -> tuple[int, Optional[ConstructorDecl], Term]:
-    """How many floating markers to peel off into the context for this match."""
-    for u_ctor, b_ctor in floats:
+    """How many floating markers to peel off into the context for this match,
+    given the rule's float shapes with its spine-marker counts."""
+    for u_ctor, b_ctor, c in floats:
         if node.head != b_ctor:
             continue
         head, args = _spine(b_ctor, node)
         core, k = _unwrap_marker(u_ctor, head)
-        if k == 0:
-            continue
-        c = _pattern_spine_marker(u_ctor, b_ctor, lhs)
-        if c is None or c > k or c == k:
+        if k == 0 or c >= k:
             continue
         peeled_head = core
         for _ in range(c):
@@ -659,28 +636,26 @@ def iter_redexes(
     position, then multiset decomposition order.
     """
     positions = _positions(p, t)
-    floats = _float_shapes(p)
-    active = [r for r in p.rules if rules is None or r.name in rules]
-    for rule in active:
-        lhs_group = _pattern_group(p, rule.lhs)
-        if lhs_group is not None:
-            pelems, pvars = _flatten_pattern(p, lhs_group, rule.lhs)
-            extend = not pvars
-            for path, node, node_group in positions:
-                rest_var = REST_VAR if extend else None
-                for b in _match_acu(p, lhs_group, rule.lhs, node, {}, rest_var=rest_var):
+    for rule, lhs, floats in p._rule_table:
+        if rules is not None and rule.name not in rules:
+            continue
+        if isinstance(lhs, _Flat):
+            g = lhs.group
+            rest_var = None if lhs.collectors else REST_VAR
+            for path, node, _ in positions:
+                for b in _match_acu(lhs, node, {}, rest_var):
                     rest = b.pop(REST_VAR, None)
                     inst = instantiate(rule.rhs, b)
-                    if rest is not None and rest != lhs_group.unit:
-                        inst = Term(lhs_group.app, (Term(lhs_group.app, (lhs_group.operator, inst)), rest))
+                    if rest is not None and rest != g.unit:
+                        inst = Term(g.app, (Term(g.app, (g.operator, inst)), rest))
                     succ = canonicalize(p, replace_at(t, path, inst))
                     yield Redex(rule.name, path, b, peel=0, rest=rest), succ
         else:
             for path, node, node_group in positions:
                 if node_group is not None:
                     continue  # group nodes only host ACU-shaped rules
-                peel, u_ctor, target = _peel_candidate(floats, node, rule.lhs)
-                for b in _match_gen(p, rule.lhs, target, {}):
+                peel, u_ctor, target = _peel_candidate(floats, node)
+                for b in _match_gen(lhs, target, {}):
                     inst = instantiate(rule.rhs, b)
                     for _ in range(peel):
                         inst = Term(u_ctor, (inst,))
@@ -851,25 +826,6 @@ def _path(parents: dict, state: State) -> list:
 # presentation validation
 
 
-def check_term(p: Presentation, t: Term) -> list[str]:
-    """Sort defects of a term against a presentation, empty when well-formed."""
-    defects: list[str] = []
-
-    def walk(u: Term) -> None:
-        if u.head not in p.constructors:
-            defects.append(f"unknown constructor {u.head.name}")
-            return
-        for child, want in zip(u.children, u.head.argument_sorts):
-            if child.sort != want:
-                defects.append(
-                    f"child of {u.head.name} has sort {child.sort.name}, expected {want.name}"
-                )
-            walk(child)
-
-    walk(t)
-    return defects
-
-
 def _check_pattern(p: Presentation, pat: Pattern, where: str, mvar_sorts: dict[str, Sort]) -> list[str]:
     defects: list[str] = []
 
@@ -884,14 +840,11 @@ def _check_pattern(p: Presentation, pat: Pattern, where: str, mvar_sorts: dict[s
         if q.head not in p.constructors:
             defects.append(f"{where}: unknown constructor {q.head.name}")
             return
-        if len(q.children) != q.head.arity:
-            defects.append(f"{where}: constructor {q.head.name} arity mismatch")
-            return
         for child, want in zip(q.children, q.head.argument_sorts):
-            if pattern_sort(child) != want:
+            if child.sort != want:
                 defects.append(
                     f"{where}: child of {q.head.name} has sort "
-                    f"{pattern_sort(child).name}, expected {want.name}"
+                    f"{child.sort.name}, expected {want.name}"
                 )
             walk(child)
 
@@ -925,14 +878,14 @@ def validate_presentation(p: Presentation) -> ValidationReport:
         for name in pattern_metavars(rule.rhs):
             if name not in lhs_vars:
                 defects.append(f"rule {rule.name}: unbound metavariable {name} in rhs")
-        if pattern_sort(rule.lhs) != pattern_sort(rule.rhs):
+        if rule.lhs.sort != rule.rhs.sort:
             defects.append(f"rule {rule.name}: lhs and rhs have different sorts")
 
     for i, eq in enumerate(p.congruence.oriented_equations):
         mvar_sorts = {}
         defects += _check_pattern(p, eq.lhs, f"equation {i} lhs", mvar_sorts)
         defects += _check_pattern(p, eq.rhs, f"equation {i} rhs", mvar_sorts)
-        if pattern_sort(eq.lhs) != pattern_sort(eq.rhs):
+        if eq.lhs.sort != eq.rhs.sort:
             defects.append(f"equation {i}: non-sort-preserving equation")
         for name in pattern_metavars(eq.rhs):
             if name not in pattern_metavars(eq.lhs):
@@ -941,7 +894,7 @@ def validate_presentation(p: Presentation) -> ValidationReport:
     for g in p.congruence.acu_groups:
         if g.app.arity != 2:
             defects.append(f"ACU group operator {g.app.name} is not binary")
-        defects += [f"ACU group: {d}" for d in check_term(p, g.operator)]
-        defects += [f"ACU group: {d}" for d in check_term(p, g.unit)]
+        defects += _check_pattern(p, g.operator, "ACU group", {})
+        defects += _check_pattern(p, g.unit, "ACU group", {})
 
     return ValidationReport(ok=not defects, defects=defects)

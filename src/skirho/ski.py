@@ -19,8 +19,6 @@ from .core import (
     FuelExhausted,
     MetaVar,
     OrientedEquation,
-    Pattern,
-    PatternNode,
     Presentation,
     RewriteRule,
     Sort,
@@ -62,69 +60,51 @@ def R(t: Term) -> Term:
     return Term(R_DECL, (t,))
 
 
-def _mv(name: str) -> MetaVar:
-    return MetaVar(name, T)
+_x, _y, _z = MetaVar("x", T), MetaVar("y", T), MetaVar("z", T)
 
-
-def _pap(f: Pattern, x: Pattern) -> PatternNode:
-    return PatternNode(APP_DECL, (f, x))
-
-
-def _pr(x: Pattern) -> PatternNode:
-    return PatternNode(R_DECL, (x,))
-
-
-def _atom(decl: ConstructorDecl) -> PatternNode:
-    return PatternNode(decl)
-
-
-_x, _y, _z = _mv("x"), _mv("y"), _mv("z")
-
-_R_PROPAGATION = OrientedEquation(
-    lhs=_pr(_pap(_x, _y)),
-    rhs=_pap(_pr(_x), _y),
+_R_PROPAGATION = CongruenceSpec(
+    oriented_equations=(OrientedEquation(R(ap(_x, _y)), ap(R(_x), _y)),),
 )
+
+PRESENTATIONS = {
+    "plain": Presentation(
+        sorts=(T,),
+        constructors=(S_DECL, K_DECL, I_DECL, APP_DECL),
+        rules=(
+            RewriteRule("sigma", ap(ap(ap(S(), _x), _y), _z), ap(ap(_x, _z), ap(_y, _z))),
+            RewriteRule("kappa", ap(ap(K(), _y), _z), _y),
+            RewriteRule("iota", ap(I(), _z), _z),
+        ),
+    ),
+    "whnf": Presentation(
+        sorts=(T,),
+        constructors=(S_DECL, K_DECL, I_DECL, APP_DECL, R_DECL),
+        congruence=_R_PROPAGATION,
+        rules=(
+            RewriteRule("sigma", ap(ap(ap(R(S()), _x), _y), _z), ap(ap(R(_x), _z), ap(_y, _z))),
+            RewriteRule("kappa", ap(ap(R(K()), _y), _z), R(_y)),
+            RewriteRule("iota", ap(R(I()), _z), R(_z)),
+        ),
+    ),
+    "gas": Presentation(
+        sorts=(T,),
+        constructors=(S_DECL, K_DECL, I_DECL, APP_DECL, R_DECL),
+        congruence=_R_PROPAGATION,
+        rules=(
+            RewriteRule("sigma", ap(ap(ap(R(S()), _x), _y), _z), ap(ap(_x, _z), ap(_y, _z))),
+            RewriteRule("kappa", ap(ap(R(K()), _y), _z), _y),
+            RewriteRule("iota", ap(R(I()), _z), _z),
+        ),
+    ),
+}
 
 
 def ski_presentation(variant: str) -> Presentation:
-    """One of the three presentations: plain, whnf, or gas."""
-    if variant == "plain":
-        return Presentation(
-            sorts=(T,),
-            constructors=(S_DECL, K_DECL, I_DECL, APP_DECL),
-            congruence=CongruenceSpec(),
-            rules=(
-                RewriteRule("sigma", _pap(_pap(_pap(_atom(S_DECL), _x), _y), _z),
-                            _pap(_pap(_x, _z), _pap(_y, _z))),
-                RewriteRule("kappa", _pap(_pap(_atom(K_DECL), _y), _z), _y),
-                RewriteRule("iota", _pap(_atom(I_DECL), _z), _z),
-            ),
-        )
-    if variant == "whnf":
-        return Presentation(
-            sorts=(T,),
-            constructors=(S_DECL, K_DECL, I_DECL, APP_DECL, R_DECL),
-            congruence=CongruenceSpec(oriented_equations=(_R_PROPAGATION,)),
-            rules=(
-                RewriteRule("sigma", _pap(_pap(_pap(_pr(_atom(S_DECL)), _x), _y), _z),
-                            _pap(_pap(_pr(_x), _z), _pap(_y, _z))),
-                RewriteRule("kappa", _pap(_pap(_pr(_atom(K_DECL)), _y), _z), _pr(_y)),
-                RewriteRule("iota", _pap(_pr(_atom(I_DECL)), _z), _pr(_z)),
-            ),
-        )
-    if variant == "gas":
-        return Presentation(
-            sorts=(T,),
-            constructors=(S_DECL, K_DECL, I_DECL, APP_DECL, R_DECL),
-            congruence=CongruenceSpec(oriented_equations=(_R_PROPAGATION,)),
-            rules=(
-                RewriteRule("sigma", _pap(_pap(_pap(_pr(_atom(S_DECL)), _x), _y), _z),
-                            _pap(_pap(_x, _z), _pap(_y, _z))),
-                RewriteRule("kappa", _pap(_pap(_pr(_atom(K_DECL)), _y), _z), _y),
-                RewriteRule("iota", _pap(_pr(_atom(I_DECL)), _z), _z),
-            ),
-        )
-    raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    """One of the three presentations: plain, whnf, or gas (the PRESENTATIONS entry)."""
+    try:
+        return PRESENTATIONS[variant]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}") from None
 
 
 def marker_count(t: Term) -> int:
@@ -161,7 +141,7 @@ def whnf_run(t: Term, fuel: int = DEFAULT_FUEL) -> Trace:
     """Marker-guided reduction of Rt with the whnf presentation, first strategy."""
     if contains_marker(t):
         raise ValueError("term must be R-free")
-    return reduce(ski_presentation("whnf"), R(t), "first", fuel)
+    return reduce(PRESENTATIONS["whnf"], R(t), "first", fuel)
 
 
 def whnf(t: Term, fuel: int = DEFAULT_FUEL) -> Optional[Term]:
@@ -193,7 +173,7 @@ def gas_run(t: Term, n: int, fuel: Optional[int] = None) -> tuple[Term, int]:
 def gas_trace(t: Term, n: int, fuel: Optional[int] = None) -> Trace:
     if fuel is None:
         fuel = n
-    return reduce(ski_presentation("gas"), wrap_markers(t, n), "first", fuel)
+    return reduce(PRESENTATIONS["gas"], wrap_markers(t, n), "first", fuel)
 
 
 def whnf_oracle(t: Term, fuel: int = DEFAULT_FUEL) -> Optional[Term]:

@@ -204,7 +204,7 @@ def test_context_wrapped_reductions_preserve_weak_barbs():
                  for n in names_occurring(p) if isinstance(n, Quote)]
         wrapped = comb_canon(wrap_context(interp(p)))
         before = weak_barbs(wrapped, names, 6).names
-        for succ in step(comb._PRESENTATION, wrapped, rules=NON_COMM_RULES):
+        for succ in step(comb.PRESENTATION, wrapped, rules=NON_COMM_RULES):
             after = weak_barbs(succ, names, 6).names
             assert before == after
             checked += 1

@@ -84,6 +84,36 @@ def test_negative_bound_exits_1(capsys, argv):
     assert len(err.splitlines()) == 1 and "must be >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "--calculus", "ski", "(I", "K)"),
+        (),
+        ("reduce", "--calculus", "lambda", "(I K)"),
+    ],
+)
+def test_usage_error_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "usage: skirho" in capsys.readouterr().out
+
+
+def test_deep_term_exits_1(capsys):
+    deep = "(I " * 3000 + "K" + ")" * 3000
+    code, out, err = run_cli(capsys, "reduce", "--calculus", "ski", deep)
+    assert code == 1
+    assert out == ""
+    assert err == "term nested too deeply\n"
+
+
 def test_gas_run_cli(capsys):
     code, out, _ = run_cli(capsys, "reduce", "--calculus", "ski-gas", "--gas", "2", "(I K)")
     assert code == 0

@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skirho.core import (
+    AcuGroup,
     CongruenceSpec,
     ConstructorDecl,
     FuelExhausted,
     InvalidRedex,
     MetaVar,
     OrientedEquation,
-    PatternNode,
     Presentation,
     Redex,
     RewriteRule,
@@ -76,7 +77,7 @@ def test_validate_unbound_rhs_metavar():
     bad = Presentation(
         sorts=(T,),
         constructors=(ski.I_DECL, ski.APP_DECL),
-        rules=(RewriteRule("bad", PatternNode(ski.I_DECL), MetaVar("w", T)),),
+        rules=(RewriteRule("bad", Term(ski.I_DECL), MetaVar("w", T)),),
     )
     report = validate_presentation(bad)
     assert not report.ok
@@ -98,10 +99,20 @@ def test_validate_duplicates_and_sort_mismatch():
     mismatch = Presentation(
         sorts=(T,),
         constructors=(ski.I_DECL, ski.APP_DECL, weird),
-        rules=(RewriteRule("r", PatternNode(weird), PatternNode(ski.I_DECL)),),
+        rules=(RewriteRule("r", Term(weird), Term(ski.I_DECL)),),
     )
     report = validate_presentation(mismatch)
     assert any("different sorts" in d for d in report.defects)
+
+
+def test_validate_acu_group_with_undeclared_operator():
+    plus = ConstructorDecl("+", (), T)
+    bad = Presentation(
+        sorts=(T,),
+        constructors=(ski.I_DECL, ski.APP_DECL),
+        congruence=CongruenceSpec(acu_groups=(AcuGroup(ski.APP_DECL, Term(plus), I()),)),
+    )
+    assert validate_presentation(bad).defects == ["ACU group: unknown constructor +"]
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +188,28 @@ def test_match_repeated_metavar_requires_congruent_bindings():
     badout = comb.aps(comb.atom(BANG_DECL), othersubject, c0())
     t = par(comb.atom(comb.C_DECL), par(forterm, badout))
     assert match_pattern(COMB, rule.lhs, t) is None
+
+
+def test_match_group_pattern_that_is_no_rule_side():
+    forterm = comb.aps(comb.atom(FOR_DECL), comb.ap(comb.atom(AMP_DECL), c0()),
+                       comb.ap(comb.atom(K_DECL), c0()))
+    rest = par(out00(), forterm)
+    pat = comb.aps(comb.atom(PAR_DECL), comb.atom(comb.C_DECL), MetaVar("X", T))
+    binding = match_pattern(comb.PRESENTATION, pat, comb.wrap_context(rest))
+    assert binding == {"X": canonicalize(COMB, rest)}
+
+
+def test_rule_analysis_belongs_to_the_instance():
+    copy = dataclasses.replace(comb.PRESENTATION)
+    assert copy == comb.PRESENTATION and copy is not comb.PRESENTATION
+    rng = random.Random(3)
+    found = 0
+    for _ in range(12):
+        wrapped = comb.canon(comb.wrap_context(comb.interp(rho.random_process(rng, 3))))
+        redexes = find_redexes(comb.PRESENTATION, wrapped)
+        assert find_redexes(copy, wrapped) == redexes
+        found += len(redexes)
+    assert found > 0
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +480,8 @@ def test_oriented_equation_fuel_cap():
         sorts=(T,),
         constructors=(a, b),
         congruence=CongruenceSpec(oriented_equations=(
-            OrientedEquation(PatternNode(a), PatternNode(b)),
-            OrientedEquation(PatternNode(b), PatternNode(a)),
+            OrientedEquation(Term(a), Term(b)),
+            OrientedEquation(Term(b), Term(a)),
         )),
     )
     with pytest.raises(FuelExhausted):

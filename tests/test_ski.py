@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from skirho.core import PatternNode, canonicalize, reduce
+from skirho.core import Term, canonicalize, reduce
 from skirho.ski import (
     APP_DECL,
     I,
@@ -48,13 +48,13 @@ def omega():
 
 def test_plain_iota_shape():
     rule = PLAIN.rule("iota")
-    assert rule.lhs == PatternNode(APP_DECL, (PatternNode(I_DECL), rule.rhs))
+    assert rule.lhs == Term(APP_DECL, (Term(I_DECL), rule.rhs))
 
 
 def test_whnf_iota_marks_both_sides():
     rule = WHNF.rule("iota")
-    assert rule.lhs.children[0] == PatternNode(ski_decl("R"), (PatternNode(I_DECL),))
-    assert isinstance(rule.rhs, PatternNode) and rule.rhs.head.name == "R"
+    assert rule.lhs.children[0] == Term(ski_decl("R"), (Term(I_DECL),))
+    assert isinstance(rule.rhs, Term) and rule.rhs.head.name == "R"
 
 
 def test_gas_iota_consumes_marker():
