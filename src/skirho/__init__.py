@@ -13,8 +13,8 @@ from .core import (
     ConstructorDecl,
     FuelExhausted,
     InvalidRedex,
+    MarkerFloat,
     MetaVar,
-    OrientedEquation,
     Pattern,
     Presentation,
     Redex,
@@ -40,8 +40,8 @@ __all__ = [
     "ConstructorDecl",
     "FuelExhausted",
     "InvalidRedex",
+    "MarkerFloat",
     "MetaVar",
-    "OrientedEquation",
     "Pattern",
     "Presentation",
     "Redex",

@@ -15,6 +15,7 @@ from typing import Callable, Optional, Union
 
 from . import comb, rho
 from .core import StateBudgetExhausted, Successors, Term, explore, step, term_key
+from .syntax import print_comb, print_rho, print_rho_name
 
 Agent = Union[rho.Process, Term]
 
@@ -143,10 +144,14 @@ class Witness:
     inner: Optional["Witness"] = None
 
     def describe(self) -> str:
+        """One line naming the barb or the successor in the surface syntax."""
+        comb_side = isinstance(self.agent, Term)
         if self.kind == "barb":
-            return (f"{self.side} agent shows barb {self.name!r} that the other "
+            name = print_comb(self.name) if comb_side else print_rho_name(self.name)
+            return (f"{self.side} agent shows barb {name} that the other "
                     f"side never shows within {self.bound} steps")
-        return (f"{self.side} agent steps to {self.successor!r}; no reply within "
+        succ = print_comb(self.successor) if comb_side else print_rho(self.successor)
+        return (f"{self.side} agent steps to {succ}; no reply within "
                 f"{self.bound} steps stays matched")
 
 

@@ -22,6 +22,7 @@ from .core import (
     AcuGroup,
     CongruenceSpec,
     ConstructorDecl,
+    FuelExhausted,
     MetaVar,
     Presentation,
     RewriteRule,
@@ -351,7 +352,8 @@ def backinterp(c: Term, fuel: int = DEFAULT_FUEL) -> Process:
 
     S/K/I spines are reduced before constructors are read off; each input
     continuation is applied to the quote of a fresh combinator drawn from a
-    deterministic family, then that name is bound.
+    deterministic family, then that name is bound.  Spending more than `fuel`
+    S/K/I steps raises FuelExhausted.
     """
     if contains_constructor(c, C_DECL):
         raise TranslationError("combinator must not mention the context resource")
@@ -367,7 +369,7 @@ def _skinormal(c: Term, budget: list[int]) -> Term:
     trace = reduce(PRESENTATION, c, "first", max(budget[0], 0), rules=STRUCTURAL_RULES)
     budget[0] -= len(trace.steps)
     if trace.status != "normal_form" or budget[0] < 0:
-        raise TranslationError("ran out of fuel unwinding S/K/I applications")
+        raise FuelExhausted("ran out of fuel unwinding S/K/I applications")
     return trace.final
 
 
@@ -515,7 +517,7 @@ def normal_form_probe(samples: int = 50, seed: int = 0, depth: int = 3) -> dict:
             if inner is not None:
                 try:
                     translated.add(backinterp(inner))
-                except TranslationError:
+                except (TranslationError, FuelExhausted):
                     pass
         stats["comm_matched"] += len(succs & translated)
     return stats

@@ -1,17 +1,18 @@
 """Generic multisorted term rewriting modulo a restricted structural congruence.
 
-A rule side, an oriented equation side or any other pattern is a `Term`
-whose leaves may be metavariables (`MetaVar`), so one set of term helpers
-serves terms and patterns alike.
+A rule side or any other pattern is a `Term` whose leaves may be
+metavariables (`MetaVar`), so one set of term helpers serves terms and
+patterns alike.
 
 The congruence a presentation may declare is deliberately limited to two
 ingredients that keep matching decidable and fast:
 
 * ACU groups: a curried binary shape ``((op x) y)`` that is associative and
   commutative with a unit, normalized by flattening to a sorted multiset;
-* oriented equations: sort-preserving left-to-right rewrites applied to a
-  fixpoint under a fuel cap (e.g. a unary marker that propagates into the
-  head position of an application spine).
+* marker floats: a unary, sort-preserving marker that floats down the head
+  of an application spine, ``marker(app(x, y)) = app(marker(x), y)``,
+  normalized by moving every marker onto the head of its spine (markers
+  only move down, so this terminates by structure).
 
 Redex enumeration works on canonical forms but is congruence-aware: a rule
 whose left-hand side is an ACU shape may consume a sub-multiset of a
@@ -21,8 +22,8 @@ context.  Both correspond to matching the rule inside some representative
 of the congruence class, which is exactly where the one-step edges of the
 free model live.  Each presentation analyses its rules once, on first use:
 every group-shaped node of a left-hand side is flattened into its element
-patterns and collector metavariables, and every marker-float shape is kept
-with the rule's spine-marker count.
+patterns and collector metavariables, and every marker float is kept with
+the rule's spine-marker count.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-DEFAULT_ORIENTED_FUEL = 10_000
 DEFAULT_STATE_BUDGET = 200_000
 
 NORMAL_FORM = "normal_form"
@@ -133,19 +133,18 @@ class AcuGroup:
 
 
 @dataclass(frozen=True)
-class OrientedEquation:
-    lhs: Pattern
-    rhs: Pattern
+class MarkerFloat:
+    """The equation ``marker(app(x, y)) = app(marker(x), y)`` for a unary
+    ``marker`` and a binary ``app``."""
+
+    marker: ConstructorDecl
+    app: ConstructorDecl
 
 
 @dataclass(frozen=True)
 class CongruenceSpec:
     acu_groups: tuple[AcuGroup, ...] = ()
-    oriented_equations: tuple[OrientedEquation, ...] = ()
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.acu_groups and not self.oriented_equations
+    marker_floats: tuple[MarkerFloat, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -176,13 +175,12 @@ class Presentation:
 
     @cached_property
     def _rule_table(self) -> tuple[tuple[RewriteRule, Union[Pattern, _Flat], tuple], ...]:
-        """Each rule with its compiled left-hand side and the marker-float
-        shapes ``(marker, binary, spine-marker count)`` that may peel for it."""
-        floats = _float_shapes(self)
+        """Each rule with its compiled left-hand side and the marker floats
+        ``(float, spine-marker count)`` that may peel for it."""
         return tuple(
             (rule, _compile(self, rule.lhs),
-             tuple((u, b, c) for u, b in floats
-                   if (c := _pattern_spine_marker(u, b, rule.lhs)) is not None))
+             tuple((f, c) for f in self.congruence.marker_floats
+                   if (c := _pattern_spine_marker(f, rule.lhs)) is not None))
             for rule in self.rules
         )
 
@@ -275,39 +273,6 @@ def instantiate(pat: Pattern, binding: dict[str, Term]) -> Term:
 # canonicalization
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, amount: int) -> None:
-        self.left = amount
-
-    def spend(self, note: str) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise FuelExhausted(note)
-
-
-def _struct_match(pat: Pattern, t: Term, binding: dict[str, Term]) -> Optional[dict[str, Term]]:
-    """Plain structural matching, used for oriented equations."""
-    if isinstance(pat, MetaVar):
-        bound = binding.get(pat.name)
-        if bound is None:
-            if t.sort != pat.sort:
-                return None
-            out = dict(binding)
-            out[pat.name] = t
-            return out
-        return binding if bound == t else None
-    if pat.head != t.head:
-        return None
-    for cp, ct in zip(pat.children, t.children):
-        nxt = _struct_match(cp, ct, binding)
-        if nxt is None:
-            return None
-        binding = nxt
-    return binding
-
-
 def _group_of(p: Presentation, t: Term) -> Optional[AcuGroup]:
     for g in p.congruence.acu_groups:
         if (
@@ -342,40 +307,32 @@ def group_join(g: AcuGroup, elems: Sequence[Term]) -> Term:
     return Term(g.app, (Term(g.app, (g.operator, elems[0])), rest))
 
 
-def canonicalize(p: Presentation, t: Term, *, fuel: int = DEFAULT_ORIENTED_FUEL) -> Term:
+def canonicalize(p: Presentation, t: Term) -> Term:
     """Canonical representative of t's congruence class.
 
-    Oriented equations are applied left-to-right to a fixpoint (fuel capped),
-    ACU groups are flattened to unit-free multisets ordered by the fixed term
+    Every marker floats onto the head of its application spine, and ACU
+    groups are flattened to unit-free multisets ordered by the fixed term
     order.  Idempotent.
     """
-    if p.congruence.is_empty:
+    if not p.congruence.acu_groups and not p.congruence.marker_floats:
         return t
-    budget = _Budget(fuel)
-    return _canon(p, t, budget)
+    return _canon(p, t)
 
 
-def _canon(p: Presentation, t: Term, budget: _Budget) -> Term:
-    t = Term(t.head, tuple(_canon(p, c, budget) for c in t.children))
-    while True:
-        applied = False
-        for eq in p.congruence.oriented_equations:
-            b = _struct_match(eq.lhs, t, {})
-            if b is not None:
-                budget.spend("oriented equations did not reach a fixpoint")
-                t = instantiate(eq.rhs, b)
-                t = Term(t.head, tuple(_canon(p, c, budget) for c in t.children))
-                applied = True
-                break
-        if applied:
-            continue
-        g = _group_of(p, t)
-        if g is not None:
-            joined = group_join(g, sorted(flatten_term(g, t), key=term_key))
-            if joined != t:
-                t = joined
-                continue
-        return t
+def _canon(p: Presentation, t: Term) -> Term:
+    return _settle(p, Term(t.head, tuple(_canon(p, c) for c in t.children)))
+
+
+def _settle(p: Presentation, t: Term) -> Term:
+    """Canonical form of t, whose children are canonical already."""
+    for f in p.congruence.marker_floats:
+        if t.head == f.marker and t.children[0].head == f.app:
+            x, y = t.children[0].children
+            return _settle(p, Term(f.app, (_settle(p, Term(f.marker, (x,))), y)))
+    g = _group_of(p, t)
+    if g is not None:
+        return group_join(g, sorted(flatten_term(g, t), key=term_key))
+    return t
 
 
 def congruent(p: Presentation, t: Term, u: Term) -> bool:
@@ -532,75 +489,47 @@ def match_pattern(p: Presentation, pat: Pattern, t: Term) -> Optional[dict[str, 
 # redex enumeration
 
 
-def _float_shapes(p: Presentation) -> list[tuple[ConstructorDecl, ConstructorDecl]]:
-    """Detect oriented equations of the marker-float shape U(B(x,y)) = B(Ux, y)."""
-    out = []
-    for eq in p.congruence.oriented_equations:
-        lhs, rhs = eq.lhs, eq.rhs
-        if not (isinstance(lhs, Term) and lhs.head.arity == 1):
-            continue
-        inner = lhs.children[0]
-        if not (isinstance(inner, Term) and inner.head.arity == 2):
-            continue
-        x, y = inner.children
-        if not (isinstance(x, MetaVar) and isinstance(y, MetaVar)):
-            continue
-        if rhs == Term(inner.head, (Term(lhs.head, (x,)), y)):
-            out.append((lhs.head, inner.head))
-    return out
-
-
-def _spine(b_ctor: ConstructorDecl, t: Term) -> tuple[Term, list[Term]]:
+def _spine(app: ConstructorDecl, t: Term) -> tuple[Term, list[Term]]:
     args: list[Term] = []
-    while t.head == b_ctor and len(t.children) == 2:
+    while t.head == app:
         args.append(t.children[1])
         t = t.children[0]
     args.reverse()
     return t, args
 
 
-def _unwrap_marker(u_ctor: ConstructorDecl, t: Term) -> tuple[Term, int]:
+def _unwrap_marker(marker: ConstructorDecl, t: Term) -> tuple[Term, int]:
     k = 0
-    while t.head == u_ctor:
+    while t.head == marker:
         t = t.children[0]
         k += 1
     return t, k
 
 
-def _pattern_spine_marker(
-    u_ctor: ConstructorDecl, b_ctor: ConstructorDecl, pat: Pattern
-) -> Optional[int]:
+def _pattern_spine_marker(f: MarkerFloat, pat: Pattern) -> Optional[int]:
     """Marker count on the pattern's spine head; None if indeterminate."""
-    while pat.head == b_ctor and len(pat.children) == 2:
-        pat = pat.children[0]
-    c = 0
-    while pat.head == u_ctor:
-        pat = pat.children[0]
-        c += 1
-    if isinstance(pat, MetaVar):
-        return None
-    return c
+    head, c = _unwrap_marker(f.marker, _spine(f.app, pat)[0])
+    return None if isinstance(head, MetaVar) else c
 
 
 def _peel_candidate(
-    floats: Sequence[tuple[ConstructorDecl, ConstructorDecl, int]], node: Term
+    floats: Sequence[tuple[MarkerFloat, int]], node: Term
 ) -> tuple[int, Optional[ConstructorDecl], Term]:
     """How many floating markers to peel off into the context for this match,
-    given the rule's float shapes with its spine-marker counts."""
-    for u_ctor, b_ctor, c in floats:
-        if node.head != b_ctor:
+    given the rule's marker floats with its spine-marker counts."""
+    for f, c in floats:
+        if node.head != f.app:
             continue
-        head, args = _spine(b_ctor, node)
-        core, k = _unwrap_marker(u_ctor, head)
+        head, args = _spine(f.app, node)
+        core, k = _unwrap_marker(f.marker, head)
         if k == 0 or c >= k:
             continue
-        peeled_head = core
+        peeled = core
         for _ in range(c):
-            peeled_head = Term(u_ctor, (peeled_head,))
-        peeled = peeled_head
+            peeled = Term(f.marker, (peeled,))
         for a in args:
-            peeled = Term(b_ctor, (peeled, a))
-        return k - c, u_ctor, peeled
+            peeled = Term(f.app, (peeled, a))
+        return k - c, f.marker, peeled
     return 0, None, node
 
 
@@ -654,11 +583,11 @@ def iter_redexes(
             for path, node, node_group in positions:
                 if node_group is not None:
                     continue  # group nodes only host ACU-shaped rules
-                peel, u_ctor, target = _peel_candidate(floats, node)
+                peel, marker, target = _peel_candidate(floats, node)
                 for b in _match_gen(lhs, target, {}):
                     inst = instantiate(rule.rhs, b)
                     for _ in range(peel):
-                        inst = Term(u_ctor, (inst,))
+                        inst = Term(marker, (inst,))
                     succ = canonicalize(p, replace_at(t, path, inst))
                     yield Redex(rule.name, path, b, peel=peel, rest=None), succ
 
@@ -881,15 +810,15 @@ def validate_presentation(p: Presentation) -> ValidationReport:
         if rule.lhs.sort != rule.rhs.sort:
             defects.append(f"rule {rule.name}: lhs and rhs have different sorts")
 
-    for i, eq in enumerate(p.congruence.oriented_equations):
-        mvar_sorts = {}
-        defects += _check_pattern(p, eq.lhs, f"equation {i} lhs", mvar_sorts)
-        defects += _check_pattern(p, eq.rhs, f"equation {i} rhs", mvar_sorts)
-        if eq.lhs.sort != eq.rhs.sort:
-            defects.append(f"equation {i}: non-sort-preserving equation")
-        for name in pattern_metavars(eq.rhs):
-            if name not in pattern_metavars(eq.lhs):
-                defects.append(f"equation {i}: unbound metavariable {name} in rhs")
+    for f in p.congruence.marker_floats:
+        where = f"marker float {f.marker.name}/{f.app.name}"
+        for ctor in (f.marker, f.app):
+            if ctor not in p.constructors:
+                defects.append(f"{where}: undeclared constructor {ctor.name}")
+        if f.marker.argument_sorts != (f.marker.result_sort,):
+            defects.append(f"{where}: marker {f.marker.name} is not unary and sort-preserving")
+        if f.app.arity != 2:
+            defects.append(f"{where}: {f.app.name} is not binary")
 
     for g in p.congruence.acu_groups:
         if g.app.arity != 2:

@@ -17,8 +17,8 @@ from .core import (
     CongruenceSpec,
     ConstructorDecl,
     FuelExhausted,
+    MarkerFloat,
     MetaVar,
-    OrientedEquation,
     Presentation,
     RewriteRule,
     Sort,
@@ -62,9 +62,7 @@ def R(t: Term) -> Term:
 
 _x, _y, _z = MetaVar("x", T), MetaVar("y", T), MetaVar("z", T)
 
-_R_PROPAGATION = CongruenceSpec(
-    oriented_equations=(OrientedEquation(R(ap(_x, _y)), ap(R(_x), _y)),),
-)
+_R_PROPAGATION = CongruenceSpec(marker_floats=(MarkerFloat(R_DECL, APP_DECL),))
 
 PRESENTATIONS = {
     "plain": Presentation(

@@ -18,6 +18,7 @@ from skirho.bisim import (
 from skirho.comb import NON_COMM_RULES, canon as comb_canon, interp, wrap_context
 from skirho.core import step
 from skirho.rho import ZERO, Input, Output, Par, Quote, Var, par_of
+from skirho.syntax import parse_comb, parse_rho, parse_rho_name
 
 N0 = Quote(ZERO)
 
@@ -162,6 +163,38 @@ def test_negative_bounds_rejected():
         weak_barbs(out0(), [N0], -1)
     with pytest.raises(ValueError):
         bounded_bisim(out0(), ZERO, [N0], -1)
+
+
+def test_witness_describe_reparses():
+    n1 = Quote(out0())
+    pairs = [
+        (out0(), ZERO, [N0]),
+        (Par(Input(N0, "y", Output(n1, ZERO)), out0()), Par(Input(N0, "y", ZERO), out0()), [n1]),
+    ]
+    kinds = set()
+    for p, q, names in pairs:
+        report = faithfulness_check(p, q, names, 2)
+        for verdict in (report.calculus, report.combinator):
+            w = verdict.witness
+            while w is not None:
+                on_comb = isinstance(w.agent, core.Term)
+                text = w.describe()
+                if w.kind == "barb":
+                    shown = text.split(" shows barb ", 1)[1].split(" that the other side", 1)[0]
+                    if on_comb:
+                        assert comb_canon(parse_comb(shown)) == comb_canon(w.name)
+                    else:
+                        assert rho.canon_name(parse_rho_name(shown)) == rho.canon_name(w.name)
+                else:
+                    shown = text.split(" steps to ", 1)[1].split("; no reply", 1)[0]
+                    if on_comb:
+                        assert comb_canon(parse_comb(shown)) == comb_canon(w.successor)
+                    else:
+                        want = rho.canon_process(w.successor)
+                        assert rho.canon_process(parse_rho(shown)) == want
+                kinds.add((on_comb, w.kind))
+                w = w.inner
+    assert kinds == {(False, "barb"), (False, "move"), (True, "barb"), (True, "move")}
 
 
 def test_bisim_rejects_mixed_calculi():

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from skirho.cli import main, replay_trace_json, validate_trace_json
+from skirho.cli import CALCULI, main, replay_trace_json, validate_trace_json
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +83,21 @@ def test_negative_bound_exits_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and "must be >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("translate", "--calculus", "rho-comb", "--fuel", "0", "((for (& 0)) (K 0))"),
+        ("roundtrip", "--calculus", "rho-comb", "--fuel", "0", "((for (& 0)) (K 0))"),
+        ("roundtrip", "--calculus", "rho", "--fuel", "2", "for(y <- &0)(*y) | &0!0"),
+    ],
+)
+def test_back_translation_fuel_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -169,6 +185,69 @@ def test_trace_lists_steps(capsys):
     assert code == 0
     assert "1. sigma@[]" in out
     assert "2. kappa@[]" in out
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argv
+
+
+_FUZZ_TEXTS = {
+    "ski": ("(I K)", "(((S K) K) S)", "(((S I) I) ((S I) I))", "((K (I S)) K)"),
+    "ski-whnf": ("(R (I K))", "(R (R (((S K) K) S)))", "(R (((S I) I) ((S I) I)))"),
+    "ski-gas": ("(I K)", "(((S K) K) S)", "((K (I S)) K)"),
+    "rho": ("for(y <- &0)(*y) | &0!0", "&0!0", "0", "*&(&0!0)",
+            "for(y <- &0)(y!0) | &0!0 | for(w <- &0)*w"),
+    "rho-comb": ("((for (& 0)) (K 0))", "((! (& 0)) 0)", "0",
+                 "((| C) ((| ((for (& 0)) (K 0))) ((! (& 0)) 0)))"),
+}
+_FUZZ_NAMES = ("&0", "(& 0)", "&(&0!0), &0", "&(", "")
+_FUZZ_CHARS = "()&*!|<-, xyzSKIRC0#"
+_FUZZ_OPTIONS = {
+    "reduce": ("--gas", "--strategy"),
+    "trace": ("--gas", "--strategy"),
+    "barbs": ("--depth",),
+    "bisim": ("--depth",),
+    "faithfulness": ("--depth",),
+}
+
+
+def _fuzz_text(rng, calculus):
+    text = rng.choice(_FUZZ_TEXTS[calculus])
+    mode = rng.randrange(4)
+    if mode == 0:
+        return text[:rng.randrange(len(text))]
+    if mode == 1:
+        i = rng.randrange(len(text))
+        return text[:i] + rng.choice(_FUZZ_CHARS) + text[i + 1:]
+    return text
+
+
+def _fuzz_argv(rng, command, calculus):
+    argv = [command, "--calculus", calculus, "--fuel", str(rng.randint(0, 2))]
+    for option in _FUZZ_OPTIONS.get(command, ()):
+        if option == "--strategy":
+            argv += [option, rng.choice(("first", "all", "random"))]
+        elif option == "--depth" or rng.random() < 0.5:
+            argv += [option, str(rng.randint(0, 2))]
+    if rng.random() < 0.3:
+        argv += ["--format", rng.choice(("text", "json"))]
+    if rng.random() < 0.3:
+        argv += ["--names", rng.choice(_FUZZ_NAMES)]
+    texts = 2 if command in ("bisim", "faithfulness") else 1
+    return argv + [_fuzz_text(rng, calculus) for _ in range(texts)]
+
+
+def test_fuzzed_argv_end_in_a_documented_exit(capsys):
+    rng = random.Random(2026)
+    commands = ("reduce", "trace", "translate", "sort", "barbs", "bisim", "faithfulness",
+                "roundtrip")
+    for command in commands:
+        for calculus in CALCULI:
+            for _ in range(10):
+                argv = _fuzz_argv(rng, command, calculus)
+                code, _, err = run_cli(capsys, *argv)
+                assert code in (0, 1, 2, 3), argv
+                assert len(err.splitlines()) <= 1, argv
 
 
 # ---------------------------------------------------------------------------

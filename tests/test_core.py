@@ -12,10 +12,9 @@ from skirho.core import (
     AcuGroup,
     CongruenceSpec,
     ConstructorDecl,
-    FuelExhausted,
     InvalidRedex,
+    MarkerFloat,
     MetaVar,
-    OrientedEquation,
     Presentation,
     Redex,
     RewriteRule,
@@ -113,6 +112,36 @@ def test_validate_acu_group_with_undeclared_operator():
         congruence=CongruenceSpec(acu_groups=(AcuGroup(ski.APP_DECL, Term(plus), I()),)),
     )
     assert validate_presentation(bad).defects == ["ACU group: unknown constructor +"]
+
+
+def test_validate_marker_float_with_undeclared_marker():
+    bad = Presentation(
+        sorts=(T,),
+        constructors=(ski.I_DECL, ski.APP_DECL),
+        congruence=CongruenceSpec(marker_floats=(MarkerFloat(ski.R_DECL, ski.APP_DECL),)),
+    )
+    assert validate_presentation(bad).defects == ["marker float R/app: undeclared constructor R"]
+
+
+def test_validate_marker_float_with_non_unary_marker():
+    pair = ConstructorDecl("pair", (T, T), T)
+    bad = Presentation(
+        sorts=(T,),
+        constructors=(ski.I_DECL, ski.APP_DECL, pair),
+        congruence=CongruenceSpec(marker_floats=(MarkerFloat(pair, ski.APP_DECL),)),
+    )
+    assert validate_presentation(bad).defects == [
+        "marker float pair/app: marker pair is not unary and sort-preserving"
+    ]
+
+
+def test_validate_marker_float_with_non_binary_app():
+    bad = Presentation(
+        sorts=(T,),
+        constructors=(ski.I_DECL, ski.R_DECL),
+        congruence=CongruenceSpec(marker_floats=(MarkerFloat(ski.R_DECL, ski.R_DECL),)),
+    )
+    assert validate_presentation(bad).defects == ["marker float R/R: R is not binary"]
 
 
 # ---------------------------------------------------------------------------
@@ -471,21 +500,6 @@ def test_all_strategy_is_shortest():
         else:
             assert trace.status == "normal_form"
             assert len(trace.steps) == want
-
-
-def test_oriented_equation_fuel_cap():
-    a = ConstructorDecl("a", (), T)
-    b = ConstructorDecl("b", (), T)
-    looping = Presentation(
-        sorts=(T,),
-        constructors=(a, b),
-        congruence=CongruenceSpec(oriented_equations=(
-            OrientedEquation(Term(a), Term(b)),
-            OrientedEquation(Term(b), Term(a)),
-        )),
-    )
-    with pytest.raises(FuelExhausted):
-        canonicalize(looping, Term(a))
 
 
 # hypothesis: congruence respects the generated monoid structure

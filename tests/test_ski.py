@@ -13,6 +13,7 @@ from skirho.ski import (
     I_DECL,
     K,
     R,
+    R_DECL,
     S,
     ap,
     contains_marker,
@@ -77,6 +78,39 @@ def test_presentations_share_constructors():
     t = ap(I(), K())
     assert canonicalize(WHNF, t) == t
     assert not contains_marker(t)
+
+
+# ---------------------------------------------------------------------------
+# marker floats
+
+
+def test_markers_float_to_the_spine_head():
+    t = R(R(ap(ap(S(), K()), I())))
+    assert canonicalize(WHNF, t) == ap(ap(R(R(S())), K()), I())
+
+
+def _sprinkle(t, rng):
+    """t with R^1..3 wrapped around some of its subterms."""
+    t = Term(t.head, tuple(_sprinkle(c, rng) for c in t.children))
+    return wrap_markers(t, rng.randint(1, 3)) if rng.random() < 0.3 else t
+
+
+def _marker_above_app(t):
+    if t.head is R_DECL and t.children[0].head is APP_DECL:
+        return True
+    return any(_marker_above_app(c) for c in t.children)
+
+
+@pytest.mark.parametrize("variant", ["whnf", "gas"])
+def test_float_canonical_forms(variant):
+    pres = ski_presentation(variant)
+    rng = random.Random(13)
+    for _ in range(300):
+        t = _sprinkle(random_ski_term(rng.randint(1, 9), rng), rng)
+        c = canonicalize(pres, t)
+        assert canonicalize(pres, c) == c
+        assert not _marker_above_app(c)
+        assert marker_count(c) == marker_count(t)
 
 
 # ---------------------------------------------------------------------------
