@@ -24,6 +24,13 @@ free model live.  Each presentation analyses its rules once, on first use:
 every group-shaped node of a left-hand side is flattened into its element
 patterns and collector metavariables, and every marker float is kept with
 the rule's spine-marker count.
+
+A `Term` carries its hash, computed once at construction, and its order key
+(`term_key`), computed on first use; equality tries identity and the hashes
+before comparing structure.  Redex enumeration works out each position's
+spine head once per term for all rules, and builds each successor by
+settling only the new right-hand-side nodes and the ancestors on the redex
+path: every other subterm of a canonical term is canonical already.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from __future__ import annotations
 import itertools
 import random as _random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -70,31 +77,81 @@ class Sort:
 
 @dataclass(frozen=True)
 class ConstructorDecl:
+    """Equal by value: declarations minted apart (comb's name tokens) may meet."""
+
     name: str
     argument_sorts: tuple[Sort, ...]
     result_sort: Sort
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.argument_sorts, self.result_sort)))
 
     @property
     def arity(self) -> int:
         return len(self.argument_sorts)
 
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not ConstructorDecl:
+            return NotImplemented
+        return (self._hash == other._hash and self.name == other.name
+                and self.argument_sorts == other.argument_sorts
+                and self.result_sort == other.result_sort)
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __repr__(self) -> str:
         return f"ConstructorDecl({self.name!r}/{self.arity})"
 
 
-@dataclass(frozen=True)
 class Term:
-    """A constructor applied to children; a pattern when some leaves are MetaVars."""
+    """A constructor applied to children; a pattern when some leaves are MetaVars.
+
+    Immutable.  The hash is computed once, from the head's and the children's
+    cached hashes; `term_key` caches the order key on the node when first
+    asked (a term with MetaVar leaves never needs one).
+    """
+
+    __slots__ = ("head", "children", "_hash", "_key")
 
     head: ConstructorDecl
-    children: tuple["Term", ...] = ()
+    children: tuple[Term, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.children) != self.head.arity:
+    def __init__(self, head: ConstructorDecl, children: tuple[Term, ...] = ()) -> None:
+        if len(children) != len(head.argument_sorts):
             raise ValueError(
-                f"constructor {self.head.name} expects {self.head.arity} "
-                f"children, got {len(self.children)}"
+                f"constructor {head.name} expects {head.arity} "
+                f"children, got {len(children)}"
             )
+        _set_head(self, head)
+        _set_children(self, children)
+        h = head._hash
+        for c in children:
+            h = hash((h, c._hash))
+        _set_hash(self, h)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Term is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Term is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Term:
+            return NotImplemented
+        return (self._hash == other._hash and self.head == other.head
+                and self.children == other.children)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Term, (self.head, self.children)
 
     @property
     def sort(self) -> Sort:
@@ -107,6 +164,13 @@ class Term:
         return f"({self.head.name} {inner})"
 
 
+# the slot setters, which bypass Term.__setattr__
+_set_head = Term.head.__set__  # type: ignore[attr-defined]
+_set_children = Term.children.__set__  # type: ignore[attr-defined]
+_set_hash = Term._hash.__set__  # type: ignore[attr-defined]
+_set_key = Term._key.__set__  # type: ignore[attr-defined]
+
+
 @dataclass(frozen=True)
 class MetaVar:
     """A pattern leaf; as a leaf it has no head and no children."""
@@ -115,6 +179,11 @@ class MetaVar:
     sort: Sort
     head = None
     children = ()
+
+    @property
+    def _hash(self) -> int:
+        """Read by a pattern `Term` hashing its children."""
+        return hash(self)
 
     def __repr__(self) -> str:
         return f"?{self.name}"
@@ -224,7 +293,12 @@ class ValidationReport:
 
 def term_key(t: Term):
     """Fixed total order on terms: name, then arity, then children."""
-    return (t.head.name, len(t.children), tuple(term_key(c) for c in t.children))
+    try:
+        return t._key
+    except AttributeError:  # not asked for yet
+        key = (t.head.name, len(t.children), tuple(term_key(c) for c in t.children))
+        _set_key(t, key)
+        return key
 
 
 def subterm_at(t: Term, position: Sequence[int]) -> Term:
@@ -261,12 +335,19 @@ def pattern_metavars(pat: Pattern) -> dict[str, Sort]:
 
 
 def instantiate(pat: Pattern, binding: dict[str, Term]) -> Term:
+    return _instantiate(None, _keep, pat, binding)
+
+
+def _instantiate(p: Optional[Presentation], settle: Callable, pat: Pattern,
+                 binding: dict[str, Term]) -> Term:
+    """pat with its metavariables bound, every new node passed through settle."""
     if isinstance(pat, MetaVar):
         try:
             return binding[pat.name]
         except KeyError:
             raise RewriteError(f"metavariable {pat.name} is unbound") from None
-    return Term(pat.head, tuple(instantiate(c, binding) for c in pat.children))
+    children = tuple(_instantiate(p, settle, c, binding) for c in pat.children)
+    return settle(p, Term(pat.head, children))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +402,11 @@ def canonicalize(p: Presentation, t: Term) -> Term:
 
 def _canon(p: Presentation, t: Term) -> Term:
     return _settle(p, Term(t.head, tuple(_canon(p, c) for c in t.children)))
+
+
+def _keep(p: Optional[Presentation], t: Term) -> Term:
+    """`_settle` for a presentation without a congruence."""
+    return t
 
 
 def _settle(p: Presentation, t: Term) -> Term:
@@ -512,22 +598,39 @@ def _pattern_spine_marker(f: MarkerFloat, pat: Pattern) -> Optional[int]:
     return None if isinstance(head, MetaVar) else c
 
 
+def _spine_heads(p: Presentation, positions: list) -> dict[MarkerFloat, dict[int, tuple]]:
+    """For each marker float, the spine head of every node of `positions`
+    headed by its ``app``, as ``(head without markers, marker count)`` keyed
+    by node identity: one pass over the term, shared by every rule."""
+    out = {}
+    for f in p.congruence.marker_floats:
+        heads: dict[int, tuple[Term, int]] = {}
+        for _, node, _ in reversed(positions):  # each node after its descendants
+            if node.head == f.app:
+                below = node.children[0]
+                heads[id(node)] = (heads.get(id(below))
+                                   or _unwrap_marker(f.marker, _spine(f.app, below)[0]))
+        out[f] = heads
+    return out
+
+
 def _peel_candidate(
-    floats: Sequence[tuple[MarkerFloat, int]], node: Term
+    floats: Sequence[tuple[MarkerFloat, int, dict[int, tuple[Term, int]]]], node: Term
 ) -> tuple[int, Optional[ConstructorDecl], Term]:
     """How many floating markers to peel off into the context for this match,
-    given the rule's marker floats with its spine-marker counts."""
-    for f, c in floats:
-        if node.head != f.app:
+    given the rule's marker floats with its spine-marker counts and the
+    term's spine heads (`_spine_heads`)."""
+    for f, c, heads in floats:
+        spine_head = heads.get(id(node))
+        if spine_head is None:
             continue
-        head, args = _spine(f.app, node)
-        core, k = _unwrap_marker(f.marker, head)
+        core, k = spine_head
         if k == 0 or c >= k:
             continue
         peeled = core
         for _ in range(c):
             peeled = Term(f.marker, (peeled,))
-        for a in args:
+        for a in _spine(f.app, node)[1]:
             peeled = Term(f.app, (peeled, a))
         return k - c, f.marker, peeled
     return 0, None, node
@@ -555,6 +658,23 @@ def _positions(p: Presentation, t: Term) -> list[tuple[tuple[int, ...], Term, Op
     return out
 
 
+def _graft(p: Presentation, settle: Callable, t: Term, path: Sequence[int], inst: Term) -> Term:
+    """``canonicalize(p, replace_at(t, path, inst))`` for canonical t and inst.
+
+    The siblings along the path are canonical already, so settling each
+    ancestor bottom-up is enough.
+    """
+    ancestors = []
+    for i in path:
+        ancestors.append(t)
+        t = t.children[i]
+    for node, i in zip(reversed(ancestors), reversed(path)):
+        children = list(node.children)
+        children[i] = inst
+        inst = settle(p, Term(node.head, tuple(children)))
+    return inst
+
+
 def iter_redexes(
     p: Presentation, t: Term, rules: Optional[Sequence[str]] = None
 ) -> Iterator[tuple[Redex, Term]]:
@@ -562,9 +682,14 @@ def iter_redexes(
     deterministic order.
 
     Order is rule-major: presentation rule order first, then leftmost-outermost
-    position, then multiset decomposition order.
+    position, then multiset decomposition order.  A successor is built
+    canonically: the bound subterms are canonical already, so only the new
+    right-hand-side nodes, the wrappers around them and their ancestors are
+    settled.
     """
+    settle = _settle if p.congruence.acu_groups or p.congruence.marker_floats else _keep
     positions = _positions(p, t)
+    heads = _spine_heads(p, positions)
     for rule, lhs, floats in p._rule_table:
         if rules is not None and rule.name not in rules:
             continue
@@ -574,21 +699,23 @@ def iter_redexes(
             for path, node, _ in positions:
                 for b in _match_acu(lhs, node, {}, rest_var):
                     rest = b.pop(REST_VAR, None)
-                    inst = instantiate(rule.rhs, b)
+                    inst = _instantiate(p, settle, rule.rhs, b)
                     if rest is not None and rest != g.unit:
-                        inst = Term(g.app, (Term(g.app, (g.operator, inst)), rest))
-                    succ = canonicalize(p, replace_at(t, path, inst))
+                        joined = settle(p, Term(g.app, (g.operator, inst)))
+                        inst = settle(p, Term(g.app, (joined, rest)))
+                    succ = _graft(p, settle, t, path, inst)
                     yield Redex(rule.name, path, b, peel=0, rest=rest), succ
         else:
+            peels = [(f, c, heads[f]) for f, c in floats]
             for path, node, node_group in positions:
                 if node_group is not None:
                     continue  # group nodes only host ACU-shaped rules
-                peel, marker, target = _peel_candidate(floats, node)
+                peel, marker, target = _peel_candidate(peels, node)
                 for b in _match_gen(lhs, target, {}):
-                    inst = instantiate(rule.rhs, b)
+                    inst = _instantiate(p, settle, rule.rhs, b)
                     for _ in range(peel):
-                        inst = Term(marker, (inst,))
-                    succ = canonicalize(p, replace_at(t, path, inst))
+                        inst = settle(p, Term(marker, (inst,)))
+                    succ = _graft(p, settle, t, path, inst)
                     yield Redex(rule.name, path, b, peel=peel, rest=None), succ
 
 

@@ -27,10 +27,14 @@ from skirho.core import (
     drive,
     explore,
     find_redexes,
+    instantiate,
     is_normal,
+    iter_redexes,
     match_pattern,
     reduce,
+    replace_at,
     step,
+    term_key,
     validate_presentation,
 )
 from skirho import comb, rho, ski
@@ -529,3 +533,124 @@ def test_canonicalize_idempotent_hypothesis(t):
 def test_par_commutes_hypothesis(a, b):
     assert congruent(COMB, par(a, b), par(b, a))
     assert congruent(COMB, par(a, c0()), a)
+
+
+# ---------------------------------------------------------------------------
+# cached term facts and incremental successors
+
+
+def _rebuilt(t):
+    """A structurally equal copy sharing no node with t."""
+    return Term(t.head, tuple(_rebuilt(c) for c in t.children))
+
+
+def _same(t, u):
+    return (t.head.name == u.head.name and t.head.argument_sorts == u.head.argument_sorts
+            and t.head.result_sort == u.head.result_sort and len(t.children) == len(u.children)
+            and all(_same(a, b) for a, b in zip(t.children, u.children)))
+
+
+def _structural_hash(t):
+    h = hash((t.head.name, t.head.argument_sorts, t.head.result_sort))
+    for c in t.children:
+        h = hash((h, _structural_hash(c)))
+    return h
+
+
+def _structural_key(t):
+    return (t.head.name, len(t.children), tuple(_structural_key(c) for c in t.children))
+
+
+def _sprinkled(t, rng):
+    """t with R^1..3 wrapped around some of its subterms, sometimes the root."""
+    t = Term(t.head, tuple(_sprinkled(c, rng) for c in t.children))
+    return ski.wrap_markers(t, rng.randint(1, 3)) if rng.random() < 0.3 else t
+
+
+def _term_pool(rng):
+    pool = [_random_plain_term(rng, rng.randint(1, 9)) for _ in range(40)]
+    pool += [_sprinkled(t, rng) for t in pool[:20]]
+    pool += [comb.wrap_context(_random_comb_term(rng)) for _ in range(20)]
+    return pool + [canonicalize(COMB, t) for t in pool[-10:]]
+
+
+def test_cached_hash_and_key_equal_a_structural_recomputation():
+    for t in _term_pool(random.Random(21)):
+        assert hash(t) == _structural_hash(t) == hash(_rebuilt(t))
+        assert term_key(t) == _structural_key(t)
+        assert term_key(t) is term_key(t)  # computed once, then read back
+
+
+def test_equality_agrees_with_structure():
+    rng = random.Random(22)
+    pool = _term_pool(rng)
+    pairs = [(t, _rebuilt(t)) for t in pool]
+    pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(400)]
+    for t, u in pairs:
+        assert (t == u) == _same(t, u) == (not t != u)
+        if t == u:
+            assert hash(t) == hash(u)
+
+
+def test_name_tokens_minted_apart_are_equal():
+    x1, x2 = comb.name_token("x"), comb.name_token("x")
+    assert x1.head is not x2.head
+    assert x1.head == x2.head and hash(x1.head) == hash(x2.head)
+    t1 = comb.aps(comb.atom(BANG_DECL), comb.ap(comb.atom(AMP_DECL), x1), c0())
+    t2 = comb.aps(comb.atom(BANG_DECL), comb.ap(comb.atom(AMP_DECL), x2), c0())
+    assert t1 == t2 and hash(t1) == hash(t2) and term_key(t1) == term_key(t2)
+    y = comb.name_token("y")
+    assert t1 != comb.aps(comb.atom(BANG_DECL), comb.ap(comb.atom(AMP_DECL), y), c0())
+    assert len({t1, t2}) == 1
+
+
+def test_terms_are_immutable():
+    t = ap(S(), K())
+    for name, value in (("head", ski.I_DECL), ("children", ()), ("_hash", 0), ("_key", None),
+                        ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(t, name, value)
+    with pytest.raises(AttributeError):
+        del t.head
+    assert t == ap(S(), K()) and t.head is ski.APP_DECL
+    with pytest.raises(ValueError):
+        Term(ski.APP_DECL, (S(),))
+
+
+def _old_successor(p, t, r, marker):
+    """The successor by its definition: instantiate, wrap, replace, canonicalize."""
+    rule = p.rule(r.rule)
+    inst = instantiate(rule.rhs, r.binding)
+    if r.rest is not None:
+        g = p.congruence.acu_groups[0]
+        if r.rest != g.unit:
+            inst = Term(g.app, (Term(g.app, (g.operator, inst)), r.rest))
+    for _ in range(r.peel):
+        inst = Term(marker, (inst,))
+    return canonicalize(p, replace_at(t, r.position, inst))
+
+
+def test_incremental_successors_match_whole_term_canonicalization():
+    rng = random.Random(23)
+    cases = []
+    for _ in range(60):  # criterion 8 shapes: communicating groups and groups of 2-12
+        cases.append((COMB, comb.wrap_context(comb.interp(rho.random_comm_candidate(rng, 3)))))
+        group = rho.random_process(rng, 2)
+        for _ in range(rng.randint(1, 11)):
+            group = rho.Par(group, rho.random_process(rng, rng.randint(1, 2)))
+        cases.append((COMB, comb.wrap_context(comb.interp(group))))
+    for _ in range(30):  # criterion 5 shape: sorted combinators with S/K/I detours
+        cases.append((COMB, comb.wrap_context(comb.random_sorted_comb(rng, depth=3, expansions=3))))
+    for variant in ("whnf", "gas"):
+        for _ in range(150):
+            t = _sprinkled(_random_plain_term(rng, rng.randint(2, 10)), rng)
+            cases.append((ski.ski_presentation(variant), ski.R(t) if rng.random() < 0.5 else t))
+    peeled = rested = checked = 0
+    for p, t in cases:
+        t = canonicalize(p, t)
+        for r, succ in iter_redexes(p, t):
+            assert succ == _old_successor(p, t, r, ski.R_DECL)
+            checked += 1
+            peeled += r.peel > 0
+            rested += r.rest is not None and r.rest != COMB.congruence.acu_groups[0].unit
+    assert checked > 500 and peeled > 100 and rested > 100
