@@ -1,21 +1,21 @@
 """Observation relations and bounded barbed bisimulation for both agent kinds.
 
-An agent is either a process of the calculus or a combinator term; both
-expose the same interface here: canonical forms, one-step successors, and
-immediate barbs over a chosen name set.  Bisimilarity is only ever decided
-up to a depth bound with an explicit state budget, since the full relation
-is undecidable; a positive verdict is an approximant, a negative verdict
-carries a replayable witness.
+An agent is either a process of the calculus or a combinator term; both are
+run through their `calculus.Calculus` record: canonical forms, one-step
+successors, and immediate barbs over a chosen name set.  Bisimilarity is
+only ever decided up to a depth bound with an explicit state budget, since
+the full relation is undecidable; a positive verdict is an approximant, a
+negative verdict carries a replayable witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from . import comb, rho
-from .core import StateBudgetExhausted, Successors, Term, explore, step, term_key
-from .syntax import print_comb, print_rho, print_rho_name
+from .calculus import CALCULI, Calculus
+from .core import StateBudgetExhausted, Successors, Term, explore
 
 Agent = Union[rho.Process, Term]
 
@@ -26,60 +26,14 @@ class BudgetExhausted(Exception):
     """The pair budget ran out before the bound was decided."""
 
 
-@dataclass(frozen=True)
-class _System:
-    canon: Callable[[Agent], Agent]
-    successors: Successors
-    immediate_barbs: Callable[[Agent, tuple], frozenset]
-    canon_name: Callable[[object], object]
+def calculus_of(agent: Agent) -> Calculus:
+    """The record of the agent's calculus: combinator terms or processes."""
+    return CALCULI["rho-comb"] if isinstance(agent, Term) else CALCULI["rho"]
 
 
-def _rho_barbs(p: rho.Process, names: tuple) -> frozenset:
-    found = set()
-    for component in rho.par_components(rho.canon_process(p)):
-        if isinstance(component, rho.Output):
-            subject = component.subject  # canonical already
-            if any(subject == n for n in names):
-                found.add(subject)
-    return frozenset(found)
-
-
-_RHO = _System(
-    canon=rho.canon_process,
-    successors=rho.comm_edges,
-    immediate_barbs=_rho_barbs,
-    canon_name=rho.canon_name,
-)
-
-
-def _comb_successors(t: Term) -> list[tuple[None, Term]]:
-    return [(None, s) for s in sorted(step(comb.PRESENTATION, t), key=term_key)]
-
-
-def _comb_barbs(t: Term, names: tuple) -> frozenset:
-    found = set()
-    for component in comb.par_components(comb.canon(t)):
-        if (
-            component.head == comb.APP_DECL
-            and component.children[0].head == comb.APP_DECL
-            and component.children[0].children[0].head == comb.BANG_DECL
-        ):
-            subject = component.children[0].children[1]
-            if any(subject == n for n in names):
-                found.add(subject)
-    return frozenset(found)
-
-
-_COMB = _System(
-    canon=comb.canon,
-    successors=_comb_successors,
-    immediate_barbs=_comb_barbs,
-    canon_name=comb.canon,
-)
-
-
-def _system_for(agent: Agent) -> _System:
-    return _COMB if isinstance(agent, Term) else _RHO
+def _moves(calc: Calculus) -> Successors:
+    """Successors of a canonical agent, deduplicated and in the fixed order."""
+    return lambda a: [(None, s) for s in sorted({s for _, s in calc.edges(a)}, key=calc.key)]
 
 
 def barbs(agent: Agent, names) -> frozenset:
@@ -89,9 +43,8 @@ def barbs(agent: Agent, names) -> frozenset:
     to a member of the set; parallel components contribute by union.  The
     witness names are reported canonically.
     """
-    system = _system_for(agent)
-    canon_names = tuple(system.canon_name(n) for n in names)
-    return system.immediate_barbs(agent, canon_names)
+    calc = calculus_of(agent)
+    return calc.barbs(calc.canon(agent), tuple(calc.canon_name(n) for n in names))
 
 
 @dataclass
@@ -114,13 +67,13 @@ def weak_barbs(agent: Agent, names, bound: int) -> WeakBarbs:
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    system = _system_for(agent)
-    canon_names = tuple(system.canon_name(n) for n in names)
+    calc = calculus_of(agent)
+    canon_names = tuple(calc.canon_name(n) for n in names)
     found: set = set()
-    for a, depth in explore(system.canon(agent), system.successors, bound + 1):
+    for a, depth in explore(calc.canon(agent), _moves(calc), bound + 1):
         if depth > bound:
             return WeakBarbs(frozenset(found), True)
-        found |= system.immediate_barbs(a, canon_names)
+        found |= calc.barbs(a, canon_names)
     return WeakBarbs(frozenset(found), False)
 
 
@@ -145,13 +98,11 @@ class Witness:
 
     def describe(self) -> str:
         """One line naming the barb or the successor in the surface syntax."""
-        comb_side = isinstance(self.agent, Term)
+        calc = calculus_of(self.agent)
         if self.kind == "barb":
-            name = print_comb(self.name) if comb_side else print_rho_name(self.name)
-            return (f"{self.side} agent shows barb {name} that the other "
-                    f"side never shows within {self.bound} steps")
-        succ = print_comb(self.successor) if comb_side else print_rho(self.successor)
-        return (f"{self.side} agent steps to {succ}; no reply within "
+            return (f"{self.side} agent shows barb {calc.print_name(self.name)} that the "
+                    f"other side never shows within {self.bound} steps")
+        return (f"{self.side} agent steps to {calc.print(self.successor)}; no reply within "
                 f"{self.bound} steps stays matched")
 
 
@@ -174,11 +125,11 @@ def bounded_bisim(a: Agent, b: Agent, names, depth: int,
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    system = _system_for(a)
-    if _system_for(b) is not system:
+    calc = calculus_of(a)
+    if calculus_of(b) is not calc:
         raise TypeError("agents must belong to the same calculus")
-    canon_names = tuple(system.canon_name(n) for n in names)
-    a0, b0 = system.canon(a), system.canon(b)
+    canon_names = tuple(calc.canon_name(n) for n in names)
+    successors = _moves(calc)
     memo: dict = {}
     spent = [0]
 
@@ -194,16 +145,16 @@ def bounded_bisim(a: Agent, b: Agent, names, depth: int,
 
         def reachable(q: Agent) -> list[Agent]:
             if q not in reach:
-                reach[q] = [s for s, _ in explore(q, system.successors, d)]
+                reach[q] = [s for s, _ in explore(q, successors, d)]
             return reach[q]
 
         result: Optional[Witness] = None
         for p, q, side in ((x, y, "left"), (y, x, "right")):
-            mine = system.immediate_barbs(p, canon_names)
+            mine = calc.barbs(p, canon_names)
             if mine:
                 theirs: set = set()
                 for s in reachable(q):
-                    theirs |= system.immediate_barbs(s, canon_names)
+                    theirs |= calc.barbs(s, canon_names)
                 for name in sorted(mine, key=repr):
                     if name not in theirs:
                         result = Witness("barb", side, p, q, d, name=name)
@@ -212,7 +163,7 @@ def bounded_bisim(a: Agent, b: Agent, names, depth: int,
                 break
         if result is None and d > 0:
             for p, q, side in ((x, y, "left"), (y, x, "right")):
-                for _, succ in system.successors(p):
+                for _, succ in successors(p):
                     inner_best: Optional[Witness] = None
                     matched = False
                     for q2 in reachable(q):
@@ -232,7 +183,7 @@ def bounded_bisim(a: Agent, b: Agent, names, depth: int,
         return result
 
     try:
-        witness = check(a0, b0, depth)
+        witness = check(calc.canon(a), calc.canon(b), depth)
     except StateBudgetExhausted as err:
         raise BudgetExhausted(str(err)) from err
     if witness is None:
@@ -252,10 +203,7 @@ def faithfulness_check(p: rho.Process, q: rho.Process, names, depth: int,
                        *, budget: int = DEFAULT_PAIR_BUDGET) -> FaithfulnessReport:
     """Compare the bounded verdicts on the calculus side and on the
     context-wrapped translations, name set carried across the translation."""
-    comb_names = [comb.ap(comb.atom(comb.AMP_DECL), comb.interp(n.process))
-                  if isinstance(rho.resolve_name(n), rho.Quote)
-                  else comb.name_token(n.ident)
-                  for n in (rho.canon_name(m) for m in names)]
+    comb_names = [comb.interp_name(rho.canon_name(n)) for n in names]
     try:
         calc = bounded_bisim(p, q, names, depth, budget=budget)
     except BudgetExhausted:

@@ -13,21 +13,12 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import bisim, comb, rho, ski
-from .core import FuelExhausted, Presentation, Trace, canonicalize, iter_redexes, reduce
-from .syntax import (
-    ParseError,
-    parse_comb,
-    parse_rho,
-    parse_rho_name,
-    parse_ski,
-    print_comb,
-    print_rho,
-    print_rho_name,
-    print_ski,
-)
+from . import bisim, comb, rho
+from .calculus import CALCULI as RECORDS, Calculus
+from .core import FuelExhausted, Trace, drive, reduce
+from .syntax import ParseError, print_comb, print_rho
 
-CALCULI = ("ski", "ski-whnf", "ski-gas", "rho", "rho-comb")
+CALCULI = tuple(RECORDS)  # the calculus names, in registry order
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -41,32 +32,16 @@ class CliError(Exception):
         self.code = code
 
 
-def _ski_variant(calculus: str) -> str:
-    return {"ski": "plain", "ski-whnf": "whnf", "ski-gas": "gas"}[calculus]
-
-
-def _parse_term(calculus: str, text: str):
+def _parse_term(calc: Calculus, text: str):
     try:
-        if calculus in ("ski", "ski-whnf", "ski-gas"):
-            return parse_ski(text, _ski_variant(calculus))
-        if calculus == "rho":
-            return parse_rho(text)
-        if calculus == "rho-comb":
-            return parse_comb(text)
+        return calc.parse(text)
     except ParseError as err:
         raise CliError(f"parse error: {err}", EXIT_INPUT) from err
-    raise CliError(f"unknown calculus {calculus!r}", EXIT_INPUT)
+    except ValueError as err:  # an open process
+        raise CliError(str(err), EXIT_INPUT) from err
 
 
-def _print_term(calculus: str, term) -> str:
-    if calculus in ("ski", "ski-whnf", "ski-gas"):
-        return print_ski(term)
-    if calculus == "rho":
-        return print_rho(term)
-    return print_comb(term)
-
-
-def _parse_names(calculus: str, spec: Optional[str]):
+def _parse_names(calc: Calculus, spec: Optional[str]):
     if spec is None:
         return None
     names = []
@@ -75,25 +50,19 @@ def _parse_names(calculus: str, spec: Optional[str]):
         if not chunk:
             continue
         try:
-            if calculus == "rho":
-                names.append(parse_rho_name(chunk))
-            else:
-                names.append(parse_comb(chunk))
+            names.append(calc.parse_name(chunk))
         except ParseError as err:
             raise CliError(f"bad name literal {chunk!r}: {err}", EXIT_INPUT) from err
     return names
 
 
 def trace_to_json(calculus: str, trace: Trace) -> dict:
-    steps = [
-        {"rule": redex.rule, "position": list(redex.position),
-         "result": _print_term(calculus, term)}
-        for redex, term in trace.steps
-    ]
+    show = RECORDS[calculus].print
     return {
         "calculus": calculus,
-        "initial": _print_term(calculus, trace.initial),
-        "steps": steps,
+        "initial": show(trace.initial),
+        "steps": [{"rule": redex.rule, "position": list(redex.position), "result": show(term)}
+                  for redex, term in trace.steps],
         "status": trace.status,
     }
 
@@ -125,31 +94,20 @@ def replay_trace_json(obj: dict):
 
     Every intermediate term must be the successor of a redex with the
     step's rule and position (the communication redex for the process
-    calculus).
+    calculus).  A trace that does not parse or replay raises ValueError.
     """
     validate_trace_json(obj)
-    calculus = obj["calculus"]
-    if calculus == "rho":
-        canon, edges = rho.canon_process, rho.comm_edges
-    else:
-        pres = _presentation(calculus)
-        canon, edges = (lambda t: canonicalize(pres, t)), (lambda t: iter_redexes(pres, t))
-    current = canon(_parse_term(calculus, obj["initial"]))
+    calc = RECORDS[obj["calculus"]]
+    current = calc.canon(calc.parse(obj["initial"]))
     out = []
     for entry in obj["steps"]:
-        want = canon(_parse_term(calculus, entry["result"]))
+        want = calc.canon(calc.parse(entry["result"]))
         if not any(r.rule == entry["rule"] and list(r.position) == entry["position"]
-                   and succ == want for r, succ in edges(current)):
+                   and succ == want for r, succ in calc.edges(current)):
             raise ValueError(f"step to {entry['result']!r} does not replay")
         current = want
         out.append(current)
     return out
-
-
-def _presentation(calculus: str) -> Presentation:
-    if calculus == "rho-comb":
-        return comb.PRESENTATION
-    return ski.PRESENTATIONS[_ski_variant(calculus)]
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -164,27 +122,22 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_reduce(args, verbose: bool) -> int:
-    calculus = args.calculus
-    term = _parse_term(calculus, args.term)
-    if calculus == "rho":
-        if not rho.is_closed(term):
-            raise CliError("process must be closed", EXIT_INPUT)
-        trace = rho.rho_reduce(term, args.strategy, args.fuel, seed=args.seed)
-    else:
-        pres = _presentation(calculus)
-        if calculus == "ski-gas":
-            if ski.contains_marker(term):
-                raise CliError("supply an R-free term and use --gas", EXIT_INPUT)
-            term = ski.wrap_markers(term, args.gas)
-        trace = reduce(pres, term, args.strategy, args.fuel, seed=args.seed)
-    payload = trace_to_json(calculus, trace)
+    calc = RECORDS[args.calculus]
+    term = _parse_term(calc, args.term)
+    if calc.gas is not None:
+        try:
+            term = calc.gas(term, args.gas)
+        except ValueError as err:
+            raise CliError(str(err), EXIT_INPUT) from err
+    trace = drive(calc.canon(term), calc.edges, args.strategy, args.fuel, seed=args.seed)
+    payload = trace_to_json(args.calculus, trace)
     lines = []
     if verbose:
         lines.append(f"initial: {payload['initial']}")
         for i, entry in enumerate(payload["steps"], start=1):
             pos = ",".join(str(j) for j in entry["position"])
             lines.append(f"{i}. {entry['rule']}@[{pos}] -> {entry['result']}")
-    lines.append(_print_term(calculus, trace.final))
+    lines.append(calc.print(trace.final))
     lines.append(f"steps: {len(trace.steps)}")
     lines.append(f"status: {trace.status}")
     _emit(args, payload, "\n".join(lines))
@@ -193,13 +146,9 @@ def _cmd_reduce(args, verbose: bool) -> int:
 
 def _cmd_translate(args) -> int:
     calculus = args.calculus
-    term = _parse_term(calculus, args.term)
+    term = _parse_term(RECORDS[calculus], args.term)
     if calculus == "rho":
-        try:
-            image = comb.interp(term)
-        except comb.TranslationError as err:
-            raise CliError(str(err), EXIT_INPUT) from err
-        rendered = print_comb(image)
+        rendered = print_comb(comb.interp(term))
         _emit(args, {"calculus": "rho-comb", "term": rendered}, rendered)
         return EXIT_OK
     if calculus == "rho-comb":
@@ -218,7 +167,7 @@ def _cmd_translate(args) -> int:
 def _cmd_sort(args) -> int:
     if args.calculus != "rho-comb":
         raise CliError("sort expects --calculus rho-comb", EXIT_INPUT)
-    term = _parse_term(args.calculus, args.term)
+    term = _parse_term(RECORDS[args.calculus], args.term)
     inferred = comb.sort_infer(term)
     if inferred is None:
         _emit(args, {"sort": None}, "not sortable")
@@ -228,18 +177,14 @@ def _cmd_sort(args) -> int:
 
 
 def _agent(args, text: str):
-    if args.calculus == "rho":
-        agent = _parse_term("rho", text)
-        if not rho.is_closed(agent):
-            raise CliError("process must be closed", EXIT_INPUT)
-        return agent
-    if args.calculus == "rho-comb":
-        return _parse_term("rho-comb", text)
-    raise CliError("this command expects --calculus rho or rho-comb", EXIT_INPUT)
+    calc = RECORDS[args.calculus]
+    if calc.barbs is None:
+        raise CliError("this command expects --calculus rho or rho-comb", EXIT_INPUT)
+    return _parse_term(calc, text)
 
 
 def _agent_names(args, agents) -> list:
-    names = _parse_names(args.calculus, args.names)
+    names = _parse_names(RECORDS[args.calculus], args.names)
     if names is None:
         names = []
         for agent in agents:
@@ -249,24 +194,19 @@ def _agent_names(args, agents) -> list:
     return names
 
 
-def _print_name(calculus: str, name) -> str:
-    if calculus == "rho":
-        return print_rho_name(name)
-    return print_comb(name)
-
-
 def _cmd_barbs(args) -> int:
     agent = _agent(args, args.term)
     names = _agent_names(args, [agent])
+    show = RECORDS[args.calculus].print_name
     if args.depth is not None:
         observed = bisim.weak_barbs(agent, names, args.depth)
-        found = sorted(_print_name(args.calculus, n) for n in observed.names)
+        found = sorted(show(n) for n in observed.names)
         payload = {"barbs": found, "truncated": observed.truncated}
         text = "\n".join(found) if found else "(none)"
         if observed.truncated:
             text += "\n(truncated at bound)"
     else:
-        found = sorted(_print_name(args.calculus, n) for n in bisim.barbs(agent, names))
+        found = sorted(show(n) for n in bisim.barbs(agent, names))
         payload = {"barbs": found}
         text = "\n".join(found) if found else "(none)"
     _emit(args, payload, text)
@@ -296,9 +236,6 @@ def _cmd_bisim(args) -> int:
 
 
 def _cmd_faithfulness(args) -> int:
-    if args.calculus not in (None, "rho"):
-        raise CliError("faithfulness expects --calculus rho", EXIT_INPUT)
-    args.calculus = "rho"
     left = _agent(args, args.left)
     right = _agent(args, args.right)
     names = _agent_names(args, [left, right])
@@ -321,11 +258,9 @@ def _cmd_faithfulness(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     calculus = args.calculus
-    term = _parse_term(calculus, args.term)
+    term = _parse_term(RECORDS[calculus], args.term)
     checks: list[tuple[str, bool, str]] = []
     if calculus == "rho":
-        if not rho.is_closed(term):
-            raise CliError("process must be closed", EXIT_INPUT)
         image = comb.interp(term)
         back = comb.backinterp(image, fuel=args.fuel)
         ok1 = back == rho.canon_process(term)

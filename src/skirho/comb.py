@@ -157,16 +157,19 @@ def _interp(p: Process) -> Term:
         case Par(l, r):
             return aps(atom(PAR_DECL), _interp(l), _interp(r))
         case Output(x, body):
-            return aps(atom(BANG_DECL), _interp_name(x), _interp(body))
+            return aps(atom(BANG_DECL), interp_name(x), _interp(body))
         case Input(x, binder, body):
-            return aps(atom(FOR_DECL), _interp_name(x),
+            return aps(atom(FOR_DECL), interp_name(x),
                        abstract_elim(binder, _interp(body)))
         case Deref(x):
-            return ap(atom(STAR_DECL), _interp_name(x))
+            return ap(atom(STAR_DECL), interp_name(x))
     raise TypeError(f"not a process: {p!r}")
 
 
-def _interp_name(n: rho.Name) -> Term:
+def interp_name(n: rho.Name) -> Term:
+    """Translate a name: a free identifier becomes a name token.  Unlike
+    `interp`, a quoted process is neither checked for closedness nor
+    canonicalized."""
     r = rho.resolve_name(n)
     if isinstance(r, Var):
         return name_token(r.ident)

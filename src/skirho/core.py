@@ -850,7 +850,7 @@ def drive(
     if strategy not in ("first", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    rng = _random.Random(seed)
+    rng = _random.Random(seed) if strategy == "random" else None
     steps: list = []
     cur = start
     while goal is None or cur != goal:

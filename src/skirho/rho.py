@@ -372,8 +372,11 @@ def comm_step(p: Process) -> set[Process]:
     an output whose subjects are name-equivalent; the pair is replaced by the
     continuation with the quoted output body substituted for the binder.
     """
-    pc = canon_process(p)
-    comps = par_components(pc)
+    return _reducts(canon_process(p))
+
+
+def _reducts(p: Process) -> set[Process]:
+    comps = par_components(p)  # p is canonical
     out: set[Process] = set()
     for i, ci in enumerate(comps):
         if not isinstance(ci, Input):
@@ -393,9 +396,9 @@ COMM = Redex("comm", (), {})
 
 
 def comm_edges(p: Process) -> list[tuple[Redex, Process]]:
-    """The reducts of a closed process in the fixed process order, each
-    labelled with the one communication redex."""
-    return [(COMM, q) for q in sorted(comm_step(p), key=process_key)]
+    """The reducts of a canonical closed process in the fixed process order,
+    each labelled with the one communication redex."""
+    return [(COMM, q) for q in sorted(_reducts(p), key=process_key)]
 
 
 def rho_reduce(p: Process, strategy: str = "first", fuel: int = 1000,

@@ -16,7 +16,7 @@ from . import comb, rho, ski
 from .core import Term
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int) -> None:
         super().__init__(f"{line}:{column}: {message}")
         self.message = message

@@ -170,6 +170,13 @@ def test_faithfulness_cli(capsys):
     assert "agreement: yes" in out
 
 
+def test_faithfulness_accepts_a_name_quoting_an_open_process(capsys):
+    code, out, err = run_cli(capsys, "faithfulness", "--names", "&(x!0)", "&0!0", "0")
+    assert code == 0
+    assert err == ""
+    assert "agreement: yes" in out
+
+
 def test_roundtrip_cli(capsys):
     code, out, _ = run_cli(capsys, "roundtrip", "--calculus", "rho",
                            "for(y <- &0)(*y) | &0!0")
@@ -266,6 +273,16 @@ def test_fuzzed_argv_end_in_a_documented_exit(capsys):
          "((| C) ((| ((for (& 0)) (K 0))) ((! (& 0)) 0)))"),
         ("reduce", "--calculus", "rho", "--format", "json",
          "for(y <- &0)(y!0) | &0!0"),
+    ] + [
+        ("reduce", "--calculus", calculus, "--format", "json", "--strategy", strategy,
+         "--seed", "5", *extra, text)
+        for strategy in ("random", "all")
+        for calculus, extra, text in (
+            ("rho", (), "for(y <- &0)(y!0) | &0!0 | for(w <- &0)*w"),
+            ("rho-comb", (), "((| C) ((| ((for (& 0)) (K 0))) ((! (& 0)) 0)))"),
+            ("ski-whnf", (), "(R (((S K) K) ((I S) K)))"),
+            ("ski-gas", ("--gas", "3"), "(((S K) K) ((I S) K))"),
+        )
     ],
 )
 def test_json_trace_validates_and_replays(capsys, argv):
@@ -298,6 +315,9 @@ def test_replay_rejects_forged_step():
     }
     with pytest.raises(ValueError):
         replay_trace_json(forged)
+    unparsable = dict(forged, steps=[{"rule": "iota", "position": [], "result": "(K"}])
+    with pytest.raises(ValueError):
+        replay_trace_json(unparsable)
 
 
 # ---------------------------------------------------------------------------
