@@ -11,6 +11,7 @@ negative verdict carries a replayable witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Union
 
 from . import comb, rho
@@ -32,8 +33,8 @@ def calculus_of(agent: Agent) -> Calculus:
 
 
 def _moves(calc: Calculus) -> Successors:
-    """Successors of a canonical agent, deduplicated and in the fixed order."""
-    return lambda a: [(None, s) for s in sorted({s for _, s in calc.edges(a)}, key=calc.key)]
+    """Deduplicated successors of a canonical agent in the fixed order, computed once each."""
+    return cache(lambda a: [(None, s) for s in sorted({s for _, s in calc.edges(a)}, key=calc.key)])
 
 
 def barbs(agent: Agent, names) -> frozenset:

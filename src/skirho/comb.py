@@ -5,9 +5,9 @@ application.  Parallel composition is curried application of the ``|``
 constructor and forms a commutative monoid with unit ``0``; communication
 and quote evaluation are guarded by a linear context resource ``C``, while
 the S/K/I rules fire in any context.  Translation from the calculus
-eliminates binders by bracket abstraction; translation back reduces S/K/I
-spines first and reads the constructors off, inventing a fresh bound name
-for each input continuation.
+eliminates binders by bracket abstraction; translation back normalizes the
+S/K/I spines once, reads the constructors off the normal form, and normalizes
+again only each input continuation applied to its fresh bound name.
 """
 
 from __future__ import annotations
@@ -365,7 +365,7 @@ def backinterp(c: Term, fuel: int = DEFAULT_FUEL) -> Process:
     if sort_infer(c) != W:
         raise TranslationError("combinator is not W-sorted")
     budget = [fuel]
-    return rho.canon_process(_backinterp(c, budget))
+    return rho.canon_process(_backinterp(_skinormal(c, budget), budget))
 
 
 def _skinormal(c: Term, budget: list[int]) -> Term:
@@ -394,7 +394,8 @@ def quote_subterms(t: Term) -> list[Term]:
 
 
 def _backinterp(c: Term, budget: list[int]) -> Process:
-    c = _skinormal(c, budget)
+    """Read a canonical S/K/I-normal combinator as a process.  Its subterms
+    are canonical and normal too; only an input body is normalized again."""
     comps = par_components(c)
     if len(comps) != 1:
         return rho.par_of([_backinterp(e, budget) for e in comps])
@@ -441,7 +442,7 @@ def _backinterp_input(subject: Term, continuation: Term, budget: list[int]) -> P
         if fresh_p not in taboo:
             break
         i += 1
-    body = _backinterp(ap(continuation, ap(atom(AMP_DECL), fresh)), budget)
+    body = _backinterp(_skinormal(ap(continuation, ap(atom(AMP_DECL), fresh)), budget), budget)
     bound = rho.subst_syntactic(body, Var("y0"), Quote(fresh_p))
     return Input(Quote(subject_p), "y0", bound)
 

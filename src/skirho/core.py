@@ -20,17 +20,17 @@ parallel group (the remainder is kept), and a rule that mentions a floating
 marker may match with surplus markers peeled off into the surrounding
 context.  Both correspond to matching the rule inside some representative
 of the congruence class, which is exactly where the one-step edges of the
-free model live.  Each presentation analyses its rules once, on first use:
-every group-shaped node of a left-hand side is flattened into its element
-patterns and collector metavariables, and every marker float is kept with
-the rule's spine-marker count.
+free model live.  Each presentation compiles its left-hand sides once, on
+first use, into matchers (one binding or none without a group node) and
+files each rule in an index: under the spine key of its left-hand side (the
+constructor its leftmost path ends in, the path's length and markers), or
+under its group and the atoms it requires.  One pass over a term keys every
+position, and a rule is tried only at the positions filed under its key.
 
 A `Term` carries its hash, computed once at construction, and its order key
-(`term_key`), computed on first use; equality tries identity and the hashes
-before comparing structure.  Redex enumeration works out each position's
-spine head once per term for all rules, and builds each successor by
-settling only the new right-hand-side nodes and the ancestors on the redex
-path: every other subterm of a canonical term is canonical already.
+(`term_key`), computed on first use.  A successor is built by settling only
+the new right-hand-side nodes and the ancestors on the redex path: every
+other subterm of a canonical term is canonical already.
 """
 
 from __future__ import annotations
@@ -243,15 +243,9 @@ class Presentation:
         raise KeyError(name)
 
     @cached_property
-    def _rule_table(self) -> tuple[tuple[RewriteRule, Union[Pattern, _Flat], tuple], ...]:
-        """Each rule with its compiled left-hand side and the marker floats
-        ``(float, spine-marker count)`` that may peel for it."""
-        return tuple(
-            (rule, _compile(self, rule.lhs),
-             tuple((f, c) for f in self.congruence.marker_floats
-                   if (c := _pattern_spine_marker(f, rule.lhs)) is not None))
-            for rule in self.rules
-        )
+    def _rule_table(self) -> tuple[_Rule, ...]:
+        """Each rule with its left-hand side compiled, built on first use."""
+        return tuple(_compile_rule(self, rule) for rule in self.rules)
 
 
 @dataclass
@@ -426,87 +420,115 @@ def congruent(p: Presentation, t: Term, u: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# matching
+# compiled matching
+
+Matcher = Callable[[Term, dict], Iterable[dict]]  # (t, b) -> bindings extending b
 
 
 @dataclass(frozen=True)
 class _Flat:
-    """A group-shaped pattern node, flattened: element patterns and collectors."""
+    """A group-shaped pattern node, flattened: the atoms it requires, the
+    matchers of its other element patterns, and its collectors."""
 
     group: AcuGroup
-    elems: tuple
+    needs: tuple[Term, ...]
+    elems: tuple[Matcher, ...]
     collectors: tuple[MetaVar, ...]
 
 
-def _compile(p: Presentation, pat: Pattern) -> Union[Pattern, _Flat]:
-    """The pattern with every group-shaped node replaced by its `_Flat` node."""
-    if isinstance(pat, MetaVar):
-        return pat
-    g = _group_of(p, pat)
-    if g is None:
-        return Term(pat.head, tuple(_compile(p, c) for c in pat.children))
+def _flat(p: Presentation, g: AcuGroup, pat: Term) -> _Flat:
     parts = flatten_term(g, pat)
-    return _Flat(g, tuple(_compile(p, q) for q in parts if not isinstance(q, MetaVar)),
+    return _Flat(g, tuple(q for q in parts if isinstance(q, Term) and not q.children),
+                 tuple(_matcher(p, q) for q in parts if isinstance(q, Term) and q.children),
                  tuple(q for q in parts if isinstance(q, MetaVar)))
 
 
-def _match_gen(
-    pat: Union[Pattern, _Flat], t: Term, binding: dict[str, Term]
-) -> Iterator[dict[str, Term]]:
-    """Yield every binding (deterministic order) making pat congruent to t.
-
-    Repeated metavariables must bind canonically equal terms; matching under
-    an ACU operator enumerates multiset decompositions in canonical order.
-    """
+def _one(p: Presentation, pat: Pattern) -> Optional[Callable[[Term, dict], bool]]:
+    """The matcher of a pattern without group nodes, None if it has one:
+    such a pattern has at most one binding, which ``match(t, b)`` adds to b,
+    saying whether t matched.  Heads and sorts are compared by identity first."""
     if isinstance(pat, MetaVar):
-        bound = binding.get(pat.name)
-        if bound is None:
-            if t.sort == pat.sort:
-                out = dict(binding)
-                out[pat.name] = t
-                yield out
-        elif bound == t:
-            yield binding
-        return
-    if isinstance(pat, _Flat):
-        yield from _match_acu(pat, t, binding, rest_var=None)
-        return
-    if pat.head != t.head:
-        return
+        name, sort = pat.name, pat.sort
 
-    def rec(i: int, b: dict[str, Term]) -> Iterator[dict[str, Term]]:
-        if i == len(pat.children):
-            yield b
-            return
-        for b2 in _match_gen(pat.children[i], t.children[i], b):
-            yield from rec(i + 1, b2)
+        def var(t: Term, b: dict) -> bool:
+            bound = b.get(name)
+            if bound is None and ((s := t.head.result_sort) is sort or s == sort):
+                b[name] = t
+                return True
+            return bound == t
 
-    yield from rec(0, binding)
+        return var
+    subs = [_one(p, c) for c in pat.children]
+    if None in subs or _group_of(p, pat) is not None:
+        return None
+    head = pat.head
+
+    def node(t: Term, b: dict) -> bool:
+        h = t.head
+        if h is not head and h != head:
+            return False
+        for m, c in zip(subs, t.children):
+            if not m(c, b):
+                return False
+        return True
+
+    return node
 
 
-def _match_acu(
-    pat: _Flat, t: Term, binding: dict[str, Term], rest_var: Optional[str]
+def _matcher(p: Presentation, pat: Pattern) -> Matcher:
+    """The matcher of any pattern: only group nodes yield several bindings."""
+    one = _one(p, pat)
+    if one is not None:
+        return lambda t, b: (b2,) if one(t, b2 := dict(b)) else ()
+    g = _group_of(p, pat)
+    if g is not None:
+        flat = _flat(p, g, pat)
+
+        def group(t: Term, b: dict) -> Iterable[dict]:
+            left = _take(flat.needs, flatten_term(g, t))
+            return () if left is None else _match_group(flat, left, b, False)
+
+        return group
+    head = pat.head
+    subs = [_matcher(p, c) for c in pat.children]
+
+    def node(t: Term, b: dict) -> Iterable[dict]:
+        out = [b] if t.head == head else []
+        for m, c in zip(subs, t.children):
+            out = [b3 for b2 in out for b3 in m(c, b2)]
+        return out
+
+    return node
+
+
+def _take(needs: Sequence[Term], elems: list[Term]) -> Optional[list[Term]]:
+    """elems less one copy of each of needs, or None if one is missing."""
+    left = list(elems)
+    for a in needs:
+        if a not in left:
+            return None
+        left.remove(a)
+    return left
+
+
+def _match_group(
+    pat: _Flat, telems: list[Term], binding: dict[str, Term], rest: bool
 ) -> Iterator[dict[str, Term]]:
+    """Every binding, in decomposition order, making the group pattern
+    congruent to the group of `telems`, whose required atoms are taken out
+    already; with `rest`, REST_VAR collects what the pattern leaves over.
+    Repeated metavariables must bind canonically equal terms."""
     g, pelems, pvars = pat.group, pat.elems, pat.collectors
-    if rest_var is not None:
-        pvars = pvars + (MetaVar(rest_var, g.unit.sort),)
-    telems = flatten_term(g, t)
-
+    if rest:
+        pvars = pvars + (MetaVar(REST_VAR, g.unit.sort),)
     # bound collector metavariables contribute a fixed sub-multiset
     pending: list[MetaVar] = []
     for mv in pvars:
         bound = binding.get(mv.name)
         if bound is None:
             pending.append(mv)
-            continue
-        needed = flatten_term(g, bound)
-        remaining = list(telems)
-        for item in needed:
-            if item in remaining:
-                remaining.remove(item)
-            else:
-                return
-        telems = remaining
+        elif (telems := _take(flatten_term(g, bound), telems)) is None:
+            return
 
     def assign_vars(leftover: list[Term], i: int, b: dict[str, Term]) -> Iterator[dict[str, Term]]:
         if i == len(pending):
@@ -514,21 +536,10 @@ def _match_acu(
                 yield b
             return
         mv = pending[i]
-        if i == len(pending) - 1:
-            value = group_join(g, leftover)
-            bound = b.get(mv.name)
-            if bound is None:
-                if value.sort == mv.sort:
-                    out = dict(b)
-                    out[mv.name] = value
-                    yield out
-            elif bound == value:
-                yield b
-            return
-        # several collectors: deterministically enumerate sub-multisets for
-        # this one (by index subset, ascending), remainder goes rightwards
+        # the last collector takes what is left; any other enumerates the
+        # sub-multisets (by index subset, ascending), remainder rightwards
         n = len(leftover)
-        for mask in range(1 << n):
+        for mask in range(1 << n) if i < len(pending) - 1 else ((1 << n) - 1,):
             chosen = [leftover[j] for j in range(n) if mask >> j & 1]
             rest = [leftover[j] for j in range(n) if not mask >> j & 1]
             value = group_join(g, chosen)
@@ -552,7 +563,7 @@ def _match_acu(
         for j, te in enumerate(telems):
             if j in used:
                 continue
-            for b2 in _match_gen(pelems[i], te, b):
+            for b2 in pelems[i](te, b):
                 yield from match_elems(i + 1, used + (j,), b2)
 
     seen: set[tuple] = set()
@@ -565,14 +576,45 @@ def _match_acu(
 
 def match_pattern(p: Presentation, pat: Pattern, t: Term) -> Optional[dict[str, Term]]:
     """First binding making pat congruent to t, or None."""
-    t = canonicalize(p, t)
-    for b in _match_gen(_compile(p, pat), t, {}):
-        return b
-    return None
+    return next(iter(_matcher(p, pat)(canonicalize(p, t), {})), None)
 
 
 # ---------------------------------------------------------------------------
 # redex enumeration
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """A rule with its left-hand side compiled: flattened when group-shaped,
+    else a matcher with its spine key (None: any position may match) and the
+    marker floats ``(float, spine-marker count)`` that may peel for it."""
+
+    rule: RewriteRule
+    flat: Optional[_Flat] = None
+    match: Optional[Matcher] = None
+    spine: Optional[tuple] = None
+    floats: tuple = ()
+
+
+def _compile_rule(p: Presentation, rule: RewriteRule) -> _Rule:
+    g = _group_of(p, rule.lhs)
+    if g is not None:
+        return _Rule(rule, flat=_flat(p, g, rule.lhs))
+    floats = tuple((f, c) for f in p.congruence.marker_floats
+                   if (c := _pattern_spine_marker(f, rule.lhs)) is not None)
+    return _Rule(rule, match=_matcher(p, rule.lhs), spine=_positions(p, rule.lhs)[0][0][4],
+                 floats=floats)
+
+
+def _select(p: Presentation, rules: Optional[Sequence[str]]) -> tuple[_Rule, ...]:
+    """The compiled rules named in `rules` (all when None), in presentation
+    order; ValueError names any entry the presentation lacks."""
+    if rules is None:
+        return p._rule_table
+    unknown = [n for n in rules if all(r.name != n for r in p.rules)]
+    if unknown:
+        raise ValueError(f"the presentation has no rule {', '.join(map(repr, unknown))}")
+    return tuple(r for r in p._rule_table if r.rule.name in rules)
 
 
 def _spine(app: ConstructorDecl, t: Term) -> tuple[Term, list[Term]]:
@@ -598,33 +640,13 @@ def _pattern_spine_marker(f: MarkerFloat, pat: Pattern) -> Optional[int]:
     return None if isinstance(head, MetaVar) else c
 
 
-def _spine_heads(p: Presentation, positions: list) -> dict[MarkerFloat, dict[int, tuple]]:
-    """For each marker float, the spine head of every node of `positions`
-    headed by its ``app``, as ``(head without markers, marker count)`` keyed
-    by node identity: one pass over the term, shared by every rule."""
-    out = {}
-    for f in p.congruence.marker_floats:
-        heads: dict[int, tuple[Term, int]] = {}
-        for _, node, _ in reversed(positions):  # each node after its descendants
-            if node.head == f.app:
-                below = node.children[0]
-                heads[id(node)] = (heads.get(id(below))
-                                   or _unwrap_marker(f.marker, _spine(f.app, below)[0]))
-        out[f] = heads
-    return out
-
-
-def _peel_candidate(
-    floats: Sequence[tuple[MarkerFloat, int, dict[int, tuple[Term, int]]]], node: Term
-) -> tuple[int, Optional[ConstructorDecl], Term]:
+def _peel(floats: Sequence[tuple[MarkerFloat, int]], node: Term) -> tuple[int, Optional[ConstructorDecl], Term]:
     """How many floating markers to peel off into the context for this match,
-    given the rule's marker floats with its spine-marker counts and the
-    term's spine heads (`_spine_heads`)."""
-    for f, c, heads in floats:
-        spine_head = heads.get(id(node))
-        if spine_head is None:
+    given the rule's marker floats: the count, the marker, the term to match."""
+    for f, c in floats:
+        if node.head != f.app:
             continue
-        core, k = spine_head
+        core, k = _unwrap_marker(f.marker, _spine(f.app, node)[0])
         if k == 0 or c >= k:
             continue
         peeled = core
@@ -636,26 +658,51 @@ def _peel_candidate(
     return 0, None, node
 
 
-def _positions(p: Presentation, t: Term) -> list[tuple[tuple[int, ...], Term, Optional[AcuGroup]]]:
-    """Pre-order positions, treating a maximal ACU group as one flattened node."""
-    out: list[tuple[tuple[int, ...], Term, Optional[AcuGroup]]] = []
+def _positions(p: Presentation, t: Pattern) -> tuple[list[tuple], dict]:
+    """Pre-order positions ``(path, node, group, elements, spine)`` of t, a
+    maximal ACU group counting as one node over its elements, and the index
+    of them, in pre-order, by group and by ``(name, length)``.  A node
+    outside a group has the spine key of its leftmost path: the name of the
+    constructor it ends in, how many of its nodes are not floating markers
+    and how many are; None when the path meets a metavariable or a group.
+    A rule's key is its left-hand side's: it matches only where name and
+    length agree, with at least as many markers."""
+    out: list = []
+    markers = [f.marker for f in p.congruence.marker_floats]
 
-    def rec(node: Term, path: tuple[int, ...]) -> None:
+    def rec(node: Pattern, path: tuple[int, ...]) -> Optional[tuple]:
         g = _group_of(p, node)
-        out.append((path, node, g))
+        i = len(out)
+        out.append(None)
         if g is not None:
+            elems = []
             cur, base = node, path
             while _group_of(p, cur) is g:
-                rec(cur.children[0].children[1], base + (0, 1))
+                elems.append(cur.children[0].children[1])
+                rec(elems[-1], base + (0, 1))
                 cur = cur.children[1]
-                base = base + (1,)
+                base += (1,)
+            elems.append(cur)
             rec(cur, base)
-        else:
-            for i, c in enumerate(node.children):
-                rec(c, path + (i,))
+            out[i] = (path, node, g, elems, None)
+            return None
+        spine = None if node.head is None else (node.head.name, 0, 0)
+        for j, c in enumerate(node.children):
+            below = rec(c, path + (j,))
+            if j == 0:
+                m = node.head in markers
+                spine = below and (below[0], below[1] + (not m), below[2] + m)
+        out[i] = (path, node, None, None, spine)
+        return spine
 
     rec(t, ())
-    return out
+    del rec  # it refers to itself, which would keep `out` until a collection
+    index: dict = {}
+    for pos in out:
+        key = pos[2] if pos[2] is not None else pos[4] and pos[4][:2]
+        if key is not None:
+            index.setdefault(key, []).append(pos)
+    return out, index
 
 
 def _graft(p: Presentation, settle: Callable, t: Term, path: Sequence[int], inst: Term) -> Term:
@@ -682,22 +729,29 @@ def iter_redexes(
     deterministic order.
 
     Order is rule-major: presentation rule order first, then leftmost-outermost
-    position, then multiset decomposition order.  A successor is built
+    position, then multiset decomposition order.  A rule is tried only at the
+    positions the index files under its key.  A successor is built
     canonically: the bound subterms are canonical already, so only the new
     right-hand-side nodes, the wrappers around them and their ancestors are
-    settled.
+    settled.  Naming a rule the presentation lacks raises ValueError.
     """
+    table = _select(p, rules)
     settle = _settle if p.congruence.acu_groups or p.congruence.marker_floats else _keep
-    positions = _positions(p, t)
-    heads = _spine_heads(p, positions)
-    for rule, lhs, floats in p._rule_table:
-        if rules is not None and rule.name not in rules:
-            continue
-        if isinstance(lhs, _Flat):
-            g = lhs.group
-            rest_var = None if lhs.collectors else REST_VAR
-            for path, node, _ in positions:
-                for b in _match_acu(lhs, node, {}, rest_var):
+    positions, index = _positions(p, t)
+    for r in table:
+        rule = r.rule
+        if r.flat is not None:
+            flat = r.flat
+            g = flat.group
+            # a node outside the group is a group of at most one element
+            many = len(flat.needs) + len(flat.elems) > 1
+            for path, node, group, elems, _ in index.get(g, ()) if many else positions:
+                if group is not g:
+                    elems = [] if node == g.unit else [node]
+                left = _take(flat.needs, elems)
+                if left is None or len(left) < len(flat.elems):
+                    continue
+                for b in _match_group(flat, left, {}, not flat.collectors):
                     rest = b.pop(REST_VAR, None)
                     inst = _instantiate(p, settle, rule.rhs, b)
                     if rest is not None and rest != g.unit:
@@ -705,18 +759,21 @@ def iter_redexes(
                         inst = settle(p, Term(g.app, (joined, rest)))
                     succ = _graft(p, settle, t, path, inst)
                     yield Redex(rule.name, path, b, peel=0, rest=rest), succ
-        else:
-            peels = [(f, c, heads[f]) for f, c in floats]
-            for path, node, node_group in positions:
-                if node_group is not None:
-                    continue  # group nodes only host ACU-shaped rules
-                peel, marker, target = _peel_candidate(peels, node)
-                for b in _match_gen(lhs, target, {}):
-                    inst = _instantiate(p, settle, rule.rhs, b)
-                    for _ in range(peel):
-                        inst = settle(p, Term(marker, (inst,)))
-                    succ = _graft(p, settle, t, path, inst)
-                    yield Redex(rule.name, path, b, peel=peel, rest=None), succ
+            continue
+        key = r.spine
+        for path, node, group, _, spine in positions if key is None else index.get(key[:2], ()):
+            if group is not None or key is not None and spine[2] < key[2]:
+                continue  # a group node hosts only ACU-shaped rules
+            if r.floats and (spine is None or spine[2]):
+                peel, marker, target = _peel(r.floats, node)
+            else:
+                peel, marker, target = 0, None, node
+            for b in r.match(target, {}):
+                inst = _instantiate(p, settle, rule.rhs, b)
+                for _ in range(peel):
+                    inst = settle(p, Term(marker, (inst,)))
+                succ = _graft(p, settle, t, path, inst)
+                yield Redex(rule.name, path, b, peel=peel, rest=None), succ
 
 
 def find_redexes(p: Presentation, t: Term, rules: Optional[Sequence[str]] = None) -> list[Redex]:
@@ -761,6 +818,7 @@ def reduce(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> Trace:
     """Drive rewriting of t's canonical form with one of the strategies of `drive`."""
+    _select(p, rules)  # an unknown rule name fails here, not at the first step
     t0 = canonicalize(p, t)
     goal = canonicalize(p, target) if target is not None else None
     return drive(t0, lambda u: iter_redexes(p, u, rules), strategy, fuel,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -195,6 +197,27 @@ def test_witness_describe_reparses():
                 kinds.add((on_comb, w.kind))
                 w = w.inner
     assert kinds == {(False, "barb"), (False, "move"), (True, "barb"), (True, "move")}
+
+
+def test_each_state_is_expanded_once_per_check(monkeypatch):
+    expanded = Counter()
+    for name in ("rho", "rho-comb"):
+        calc = bisim.CALCULI[name]
+
+        def edges(state, calc=calc, name=name):
+            expanded[name, state] += 1
+            return calc.edges(state)
+
+        monkeypatch.setitem(bisim.CALCULI, name, dataclasses.replace(calc, edges=edges))
+    left = Par(relay(), Input(N0, "z", out0()))
+    right = Par(out0(), Input(N0, "z", out0()))
+    report = faithfulness_check(left, right, [N0], 4)
+    assert not report.inconclusive
+    assert {name for name, _ in expanded} == {"rho", "rho-comb"}
+    assert max(expanded.values()) == 1
+    expanded.clear()
+    weak_barbs(wrap_context(interp(left)), [comb.interp_name(N0)], 4)
+    assert expanded and max(expanded.values()) == 1
 
 
 def test_bisim_rejects_mixed_calculi():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -38,8 +39,9 @@ from skirho.comb import (
     sort_infer,
     wrap_context,
 )
-from skirho.core import instantiate, reduce, step
+from skirho.core import FuelExhausted, instantiate, reduce, step
 from skirho.rho import ZERO, Deref, Input, Output, Par, Quote, Var
+from skirho.syntax import parse_comb, print_rho
 
 PRES = comb_presentation()
 
@@ -274,6 +276,38 @@ def test_backinterp_binds_fresh_name_occurrences():
     p = Input(Quote(ZERO), "x", Par(Output(Var("x"), ZERO), Deref(Var("x"))))
     got = backinterp(interp(p))
     assert got == rho.canon_process(p)
+
+
+def test_backinterp_outputs_are_pinned():
+    # sha256 of the 200 printed processes, as computed before the back
+    # translation stopped normalizing subterms of a normal form again
+    rng = random.Random(2026)
+    outs = [print_rho(backinterp(random_sorted_comb(rng))) for _ in range(200)]
+    assert outs[:3] == ["0", "*&0", "&0!for(v0 <- &0)&0!*v0"]
+    digest = hashlib.sha256("\n".join(outs).encode()).hexdigest()
+    assert digest == "75964f3065612b439f8d4c963e46d35360e154bff2f11378d9f2ae354557a21c"
+
+
+# S/K/I detours in subjects, quotes and continuations, with the least fuel
+# their back translation needs
+FUEL_PINS = [
+    ("((for (((S (K &)) (K 0)) ((! (& 0)) 0))) ((S ((S (K for)) ((K I) (& 0)))) (K (K (I 0)))))",
+     11),
+    ("((I (for (& 0))) (((S (K (S ((S (K !)) I)))) (K ((S (K *)) I))) (& ((! (& 0)) 0))))", 11),
+    ("(((K (((S (K |)) (K ((for (& 0)) ((S (K *)) I)))) ((for (& 0)) ((S (K *)) I)))) (& 0))"
+     " ((for (& 0)) ((S (K *)) I)))", 10),
+    ("((for (& 0)) ((S ((S (K !)) I)) ((S ((((K I) 0) K) *)) I)))", 9),
+    ("((| ((for (& 0)) (K 0))) ((for (& 0)) (((S (K (S (((K K) (* (& 0))) *)))) (K I)) (& 0))))",
+     8),
+]
+
+
+@pytest.mark.parametrize("text, fuel", FUEL_PINS)
+def test_backinterp_fuel_boundary_is_pinned(text, fuel):
+    c = parse_comb(text)
+    assert backinterp(c, fuel) == backinterp(c)
+    with pytest.raises(FuelExhausted):
+        backinterp(c, fuel - 1)
 
 
 # ---------------------------------------------------------------------------

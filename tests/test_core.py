@@ -41,7 +41,7 @@ from skirho import comb, rho, ski
 from skirho.comb import ATOM_DECLS, ZERO_DECL, PAR_DECL, AMP_DECL, BANG_DECL, FOR_DECL, K_DECL
 from skirho.ski import I, K, S, ap
 
-from naive import bfs_distance_to_normal, close_under_monoid_laws, naive_ski_step
+from naive import bfs_distance_to_normal, close_under_monoid_laws, naive_redexes, naive_ski_step
 
 PLAIN = ski.ski_presentation("plain")
 WHNF = ski.ski_presentation("whnf")
@@ -300,6 +300,22 @@ def test_is_normal():
     assert is_normal(PLAIN, K())
     assert not is_normal(PLAIN, ap(I(), K()))
     assert not is_normal(PLAIN, ap(ap(K(), S()), I()))
+
+
+def test_unknown_rule_names_are_rejected():
+    t = ap(I(), K())
+    calls = [
+        lambda: list(iter_redexes(PLAIN, t, rules=("iota", "sigm"))),
+        lambda: step(PLAIN, t, rules=("sigm",)),
+        lambda: find_redexes(PLAIN, t, rules=("sigm",)),
+        lambda: is_normal(PLAIN, K(), rules=("sigm",)),
+        lambda: reduce(PLAIN, K(), "first", 5, rules=("sigm",)),
+        lambda: reduce(COMB, c0(), "all", 5, rules=("sigm", "iota"), target=c0()),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="'sigm'"):
+            call()
+    assert step(PLAIN, t, rules=()) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -654,3 +670,118 @@ def test_incremental_successors_match_whole_term_canonicalization():
             peeled += r.peel > 0
             rested += r.rest is not None and r.rest != COMB.congruence.acu_groups[0].unit
     assert checked > 500 and peeled > 100 and rested > 100
+
+
+# ---------------------------------------------------------------------------
+# the rule index and compiled matchers against the naive enumerator
+
+_X, _Y, _P, _Q = (MetaVar(n, T) for n in ("X", "Y", "P", "Q"))
+_CA = comb.atom
+
+TOY_COMB = Presentation(  # generic paths no built-in presentation takes
+    sorts=(T,),
+    constructors=COMB.constructors,
+    congruence=COMB.congruence,
+    rules=(
+        # a group of one element (K) and a collector: may match outside a group
+        RewriteRule("solo", par(_CA(K_DECL), _X), _X),
+        # two collectors, splitting the leftover every way
+        RewriteRule("two", par(comb.ap(_CA(AMP_DECL), _P), par(_X, _Y)), par(_Y, _X)),
+        # no required atom and no collector: the leftover is the rest
+        RewriteRule("pair", par(comb.ap(_CA(comb.STAR_DECL), _P), comb.ap(_CA(AMP_DECL), _Q)), _P),
+        # a group below a non-group root
+        RewriteRule("nest", comb.ap(_CA(BANG_DECL), par(_CA(comb.C_DECL), _X)), _X),
+        # a metavariable at the spine head: no spine key
+        RewriteRule("wild", comb.ap(_P, comb.ap(_CA(AMP_DECL), _Q)), comb.ap(_Q, _P)),
+    ),
+)
+
+TOY_SKI = Presentation(
+    sorts=(T,),
+    constructors=WHNF.constructors,
+    congruence=WHNF.congruence,
+    rules=(
+        RewriteRule("iota0", ap(I(), MetaVar("x", T)), MetaVar("x", T)),  # peels every marker
+        RewriteRule("kappa2", ap(ap(ski.R(ski.R(K())), MetaVar("x", T)), MetaVar("y", T)),
+                    MetaVar("x", T)),
+        RewriteRule("wild", ap(MetaVar("x", T), ski.R(MetaVar("y", T))),
+                    ap(MetaVar("y", T), MetaVar("x", T))),
+    ),
+)
+
+
+def _toy_comb_term(rng):
+    atoms = [_CA(d) for d in (ZERO_DECL, K_DECL, comb.C_DECL, comb.I_DECL)]
+
+    def leaf():
+        roll = rng.random()
+        if roll < 0.3:
+            return comb.ap(_CA(AMP_DECL), rng.choice(atoms))
+        if roll < 0.45:
+            return comb.ap(_CA(comb.STAR_DECL), rng.choice(atoms))
+        return rng.choice(atoms)
+
+    def grow(depth):
+        if depth == 0:
+            return leaf()
+        roll = rng.random()
+        if roll < 0.4:
+            return par(grow(depth - 1), grow(depth - 1))
+        if roll < 0.6:
+            return comb.ap(_CA(BANG_DECL), grow(depth - 1))
+        if roll < 0.8:
+            return comb.ap(grow(depth - 1), grow(depth - 1))
+        return leaf()
+
+    return grow(4)
+
+
+def _index_cases():
+    rng = random.Random(31)
+    cases = []
+    for variant in ski.VARIANTS:
+        for _ in range(60):
+            t = _random_plain_term(rng, rng.randint(1, 10))
+            if variant != "plain":
+                t = _sprinkled(t, rng)  # R^1..3 around random subterms: peel > 0
+                t = ski.R(t) if rng.random() < 0.5 else t
+            cases.append((ski.ski_presentation(variant), t))
+            cases.append((TOY_SKI, t))
+    for _ in range(40):  # criterion 8 shapes: comm candidates and groups of 2-12
+        cases.append((COMB, comb.wrap_context(comb.interp(rho.random_comm_candidate(rng, 3)))))
+        group = rho.random_process(rng, 2)
+        for _ in range(rng.randint(1, 11)):
+            group = rho.Par(group, rho.random_process(rng, rng.randint(1, 2)))
+        cases.append((COMB, comb.wrap_context(comb.interp(group))))
+        cases.append((COMB, comb.random_sorted_comb(rng, depth=3, expansions=3)))
+    cases += [(TOY_COMB, _toy_comb_term(rng)) for _ in range(150)]
+    return cases
+
+
+def test_indexed_enumeration_matches_the_naive_enumerator():
+    counts = dict.fromkeys(("redexes", "peeled", "rested", "subsets"), 0)
+    for p, t in _index_cases():
+        t = canonicalize(p, t)
+        names = [r.name for r in p.rules]
+        for rules in (None, names[:1], names[1:], names[::2]):
+            got = list(iter_redexes(p, t, rules))
+            assert got == naive_redexes(p, t, rules), (t, rules)
+            if rules is None:
+                counts["redexes"] += len(got)
+                counts["peeled"] += sum(r.peel > 0 for r, _ in got)
+                counts["rested"] += sum(r.rest not in (None, c0()) for r, _ in got)
+            else:
+                counts["subsets"] += len(got)
+    assert counts["redexes"] > 2000 and counts["subsets"] > 2000, counts
+    assert counts["peeled"] > 100 and counts["rested"] > 100, counts
+
+
+def test_toy_rules_fire_on_every_generic_path():
+    fired = {}
+    for p, t in _index_cases():
+        if p in (TOY_COMB, TOY_SKI):
+            for r in find_redexes(p, t):
+                fired[r.rule] = fired.get(r.rule, 0) + 1
+    assert set(fired) == {"solo", "two", "pair", "nest", "wild", "iota0", "kappa2"}, fired
+    # the one-element group pattern matches an atom outside any group
+    assert [(r.rule, r.binding) for r in find_redexes(TOY_COMB, _CA(K_DECL))] == [("solo", {"X": c0()})]
