@@ -7,7 +7,8 @@ and quote evaluation are guarded by a linear context resource ``C``, while
 the S/K/I rules fire in any context.  Translation from the calculus
 eliminates binders by bracket abstraction; translation back normalizes the
 S/K/I spines once, reads the constructors off the normal form, and normalizes
-again only each input continuation applied to its fresh bound name.
+again only each input continuation applied to its fresh bound name.  Sort
+inference unifies by binding mutable sort variables in place.
 """
 
 from __future__ import annotations
@@ -264,84 +265,84 @@ class _UnifyError(Exception):
     pass
 
 
-def _resolve(s: SortExpr, subst: dict[str, SortExpr]) -> SortExpr:
-    while isinstance(s, SortVar) and s.name in subst:
-        s = subst[s.name]
+class _Var:
+    """A sort variable of one inference, bound in place: `ref` is its value
+    once unified; an arrow is a pair ``(arg, res)`` meanwhile."""
+
+    __slots__ = ("n", "ref")
+
+    def __init__(self, n: int) -> None:
+        self.n, self.ref = n, None
+
+
+def _find(s):
+    while s.__class__ is _Var and s.ref is not None:
+        s = s.ref
     return s
 
 
-def _occurs(v: str, s: SortExpr, subst: dict[str, SortExpr]) -> bool:
-    s = _resolve(s, subst)
-    if isinstance(s, SortVar):
-        return s.name == v
-    if isinstance(s, ArrowSort):
-        return _occurs(v, s.arg, subst) or _occurs(v, s.res, subst)
-    return False
+def _occurs(v: _Var, s) -> bool:
+    s = _find(s)
+    if s.__class__ is tuple:
+        return _occurs(v, s[0]) or _occurs(v, s[1])
+    return s is v
 
 
-def _unify(a: SortExpr, b: SortExpr, subst: dict[str, SortExpr]) -> None:
-    a, b = _resolve(a, subst), _resolve(b, subst)
-    if a == b:
+def _unify(a, b) -> None:
+    a, b = _find(a), _find(b)
+    if a is b:
         return
-    if isinstance(a, SortVar):
-        if _occurs(a.name, b, subst):
+    if a.__class__ is _Var:
+        if _occurs(a, b):
             raise _UnifyError
-        subst[a.name] = b
-        return
-    if isinstance(b, SortVar):
-        _unify(b, a, subst)
-        return
-    if isinstance(a, ArrowSort) and isinstance(b, ArrowSort):
-        _unify(a.arg, b.arg, subst)
-        _unify(a.res, b.res, subst)
-        return
-    raise _UnifyError
+        a.ref = b
+    elif b.__class__ is _Var:
+        _unify(b, a)
+    elif a.__class__ is tuple and b.__class__ is tuple:
+        _unify(a[0], b[0])
+        _unify(a[1], b[1])
+    else:
+        raise _UnifyError
 
 
-def _apply_subst(s: SortExpr, subst: dict[str, SortExpr]) -> SortExpr:
-    s = _resolve(s, subst)
-    if isinstance(s, ArrowSort):
-        return ArrowSort(_apply_subst(s.arg, subst), _apply_subst(s.res, subst))
+def _instance(s: SortExpr, fresh: dict[str, _Var]):
+    if s.__class__ is SortVar:
+        return fresh[s.name]
+    if s.__class__ is ArrowSort:
+        return _instance(s.arg, fresh), _instance(s.res, fresh)
     return s
+
+
+def _infer(u: Term, counter) -> object:
+    if is_name_token(u):
+        return N
+    if u.head == APP_DECL:
+        fun = _infer(u.children[0], counter)
+        arg = _infer(u.children[1], counter)
+        res = _Var(next(counter))
+        _unify(fun, (arg, res))
+        return res
+    scheme = SORT_TABLE.get(u.head.name)
+    if scheme is None:
+        raise _UnifyError
+    return _instance(scheme.body, {q: _Var(next(counter)) for q in scheme.quantified})
+
+
+def _export(s) -> SortExpr:
+    s = _find(s)
+    if s.__class__ is tuple:
+        return ArrowSort(_export(s[0]), _export(s[1]))
+    return SortVar(f"t{s.n}") if s.__class__ is _Var else s
 
 
 def sort_infer(t: Term) -> Optional[SortExpr]:
     """Principal sort of a combinator, or None when it is not sortable.
 
     S, K, and I are instantiated at fresh sort variables per occurrence; name
-    tokens have the name sort.
+    tokens have the name sort.  Unification binds the variables in place.
     """
-    subst: dict[str, SortExpr] = {}
-    counter = itertools.count()
-
-    def inst(scheme: SortScheme) -> SortExpr:
-        mapping = {q: SortVar(f"t{next(counter)}") for q in scheme.quantified}
-
-        def walk(s: SortExpr) -> SortExpr:
-            if isinstance(s, SortVar):
-                return mapping.get(s.name, s)
-            if isinstance(s, ArrowSort):
-                return ArrowSort(walk(s.arg), walk(s.res))
-            return s
-
-        return walk(scheme.body)
-
-    def infer(u: Term) -> SortExpr:
-        if is_name_token(u):
-            return N
-        if u.head == APP_DECL:
-            fun = infer(u.children[0])
-            arg = infer(u.children[1])
-            res = SortVar(f"t{next(counter)}")
-            _unify(fun, ArrowSort(arg, res), subst)
-            return res
-        scheme = SORT_TABLE.get(u.head.name)
-        if scheme is None:
-            raise _UnifyError
-        return inst(scheme)
-
     try:
-        return _apply_subst(infer(t), subst)
+        return _export(_infer(t, itertools.count()))
     except _UnifyError:
         return None
 

@@ -27,10 +27,14 @@ constructor its leftmost path ends in, the path's length and markers), or
 under its group and the atoms it requires.  One pass over a term keys every
 position, and a rule is tried only at the positions filed under its key.
 
-A `Term` carries its hash, computed once at construction, and its order key
-(`term_key`), computed on first use.  A successor is built by settling only
-the new right-hand-side nodes and the ancestors on the redex path: every
-other subterm of a canonical term is canonical already.
+A `Term` carries its hash, computed once at construction, its order key
+(`term_key`), computed on first use, and a mark naming the presentation it
+is canonical under, set where that is established.  `canonicalize` returns
+a marked term at once, and of any other term rebuilds only the nodes that
+change: every canonical subterm comes back as the same object.  A successor
+is built by settling only the new right-hand-side nodes and the ancestors on
+the redex path: every other subterm of a canonical term is canonical
+already.
 """
 
 from __future__ import annotations
@@ -112,10 +116,12 @@ class Term:
 
     Immutable.  The hash is computed once, from the head's and the children's
     cached hashes; `term_key` caches the order key on the node when first
-    asked (a term with MetaVar leaves never needs one).
+    asked (a term with MetaVar leaves never needs one), and canonicalization
+    marks it with the presentation it is canonical under (`_mark`, unset
+    until then, so that construction pays nothing for it).
     """
 
-    __slots__ = ("head", "children", "_hash", "_key")
+    __slots__ = ("head", "children", "_hash", "_key", "_mark")
 
     head: ConstructorDecl
     children: tuple[Term, ...]
@@ -169,6 +175,7 @@ _set_head = Term.head.__set__  # type: ignore[attr-defined]
 _set_children = Term.children.__set__  # type: ignore[attr-defined]
 _set_hash = Term._hash.__set__  # type: ignore[attr-defined]
 _set_key = Term._key.__set__  # type: ignore[attr-defined]
+_set_mark = Term._mark.__set__  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -348,38 +355,40 @@ def _instantiate(p: Optional[Presentation], settle: Callable, pat: Pattern,
 # canonicalization
 
 
-def _group_of(p: Presentation, t: Term) -> Optional[AcuGroup]:
+def _shaped(g: AcuGroup, t: Pattern) -> bool:
+    """Whether t is ``((operator x) y)`` built with g's app."""
+    if len(t.children) == 2 and (t.head is g.app or t.head == g.app):
+        f = t.children[0]
+        return len(f.children) == 2 and (f.head is g.app or f.head == g.app) and f.children[0] == g.operator
+    return False
+
+
+def _group_of(p: Presentation, t: Pattern) -> Optional[AcuGroup]:
     for g in p.congruence.acu_groups:
-        if (
-            t.head == g.app
-            and len(t.children) == 2
-            and t.children[0].head == g.app
-            and t.children[0].children[0] == g.operator
-        ):
+        if _shaped(g, t):
             return g
     return None
 
 
 def flatten_term(g: AcuGroup, t: Term) -> list[Term]:
-    if t == g.unit:
-        return []
-    if (
-        t.head == g.app
-        and len(t.children) == 2
-        and t.children[0].head == g.app
-        and t.children[0].children[0] == g.operator
-    ):
-        return flatten_term(g, t.children[0].children[1]) + flatten_term(g, t.children[1])
-    return [t]
+    """The unit-free elements of t read as a g-group, left to right."""
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if _shaped(g, t):
+            todo += (t.children[1], t.children[0].children[1])
+        elif t != g.unit:
+            out.append(t)
+    return out
 
 
 def group_join(g: AcuGroup, elems: Sequence[Term]) -> Term:
     if not elems:
         return g.unit
-    if len(elems) == 1:
-        return elems[0]
-    rest = group_join(g, elems[1:])
-    return Term(g.app, (Term(g.app, (g.operator, elems[0])), rest))
+    out = elems[-1]
+    for e in reversed(elems[:-1]):
+        out = Term(g.app, (Term(g.app, (g.operator, e)), out))
+    return out
 
 
 def canonicalize(p: Presentation, t: Term) -> Term:
@@ -387,7 +396,8 @@ def canonicalize(p: Presentation, t: Term) -> Term:
 
     Every marker floats onto the head of its application spine, and ACU
     groups are flattened to unit-free multisets ordered by the fixed term
-    order.  Idempotent.
+    order.  Idempotent; a canonical t comes back as itself, and of any other
+    t only the nodes that change are rebuilt.
     """
     if not p.congruence.acu_groups and not p.congruence.marker_floats:
         return t
@@ -395,7 +405,27 @@ def canonicalize(p: Presentation, t: Term) -> Term:
 
 
 def _canon(p: Presentation, t: Term) -> Term:
-    return _settle(p, Term(t.head, tuple(_canon(p, c) for c in t.children)))
+    if getattr(t, "_mark", None) is p:
+        return t
+    g = _group_of(p, t)
+    if g is None:
+        kids = tuple([_canon(p, c) for c in t.children])
+        return _settle(p, t if kids == t.children else Term(t.head, kids))
+    # a maximal group: flatten it once, canonicalize its elements, sort once
+    elems = sorted((x for e in flatten_term(g, t) for x in flatten_term(g, _canon(p, e))), key=term_key)
+    if not _joins(g, t, elems):
+        t = group_join(g, elems)
+    _set_mark(t, p)
+    return t
+
+
+def _joins(g: AcuGroup, t: Term, elems: list[Term]) -> bool:
+    """Whether t is ``group_join(g, elems)`` over these very element objects."""
+    for e in elems[:-1]:
+        if not _shaped(g, t) or t.children[0].children[1] is not e:
+            return False
+        t = t.children[1]
+    return bool(elems) and t is elems[-1]
 
 
 def _keep(p: Optional[Presentation], t: Term) -> Term:
@@ -404,14 +434,15 @@ def _keep(p: Optional[Presentation], t: Term) -> Term:
 
 
 def _settle(p: Presentation, t: Term) -> Term:
-    """Canonical form of t, whose children are canonical already."""
+    """Canonical form of t, whose children are canonical already, marked."""
     for f in p.congruence.marker_floats:
         if t.head == f.marker and t.children[0].head == f.app:
             x, y = t.children[0].children
             return _settle(p, Term(f.app, (_settle(p, Term(f.marker, (x,))), y)))
     g = _group_of(p, t)
     if g is not None:
-        return group_join(g, sorted(flatten_term(g, t), key=term_key))
+        t = group_join(g, sorted(flatten_term(g, t), key=term_key))
+    _set_mark(t, p)
     return t
 
 
@@ -518,7 +549,7 @@ def _match_group(
     congruent to the group of `telems`, whose required atoms are taken out
     already; with `rest`, REST_VAR collects what the pattern leaves over.
     Repeated metavariables must bind canonically equal terms."""
-    g, pelems, pvars = pat.group, pat.elems, pat.collectors
+    g, pvars = pat.group, pat.collectors
     if rest:
         pvars = pvars + (MetaVar(REST_VAR, g.unit.sort),)
     # bound collector metavariables contribute a fixed sub-multiset
@@ -529,49 +560,53 @@ def _match_group(
             pending.append(mv)
         elif (telems := _take(flatten_term(g, bound), telems)) is None:
             return
-
-    def assign_vars(leftover: list[Term], i: int, b: dict[str, Term]) -> Iterator[dict[str, Term]]:
-        if i == len(pending):
-            if not leftover:
-                yield b
-            return
-        mv = pending[i]
-        # the last collector takes what is left; any other enumerates the
-        # sub-multisets (by index subset, ascending), remainder rightwards
-        n = len(leftover)
-        for mask in range(1 << n) if i < len(pending) - 1 else ((1 << n) - 1,):
-            chosen = [leftover[j] for j in range(n) if mask >> j & 1]
-            rest = [leftover[j] for j in range(n) if not mask >> j & 1]
-            value = group_join(g, chosen)
-            bound = b.get(mv.name)
-            if bound is None:
-                if value.sort != mv.sort:
-                    continue
-                out = dict(b)
-                out[mv.name] = value
-            elif bound == value:
-                out = b
-            else:
-                continue
-            yield from assign_vars(rest, i + 1, out)
-
-    def match_elems(i: int, used: tuple[int, ...], b: dict[str, Term]) -> Iterator[dict[str, Term]]:
-        if i == len(pelems):
-            leftover = [e for j, e in enumerate(telems) if j not in used]
-            yield from assign_vars(leftover, 0, b)
-            return
-        for j, te in enumerate(telems):
-            if j in used:
-                continue
-            for b2 in pelems[i](te, b):
-                yield from match_elems(i + 1, used + (j,), b2)
-
+    # the recursion is at module level: a generator closure that refers to
+    # itself would leave a reference cycle behind every match
     seen: set[tuple] = set()
-    for b in match_elems(0, (), binding):
+    for b in _match_elems(pat.elems, g, pending, telems, (), binding):
         sig = tuple(sorted((k, term_key(v)) for k, v in b.items()))
         if sig not in seen:
             seen.add(sig)
             yield b
+
+
+def _match_elems(pelems: tuple[Matcher, ...], g: AcuGroup, pending: list[MetaVar], telems: list[Term],
+                 used: tuple[int, ...], b: dict[str, Term]) -> Iterator[dict[str, Term]]:
+    if len(used) == len(pelems):
+        leftover = [e for j, e in enumerate(telems) if j not in used]
+        yield from _assign_vars(g, pending, leftover, b)
+        return
+    for j, te in enumerate(telems):
+        if j in used:
+            continue
+        for b2 in pelems[len(used)](te, b):
+            yield from _match_elems(pelems, g, pending, telems, used + (j,), b2)
+
+
+def _assign_vars(g: AcuGroup, pending: list[MetaVar], leftover: list[Term],
+                 b: dict[str, Term]) -> Iterator[dict[str, Term]]:
+    if not pending:
+        if not leftover:
+            yield b
+        return
+    mv = pending[0]
+    # the last collector takes what is left; any other enumerates the
+    # sub-multisets (by index subset, ascending), remainder rightwards
+    n = len(leftover)
+    for mask in range(1 << n) if len(pending) > 1 else ((1 << n) - 1,):
+        chosen = [leftover[j] for j in range(n) if mask >> j & 1]
+        rest = [leftover[j] for j in range(n) if not mask >> j & 1]
+        value = group_join(g, chosen)
+        bound = b.get(mv.name)
+        if bound is None:
+            if value.sort != mv.sort:
+                continue
+            out = {**b, mv.name: value}
+        elif bound == value:
+            out = b
+        else:
+            continue
+        yield from _assign_vars(g, pending[1:], rest, out)
 
 
 def match_pattern(p: Presentation, pat: Pattern, t: Term) -> Optional[dict[str, Term]]:
@@ -709,16 +744,22 @@ def _graft(p: Presentation, settle: Callable, t: Term, path: Sequence[int], inst
     """``canonicalize(p, replace_at(t, path, inst))`` for canonical t and inst.
 
     The siblings along the path are canonical already, so settling each
-    ancestor bottom-up is enough.
+    ancestor bottom-up is enough; a node on the spine of its parent's group
+    is left to the settling of the group's top, which flattens through it.
     """
     ancestors = []
     for i in path:
         ancestors.append(t)
         t = t.children[i]
-    for node, i in zip(reversed(ancestors), reversed(path)):
+    groups = p.congruence.acu_groups
+    for d in range(len(path) - 1, -1, -1):
+        node = ancestors[d]
         children = list(node.children)
-        children[i] = inst
-        inst = settle(p, Term(node.head, tuple(children)))
+        children[path[d]] = inst
+        inst = Term(node.head, tuple(children))
+        if not (groups and d and (g := _group_of(p, ancestors[d - 1])) is not None
+                and (path[d - 1] == 0 or _shaped(g, node))):
+            inst = settle(p, inst)
     return inst
 
 
@@ -782,15 +823,9 @@ def find_redexes(p: Presentation, t: Term, rules: Optional[Sequence[str]] = None
 
 
 def apply_redex(p: Presentation, t: Term, r: Redex) -> Term:
-    t = canonicalize(p, t)
-    for cand, succ in iter_redexes(p, t):
-        if (
-            cand.rule == r.rule
-            and cand.position == tuple(r.position)
-            and cand.binding == r.binding
-            and cand.peel == r.peel
-            and cand.rest == r.rest
-        ):
+    want = Redex(r.rule, tuple(r.position), r.binding, r.peel, r.rest)
+    for cand, succ in iter_redexes(p, canonicalize(p, t)):
+        if cand == want:
             return succ
     raise InvalidRedex(f"redex {r.rule}@{tuple(r.position)} does not apply to this term")
 

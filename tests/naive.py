@@ -3,7 +3,8 @@
 Everything here is deliberately written without the rewriting core's
 matching and search: plain structural matching, explicit tree rebuilding,
 and textbook graph search.  The redex enumerator reuses only the core's term
-helpers and `canonicalize`.
+helpers and `canonicalize`; `naive_canonicalize` is canonicalization by its
+definition, with no marks and no reuse of unchanged nodes.
 """
 
 from __future__ import annotations
@@ -147,6 +148,38 @@ def close_under_monoid_laws(t, group_app, group_op, unit, bound=2000):
                 seen.add(v)
                 queue.append(v)
     return seen
+
+
+def naive_canonicalize(p, t):
+    """The canonical form rebuilt node by node, bottom-up: each rebuilt node
+    has its markers floated down the spine and, at a group node, the group
+    flattened, sorted by `term_key` and joined again, at every level."""
+    if not p.congruence.acu_groups and not p.congruence.marker_floats:
+        return t
+    return _naive_settle(p, Term(t.head, tuple(naive_canonicalize(p, c) for c in t.children)))
+
+
+def _naive_settle(p, t):
+    for f in p.congruence.marker_floats:
+        if t.head == f.marker and t.children[0].head == f.app:
+            x, y = t.children[0].children
+            return _naive_settle(p, Term(f.app, (_naive_settle(p, Term(f.marker, (x,))), y)))
+    g = _group(p, t)
+    if g is None:
+        return t
+    elems = sorted(_elements(p, g, t), key=term_key)
+    out = elems.pop() if elems else g.unit
+    while elems:
+        out = Term(g.app, (Term(g.app, (g.operator, elems.pop())), out))
+    return out
+
+
+def _elements(p, g, t):
+    if t == g.unit:
+        return []
+    if _group(p, t) is g:
+        return _elements(p, g, t.children[0].children[1]) + _elements(p, g, t.children[1])
+    return [t]
 
 
 def naive_redexes(p, t, rules=None):

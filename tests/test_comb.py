@@ -183,6 +183,33 @@ def test_sort_table_atoms():
     assert sort_infer(atom(AMP_DECL)) == ArrowSort(W, N)
 
 
+def _sort_inputs():
+    """100 W-sorted images with S/K/I detours, then 200 S/K/I/atom mixes."""
+    rng = random.Random(1982)
+    leaves = [atom(d) for d in (S_DECL, K_DECL, I_DECL, S_DECL, K_DECL, I_DECL, ZERO_DECL,
+                                AMP_DECL, STAR_DECL, BANG_DECL, FOR_DECL, PAR_DECL)]
+    leaves.append(name_token("x"))
+
+    def mix(depth):
+        if depth == 0 or rng.random() < 0.35:
+            return rng.choice(leaves)
+        return ap(mix(depth - 1), mix(depth - 1))
+
+    return [random_sorted_comb(rng) for _ in range(100)] + [mix(5) for _ in range(200)]
+
+
+def test_sort_inference_is_pinned():
+    # sha256 of the 300 printed sorts, as computed before unification bound
+    # sort variables in place: variable numbers and binding directions hold
+    sorts = [sort_infer(t) for t in _sort_inputs()]
+    assert all(s == W for s in sorts[:100])
+    mixes = sorts[100:]
+    assert sum(s is None for s in mixes) == 122 and sum(s not in (None, W) for s in mixes) == 74
+    assert sum("'" in repr(s) for s in mixes) == 34
+    digest = hashlib.sha256("\n".join(map(repr, sorts)).encode()).hexdigest()
+    assert digest == "90a691defcc643e0adcbda2c6ef5c2a121fab5fe168fe0591444dca852495f2c"
+
+
 def test_sort_interp_is_process_sorted():
     rng = random.Random(31)
     for _ in range(100):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from skirho.core import (
     drive,
     explore,
     find_redexes,
+    flatten_term,
     instantiate,
     is_normal,
     iter_redexes,
@@ -41,7 +43,8 @@ from skirho import comb, rho, ski
 from skirho.comb import ATOM_DECLS, ZERO_DECL, PAR_DECL, AMP_DECL, BANG_DECL, FOR_DECL, K_DECL
 from skirho.ski import I, K, S, ap
 
-from naive import bfs_distance_to_normal, close_under_monoid_laws, naive_redexes, naive_ski_step
+from naive import (bfs_distance_to_normal, close_under_monoid_laws, naive_canonicalize, naive_redexes,
+                   naive_ski_step)
 
 PLAIN = ski.ski_presentation("plain")
 WHNF = ski.ski_presentation("whnf")
@@ -785,3 +788,99 @@ def test_toy_rules_fire_on_every_generic_path():
     assert set(fired) == {"solo", "two", "pair", "nest", "wild", "iota0", "kappa2"}, fired
     # the one-element group pattern matches an atom outside any group
     assert [(r.rule, r.binding) for r in find_redexes(TOY_COMB, _CA(K_DECL))] == [("solo", {"X": c0()})]
+
+
+# ---------------------------------------------------------------------------
+# canonicalization against the rebuild-every-node oracle
+
+GROUP = COMB.congruence.acu_groups[0]
+
+
+def _scrambled(t, rng):
+    """t with every group re-associated at random, permuted and padded with units."""
+    if flatten_term(GROUP, t) == [t]:
+        return Term(t.head, tuple(_scrambled(c, rng) for c in t.children))
+    elems = [_scrambled(e, rng) for e in flatten_term(GROUP, t)]
+    rng.shuffle(elems)
+    for _ in range(rng.randint(0, 2)):
+        elems.insert(rng.randint(0, len(elems)), c0())
+
+    def tree(es):
+        if len(es) == 1:
+            return es[0]
+        k = rng.randint(1, len(es) - 1)
+        if rng.random() < 0.2:  # ((| 0) (| x)) y: a group only once its head is canonical
+            return comb.ap(par(c0(), comb.ap(_CA(PAR_DECL), tree(es[:k]))), tree(es[k:]))
+        return par(tree(es[:k]), tree(es[k:]))
+
+    return tree(elems) if elems else c0()
+
+
+TOY_BOTH = Presentation(  # a group and a floating marker in one presentation
+    sorts=(T,),
+    constructors=COMB.constructors + (ski.R_DECL,),
+    congruence=CongruenceSpec(COMB.congruence.acu_groups, (MarkerFloat(ski.R_DECL, comb.APP_DECL),)),
+    rules=COMB.rules,
+)
+
+
+def _canon_cases():
+    rng = random.Random(51)
+    cases = list(_index_cases())  # every presentation, the toys, R^1..3 around subterms
+    for p, t in list(cases):
+        if p is COMB or p is TOY_COMB:
+            cases.append((p, _scrambled(naive_canonicalize(p, t), rng)))
+            cases.append((TOY_BOTH, _sprinkled(_scrambled(t, rng), rng)))
+    for variant in ("whnf", "gas"):
+        for _ in range(100):
+            t = _sprinkled(_random_plain_term(rng, rng.randint(2, 12)), rng)
+            cases.append((ski.ski_presentation(variant), ski.R(t) if rng.random() < 0.5 else t))
+    return cases
+
+
+def test_canonicalize_matches_the_naive_canonicalizer():
+    counts = dict.fromkeys(("changed", "successors"), 0)
+    for p, t in _canon_cases():
+        got = canonicalize(p, t)
+        assert got == naive_canonicalize(p, t), (p.rules[0].name, t)
+        counts["changed"] += got != t
+        # idempotent, and a canonical term comes back as itself, marked or not
+        assert canonicalize(p, got) is got
+        fresh = _rebuilt(got)
+        assert canonicalize(p, fresh) is fresh
+        # around a node that changes, a canonical sibling is kept as it is
+        assert canonicalize(p, ap(ap(K(), t), got)).children[1] is got
+        for _, succ in iter_redexes(p, got):
+            assert canonicalize(p, succ) is succ and naive_canonicalize(p, succ) == succ
+            counts["successors"] += 1
+    assert counts["changed"] > 300 and counts["successors"] > 2000, counts
+
+
+def test_a_mark_holds_for_its_own_presentation_only():
+    rng = random.Random(53)
+    for _ in range(100):
+        # |-groups with R markers around subterms: canonical under one
+        # presentation, not under the other
+        t = _sprinkled(_scrambled(comb.random_sorted_comb(rng, depth=2, expansions=2), rng), rng)
+        for p1, p2 in ((WHNF, COMB), (COMB, WHNF)):
+            once = canonicalize(p1, t)
+            assert canonicalize(p2, once) == naive_canonicalize(p2, once)
+            assert canonicalize(p1, canonicalize(p2, once)) == naive_canonicalize(p1, naive_canonicalize(p2, once))
+
+
+def test_group_matching_leaves_no_reference_cycles():
+    rng = random.Random(54)
+    terms = []
+    for _ in range(50):  # criterion 8 shapes
+        group = rho.random_process(rng, 2)
+        for _ in range(rng.randint(1, 11)):
+            group = rho.Par(group, rho.random_process(rng, rng.randint(1, 2)))
+        terms.append(canonicalize(COMB, comb.wrap_context(comb.interp(group))))
+    step(COMB, terms[0], rules=("xi",))
+    gc.collect()
+    gc.disable()
+    try:
+        found = sum(len(step(COMB, t, rules=("xi",))) for t in terms)
+        assert found > 0 and gc.collect() == 0
+    finally:
+        gc.enable()
