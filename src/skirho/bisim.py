@@ -10,7 +10,7 @@ negative verdict carries a replayable witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional, Union
 
@@ -129,67 +129,76 @@ def bounded_bisim(a: Agent, b: Agent, names, depth: int,
     calc = calculus_of(a)
     if calculus_of(b) is not calc:
         raise TypeError("agents must belong to the same calculus")
-    canon_names = tuple(calc.canon_name(n) for n in names)
-    successors = _moves(calc)
-    memo: dict = {}
-    spent = [0]
-
-    def check(x: Agent, y: Agent, d: int) -> Optional[Witness]:
-        key = (x, y, d)
-        if key in memo:
-            return memo[key]
-        spent[0] += 1
-        if spent[0] > budget:
-            raise BudgetExhausted(f"pair budget {budget} exhausted")
-        memo[key] = None  # assume matched while exploring this pair
-        reach: dict = {}
-
-        def reachable(q: Agent) -> list[Agent]:
-            if q not in reach:
-                reach[q] = [s for s, _ in explore(q, successors, d)]
-            return reach[q]
-
-        result: Optional[Witness] = None
-        for p, q, side in ((x, y, "left"), (y, x, "right")):
-            mine = calc.barbs(p, canon_names)
-            if mine:
-                theirs: set = set()
-                for s in reachable(q):
-                    theirs |= calc.barbs(s, canon_names)
-                for name in sorted(mine, key=repr):
-                    if name not in theirs:
-                        result = Witness("barb", side, p, q, d, name=name)
-                        break
-            if result is not None:
-                break
-        if result is None and d > 0:
-            for p, q, side in ((x, y, "left"), (y, x, "right")):
-                for _, succ in successors(p):
-                    inner_best: Optional[Witness] = None
-                    matched = False
-                    for q2 in reachable(q):
-                        w = check(succ, q2, d - 1) if side == "left" else check(q2, succ, d - 1)
-                        if w is None:
-                            matched = True
-                            break
-                        if inner_best is None:
-                            inner_best = w
-                    if not matched:
-                        result = Witness("move", side, p, q, d,
-                                         successor=succ, inner=inner_best)
-                        break
-                if result is not None:
-                    break
-        memo[key] = result
-        return result
-
+    run = _Run(calc, tuple(calc.canon_name(n) for n in names), _moves(calc), budget)
     try:
-        witness = check(calc.canon(a), calc.canon(b), depth)
+        witness = _check(run, calc.canon(a), calc.canon(b), depth)
     except StateBudgetExhausted as err:
         raise BudgetExhausted(str(err)) from err
     if witness is None:
         return BisimVerdict(True, depth)
     return BisimVerdict(False, depth, witness)
+
+
+@dataclass
+class _Run:
+    """One `bounded_bisim` call: what every pair check reads and the memo it
+    fills.  The recursion is at module level: a nested function calling
+    itself would leave a reference cycle behind every check."""
+
+    calc: Calculus
+    names: tuple
+    successors: Successors
+    budget: int
+    memo: dict = field(default_factory=dict)
+
+
+def _check(run: _Run, x: Agent, y: Agent, d: int) -> Optional[Witness]:
+    key = (x, y, d)
+    if key in run.memo:
+        return run.memo[key]
+    if len(run.memo) >= run.budget:  # one entry per pair checked
+        raise BudgetExhausted(f"pair budget {run.budget} exhausted")
+    run.memo[key] = None  # assume matched while exploring this pair
+    calc, reach = run.calc, {}
+    result: Optional[Witness] = None
+    for p, q, side in ((x, y, "left"), (y, x, "right")):
+        mine = calc.barbs(p, run.names)
+        if mine:
+            theirs: set = set()
+            for s in _reachable(run, reach, q, d):
+                theirs |= calc.barbs(s, run.names)
+            for name in sorted(mine, key=repr):
+                if name not in theirs:
+                    result = Witness("barb", side, p, q, d, name=name)
+                    break
+        if result is not None:
+            break
+    if result is None and d > 0:
+        for p, q, side in ((x, y, "left"), (y, x, "right")):
+            for _, succ in run.successors(p):
+                inner_best: Optional[Witness] = None
+                matched = False
+                for q2 in _reachable(run, reach, q, d):
+                    w = _check(run, succ, q2, d - 1) if side == "left" else _check(run, q2, succ, d - 1)
+                    if w is None:
+                        matched = True
+                        break
+                    if inner_best is None:
+                        inner_best = w
+                if not matched:
+                    result = Witness("move", side, p, q, d, successor=succ, inner=inner_best)
+                    break
+            if result is not None:
+                break
+    run.memo[key] = result
+    return result
+
+
+def _reachable(run: _Run, reach: dict, q: Agent, d: int) -> list[Agent]:
+    """Every agent within d steps of q, explored once per pair check."""
+    if q not in reach:
+        reach[q] = [s for s, _ in explore(q, run.successors, d)]
+    return reach[q]
 
 
 @dataclass

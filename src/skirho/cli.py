@@ -69,9 +69,9 @@ def trace_to_json(calculus: str, trace: Trace) -> dict:
 
 def validate_trace_json(obj: dict) -> None:
     """Raise ValueError unless obj matches the published trace layout."""
-    if set(obj) != {"calculus", "initial", "steps", "status"}:
+    if not isinstance(obj, dict) or set(obj) != {"calculus", "initial", "steps", "status"}:
         raise ValueError("trace object must have exactly calculus/initial/steps/status")
-    if obj["calculus"] not in CALCULI:
+    if not isinstance(obj["calculus"], str) or obj["calculus"] not in CALCULI:
         raise ValueError(f"unknown calculus {obj['calculus']!r}")
     if not isinstance(obj["initial"], str):
         raise ValueError("initial must be a string")
@@ -80,12 +80,13 @@ def validate_trace_json(obj: dict) -> None:
     if not isinstance(obj["steps"], list):
         raise ValueError("steps must be a list")
     for entry in obj["steps"]:
-        if set(entry) != {"rule", "position", "result"}:
-            raise ValueError("each step must have exactly rule/position/result")
+        if not isinstance(entry, dict) or set(entry) != {"rule", "position", "result"}:
+            raise ValueError("each step must be an object with exactly rule/position/result")
         if not isinstance(entry["rule"], str) or not isinstance(entry["result"], str):
             raise ValueError("rule and result must be strings")
+        # JSON true and false decode to bools, which are ints too
         if not (isinstance(entry["position"], list)
-                and all(isinstance(i, int) for i in entry["position"])):
+                and all(type(i) is int for i in entry["position"])):
             raise ValueError("position must be a list of integers")
 
 

@@ -32,9 +32,9 @@ A `Term` carries its hash, computed once at construction, its order key
 is canonical under, set where that is established.  `canonicalize` returns
 a marked term at once, and of any other term rebuilds only the nodes that
 change: every canonical subterm comes back as the same object.  A successor
-is built by settling only the new right-hand-side nodes and the ancestors on
-the redex path: every other subterm of a canonical term is canonical
-already.
+is the term with its redex replaced, put through `canonicalize`: every other
+subterm of a canonical term is marked already, so that walks only the new
+right-hand-side nodes and the redex path.
 """
 
 from __future__ import annotations
@@ -311,44 +311,39 @@ def subterm_at(t: Term, position: Sequence[int]) -> Term:
 
 
 def replace_at(t: Term, position: Sequence[int], replacement: Term) -> Term:
-    if not position:
-        return replacement
-    i = position[0]
-    if i >= len(t.children):
-        raise InvalidRedex(f"position {tuple(position)} is not in the term")
-    children = list(t.children)
-    children[i] = replace_at(children[i], position[1:], replacement)
-    return Term(t.head, tuple(children))
+    ancestors = []
+    for i in position:
+        if i >= len(t.children):
+            raise InvalidRedex(f"position {tuple(position)} is not in the term")
+        ancestors.append(t)
+        t = t.children[i]
+    for t, i in zip(reversed(ancestors), reversed(position)):
+        children = list(t.children)
+        children[i] = replacement
+        replacement = Term(t.head, tuple(children))
+    return replacement
 
 
 def pattern_metavars(pat: Pattern) -> dict[str, Sort]:
     out: dict[str, Sort] = {}
-
-    def walk(p: Pattern) -> None:
-        if isinstance(p, MetaVar):
-            out.setdefault(p.name, p.sort)
+    todo = [pat]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, MetaVar):
+            out.setdefault(q.name, q.sort)
         else:
-            for c in p.children:
-                walk(c)
-
-    walk(pat)
+            todo += reversed(q.children)
     return out
 
 
 def instantiate(pat: Pattern, binding: dict[str, Term]) -> Term:
-    return _instantiate(None, _keep, pat, binding)
-
-
-def _instantiate(p: Optional[Presentation], settle: Callable, pat: Pattern,
-                 binding: dict[str, Term]) -> Term:
-    """pat with its metavariables bound, every new node passed through settle."""
+    """pat with its metavariables bound."""
     if isinstance(pat, MetaVar):
         try:
             return binding[pat.name]
         except KeyError:
             raise RewriteError(f"metavariable {pat.name} is unbound") from None
-    children = tuple(_instantiate(p, settle, c, binding) for c in pat.children)
-    return settle(p, Term(pat.head, children))
+    return Term(pat.head, tuple(instantiate(c, binding) for c in pat.children))
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +421,6 @@ def _joins(g: AcuGroup, t: Term, elems: list[Term]) -> bool:
             return False
         t = t.children[1]
     return bool(elems) and t is elems[-1]
-
-
-def _keep(p: Optional[Presentation], t: Term) -> Term:
-    """`_settle` for a presentation without a congruence."""
-    return t
 
 
 def _settle(p: Presentation, t: Term) -> Term:
@@ -703,35 +693,7 @@ def _positions(p: Presentation, t: Pattern) -> tuple[list[tuple], dict]:
     A rule's key is its left-hand side's: it matches only where name and
     length agree, with at least as many markers."""
     out: list = []
-    markers = [f.marker for f in p.congruence.marker_floats]
-
-    def rec(node: Pattern, path: tuple[int, ...]) -> Optional[tuple]:
-        g = _group_of(p, node)
-        i = len(out)
-        out.append(None)
-        if g is not None:
-            elems = []
-            cur, base = node, path
-            while _group_of(p, cur) is g:
-                elems.append(cur.children[0].children[1])
-                rec(elems[-1], base + (0, 1))
-                cur = cur.children[1]
-                base += (1,)
-            elems.append(cur)
-            rec(cur, base)
-            out[i] = (path, node, g, elems, None)
-            return None
-        spine = None if node.head is None else (node.head.name, 0, 0)
-        for j, c in enumerate(node.children):
-            below = rec(c, path + (j,))
-            if j == 0:
-                m = node.head in markers
-                spine = below and (below[0], below[1] + (not m), below[2] + m)
-        out[i] = (path, node, None, None, spine)
-        return spine
-
-    rec(t, ())
-    del rec  # it refers to itself, which would keep `out` until a collection
+    _collect_positions(p, [f.marker for f in p.congruence.marker_floats], out, t, ())
     index: dict = {}
     for pos in out:
         key = pos[2] if pos[2] is not None else pos[4] and pos[4][:2]
@@ -740,27 +702,32 @@ def _positions(p: Presentation, t: Pattern) -> tuple[list[tuple], dict]:
     return out, index
 
 
-def _graft(p: Presentation, settle: Callable, t: Term, path: Sequence[int], inst: Term) -> Term:
-    """``canonicalize(p, replace_at(t, path, inst))`` for canonical t and inst.
-
-    The siblings along the path are canonical already, so settling each
-    ancestor bottom-up is enough; a node on the spine of its parent's group
-    is left to the settling of the group's top, which flattens through it.
-    """
-    ancestors = []
-    for i in path:
-        ancestors.append(t)
-        t = t.children[i]
-    groups = p.congruence.acu_groups
-    for d in range(len(path) - 1, -1, -1):
-        node = ancestors[d]
-        children = list(node.children)
-        children[path[d]] = inst
-        inst = Term(node.head, tuple(children))
-        if not (groups and d and (g := _group_of(p, ancestors[d - 1])) is not None
-                and (path[d - 1] == 0 or _shaped(g, node))):
-            inst = settle(p, inst)
-    return inst
+def _collect_positions(p: Presentation, markers: list[ConstructorDecl], out: list,
+                       node: Pattern, path: tuple[int, ...]) -> Optional[tuple]:
+    """Append node's positions to out, in pre-order; return its spine key."""
+    g = _group_of(p, node)
+    i = len(out)
+    out.append(None)
+    if g is not None:
+        elems = []
+        cur, base = node, path
+        while _group_of(p, cur) is g:
+            elems.append(cur.children[0].children[1])
+            _collect_positions(p, markers, out, elems[-1], base + (0, 1))
+            cur = cur.children[1]
+            base += (1,)
+        elems.append(cur)
+        _collect_positions(p, markers, out, cur, base)
+        out[i] = (path, node, g, elems, None)
+        return None
+    spine = None if node.head is None else (node.head.name, 0, 0)
+    for j, c in enumerate(node.children):
+        below = _collect_positions(p, markers, out, c, path + (j,))
+        if j == 0:
+            m = node.head in markers
+            spine = below and (below[0], below[1] + (not m), below[2] + m)
+    out[i] = (path, node, None, None, spine)
+    return spine
 
 
 def iter_redexes(
@@ -771,13 +738,13 @@ def iter_redexes(
 
     Order is rule-major: presentation rule order first, then leftmost-outermost
     position, then multiset decomposition order.  A rule is tried only at the
-    positions the index files under its key.  A successor is built
-    canonically: the bound subterms are canonical already, so only the new
-    right-hand-side nodes, the wrappers around them and their ancestors are
-    settled.  Naming a rule the presentation lacks raises ValueError.
+    positions the index files under its key.  A successor is the term with
+    the redex replaced, put through `canonicalize`: the rest of the term is
+    marked canonical already, so this walks only the new right-hand-side
+    nodes, the wrappers around them and the redex path.  Naming a rule the
+    presentation lacks raises ValueError.
     """
     table = _select(p, rules)
-    settle = _settle if p.congruence.acu_groups or p.congruence.marker_floats else _keep
     positions, index = _positions(p, t)
     for r in table:
         rule = r.rule
@@ -794,12 +761,11 @@ def iter_redexes(
                     continue
                 for b in _match_group(flat, left, {}, not flat.collectors):
                     rest = b.pop(REST_VAR, None)
-                    inst = _instantiate(p, settle, rule.rhs, b)
+                    inst = instantiate(rule.rhs, b)
                     if rest is not None and rest != g.unit:
-                        joined = settle(p, Term(g.app, (g.operator, inst)))
-                        inst = settle(p, Term(g.app, (joined, rest)))
-                    succ = _graft(p, settle, t, path, inst)
-                    yield Redex(rule.name, path, b, peel=0, rest=rest), succ
+                        inst = Term(g.app, (Term(g.app, (g.operator, inst)), rest))
+                    yield (Redex(rule.name, path, b, peel=0, rest=rest),
+                           canonicalize(p, replace_at(t, path, inst)))
             continue
         key = r.spine
         for path, node, group, _, spine in positions if key is None else index.get(key[:2], ()):
@@ -810,11 +776,11 @@ def iter_redexes(
             else:
                 peel, marker, target = 0, None, node
             for b in r.match(target, {}):
-                inst = _instantiate(p, settle, rule.rhs, b)
+                inst = instantiate(rule.rhs, b)
                 for _ in range(peel):
-                    inst = settle(p, Term(marker, (inst,)))
-                succ = _graft(p, settle, t, path, inst)
-                yield Redex(rule.name, path, b, peel=peel, rest=None), succ
+                    inst = Term(marker, (inst,))
+                yield (Redex(rule.name, path, b, peel=peel, rest=None),
+                       canonicalize(p, replace_at(t, path, inst)))
 
 
 def find_redexes(p: Presentation, t: Term, rules: Optional[Sequence[str]] = None) -> list[Redex]:
@@ -975,30 +941,26 @@ def _path(parents: dict, state: State) -> list:
 # presentation validation
 
 
-def _check_pattern(p: Presentation, pat: Pattern, where: str, mvar_sorts: dict[str, Sort]) -> list[str]:
-    defects: list[str] = []
-
-    def walk(q: Pattern) -> None:
-        if isinstance(q, MetaVar):
-            seen = mvar_sorts.get(q.name)
-            if seen is None:
-                mvar_sorts[q.name] = q.sort
-            elif seen != q.sort:
-                defects.append(f"{where}: metavariable {q.name} used at two sorts")
-            return
-        if q.head not in p.constructors:
-            defects.append(f"{where}: unknown constructor {q.head.name}")
-            return
-        for child, want in zip(q.children, q.head.argument_sorts):
-            if child.sort != want:
-                defects.append(
-                    f"{where}: child of {q.head.name} has sort "
-                    f"{child.sort.name}, expected {want.name}"
-                )
-            walk(child)
-
-    walk(pat)
-    return defects
+def _check_pattern(p: Presentation, q: Pattern, where: str, mvar_sorts: dict[str, Sort],
+                   defects: list[str]) -> None:
+    """Append the defects of the pattern q to `defects`."""
+    if isinstance(q, MetaVar):
+        seen = mvar_sorts.get(q.name)
+        if seen is None:
+            mvar_sorts[q.name] = q.sort
+        elif seen != q.sort:
+            defects.append(f"{where}: metavariable {q.name} used at two sorts")
+        return
+    if q.head not in p.constructors:
+        defects.append(f"{where}: unknown constructor {q.head.name}")
+        return
+    for child, want in zip(q.children, q.head.argument_sorts):
+        if child.sort != want:
+            defects.append(
+                f"{where}: child of {q.head.name} has sort "
+                f"{child.sort.name}, expected {want.name}"
+            )
+        _check_pattern(p, child, where, mvar_sorts, defects)
 
 
 def validate_presentation(p: Presentation) -> ValidationReport:
@@ -1021,8 +983,8 @@ def validate_presentation(p: Presentation) -> ValidationReport:
 
     for rule in p.rules:
         mvar_sorts: dict[str, Sort] = {}
-        defects += _check_pattern(p, rule.lhs, f"rule {rule.name} lhs", mvar_sorts)
-        defects += _check_pattern(p, rule.rhs, f"rule {rule.name} rhs", mvar_sorts)
+        _check_pattern(p, rule.lhs, f"rule {rule.name} lhs", mvar_sorts, defects)
+        _check_pattern(p, rule.rhs, f"rule {rule.name} rhs", mvar_sorts, defects)
         lhs_vars = pattern_metavars(rule.lhs)
         for name in pattern_metavars(rule.rhs):
             if name not in lhs_vars:
@@ -1043,7 +1005,7 @@ def validate_presentation(p: Presentation) -> ValidationReport:
     for g in p.congruence.acu_groups:
         if g.app.arity != 2:
             defects.append(f"ACU group operator {g.app.name} is not binary")
-        defects += _check_pattern(p, g.operator, "ACU group", {})
-        defects += _check_pattern(p, g.unit, "ACU group", {})
+        _check_pattern(p, g.operator, "ACU group", {}, defects)
+        _check_pattern(p, g.unit, "ACU group", {}, defects)
 
     return ValidationReport(ok=not defects, defects=defects)

@@ -151,28 +151,30 @@ def resolve_name(n: Name) -> Name:
 
 def free_idents(p: Process) -> frozenset[str]:
     """Binder identifiers occurring free at reachable name positions."""
+    # recursion is at module level: nested recursive functions leave cycles
+    return _free_in(p, frozenset())
 
-    def of_name(n: Name, bound: frozenset[str]) -> frozenset[str]:
-        r = resolve_name(n)
-        if isinstance(r, Var):
-            return frozenset() if r.ident in bound else frozenset((r.ident,))
-        return walk(r.process, frozenset())  # a quote opens a fresh scope
 
-    def walk(q: Process, bound: frozenset[str]) -> frozenset[str]:
-        match q:
-            case Zero():
-                return frozenset()
-            case Par(l, r):
-                return walk(l, bound) | walk(r, bound)
-            case Output(x, body):
-                return of_name(x, bound) | walk(body, bound)
-            case Deref(x):
-                return of_name(x, bound)
-            case Input(x, binder, body):
-                return of_name(x, bound) | walk(body, bound | {binder})
-        raise TypeError(f"not a process: {q!r}")
+def _free_in(q: Process, bound: frozenset[str]) -> frozenset[str]:
+    match q:
+        case Zero():
+            return frozenset()
+        case Par(l, r):
+            return _free_in(l, bound) | _free_in(r, bound)
+        case Output(x, body):
+            return _free_in_name(x, bound) | _free_in(body, bound)
+        case Deref(x):
+            return _free_in_name(x, bound)
+        case Input(x, binder, body):
+            return _free_in_name(x, bound) | _free_in(body, bound | {binder})
+    raise TypeError(f"not a process: {q!r}")
 
-    return walk(p, frozenset())
+
+def _free_in_name(n: Name, bound: frozenset[str]) -> frozenset[str]:
+    r = resolve_name(n)
+    if isinstance(r, Var):
+        return frozenset() if r.ident in bound else frozenset((r.ident,))
+    return _free_in(r.process, frozenset())  # a quote opens a fresh scope
 
 
 def is_closed(p: Process) -> bool:
@@ -182,32 +184,33 @@ def is_closed(p: Process) -> bool:
 def all_names(p: Process) -> list[Name]:
     """Every name at a reachable name position, resolved; binders as idents."""
     out: list[Name] = []
-
-    def of_name(n: Name) -> None:
-        r = resolve_name(n)
-        out.append(r)
-        if isinstance(r, Quote):
-            walk(r.process)
-
-    def walk(q: Process) -> None:
-        match q:
-            case Zero():
-                pass
-            case Par(l, r):
-                walk(l)
-                walk(r)
-            case Output(x, body):
-                of_name(x)
-                walk(body)
-            case Deref(x):
-                of_name(x)
-            case Input(x, binder, body):
-                of_name(x)
-                out.append(Var(binder))
-                walk(body)
-
-    walk(p)
+    _names_in(p, out)
     return out
+
+
+def _names_in(q: Process, out: list[Name]) -> None:
+    match q:
+        case Zero():
+            pass
+        case Par(l, r):
+            _names_in(l, out)
+            _names_in(r, out)
+        case Output(x, body):
+            _name_and_names_in(x, out)
+            _names_in(body, out)
+        case Deref(x):
+            _name_and_names_in(x, out)
+        case Input(x, binder, body):
+            _name_and_names_in(x, out)
+            out.append(Var(binder))
+            _names_in(body, out)
+
+
+def _name_and_names_in(n: Name, out: list[Name]) -> None:
+    r = resolve_name(n)
+    out.append(r)
+    if isinstance(r, Quote):
+        _names_in(r.process, out)
 
 
 # ---------------------------------------------------------------------------
@@ -223,41 +226,43 @@ def canon_process(p: Process) -> Process:
     collapses at name positions.  Idempotent; two processes are congruent iff
     their canonical forms are identical.
     """
-    avoid = free_idents(p)
+    return _canon_in(p, {}, 0, free_idents(p))
 
-    def token(depth: int) -> str:
-        i = depth
-        while f"v{i}" in avoid:
-            i += 1
-        return f"v{i}"
 
-    def go(q: Process, env: dict[str, str], depth: int) -> Process:
-        match q:
-            case Zero():
-                return ZERO
-            case Par():
-                comps = [go(c, env, depth) for c in par_components(q)]
-                comps = [c for comp in comps for c in par_components(comp)]
-                comps.sort(key=process_key)
-                return par_of(comps)
-            case Output(x, body):
-                return Output(go_name(x, env, depth), go(body, env, depth))
-            case Deref(x):
-                return Deref(go_name(x, env, depth))
-            case Input(x, binder, body):
-                tok = token(depth)
-                inner = dict(env)
-                inner[binder] = tok
-                return Input(go_name(x, env, depth), tok, go(body, inner, depth + 1))
-        raise TypeError(f"not a process: {q!r}")
+def _token(depth: int, avoid: frozenset[str]) -> str:
+    i = depth
+    while f"v{i}" in avoid:
+        i += 1
+    return f"v{i}"
 
-    def go_name(n: Name, env: dict[str, str], depth: int) -> Name:
-        r = resolve_name(n)
-        if isinstance(r, Var):
-            return Var(env.get(r.ident, r.ident))
-        return Quote(go(r.process, {}, 0))
 
-    return go(p, {}, 0)
+def _canon_in(q: Process, env: dict[str, str], depth: int, avoid: frozenset[str]) -> Process:
+    match q:
+        case Zero():
+            return ZERO
+        case Par():
+            comps = [_canon_in(c, env, depth, avoid) for c in par_components(q)]
+            comps = [c for comp in comps for c in par_components(comp)]
+            comps.sort(key=process_key)
+            return par_of(comps)
+        case Output(x, body):
+            return Output(_canon_name_in(x, env, depth, avoid), _canon_in(body, env, depth, avoid))
+        case Deref(x):
+            return Deref(_canon_name_in(x, env, depth, avoid))
+        case Input(x, binder, body):
+            tok = _token(depth, avoid)
+            inner = dict(env)
+            inner[binder] = tok
+            return Input(_canon_name_in(x, env, depth, avoid), tok,
+                         _canon_in(body, inner, depth + 1, avoid))
+    raise TypeError(f"not a process: {q!r}")
+
+
+def _canon_name_in(n: Name, env: dict[str, str], depth: int, avoid: frozenset[str]) -> Name:
+    r = resolve_name(n)
+    if isinstance(r, Var):
+        return Var(env.get(r.ident, r.ident))
+    return Quote(_canon_in(r.process, {}, 0, avoid))
 
 
 def canon_name(n: Name) -> Name:
@@ -313,37 +318,48 @@ def _fresh_binder(body: Process, new: Name, old: Name, quoted: Optional[Process]
     return f"z{i}"
 
 
+@dataclass(frozen=True)
+class _Substitution:
+    """`new` for `old`, with what every node of the walk compares against."""
+
+    new: Name
+    old: Name
+    semantic: bool
+    cold: Name  # the canonical old name
+    cnew: Name  # the canonical new name
+    quoted: Optional[Process]  # the process the new name quotes, if any
+
+
 def _subst(p: Process, new: Name, old: Name, semantic: bool) -> Process:
-    cold = canon_name(old)
-    cnew = canon_name(new)
     resolved_new = resolve_name(new)
     quoted = resolved_new.process if isinstance(resolved_new, Quote) else None
+    return _subst_in(p, _Substitution(new, old, semantic, canon_name(old), canon_name(new), quoted))
 
-    def sub_name(x: Name) -> Name:
-        return new if canon_name(x) == cold else x
 
-    def go(q: Process) -> Process:
-        match q:
-            case Zero():
-                return ZERO
-            case Par(l, r):
-                return Par(go(l), go(r))
-            case Output(x, body):
-                return Output(sub_name(x), go(body))
-            case Input(x, binder, body):
-                z = _fresh_binder(body, new, old, quoted)
-                renamed = _subst(body, Var(z), Var(binder), semantic=False)
-                return Input(sub_name(x), z, go(renamed))
-            case Deref(x):
-                x1 = sub_name(x)
-                if canon_name(x1) == cnew:
-                    if semantic and quoted is not None:
-                        return quoted
-                    return Deref(new)
-                return Deref(x)
-        raise TypeError(f"not a process: {q!r}")
+def _subst_name(x: Name, s: _Substitution) -> Name:
+    return s.new if canon_name(x) == s.cold else x
 
-    return go(p)
+
+def _subst_in(q: Process, s: _Substitution) -> Process:
+    match q:
+        case Zero():
+            return ZERO
+        case Par(l, r):
+            return Par(_subst_in(l, s), _subst_in(r, s))
+        case Output(x, body):
+            return Output(_subst_name(x, s), _subst_in(body, s))
+        case Input(x, binder, body):
+            z = _fresh_binder(body, s.new, s.old, s.quoted)
+            renamed = _subst(body, Var(z), Var(binder), semantic=False)
+            return Input(_subst_name(x, s), z, _subst_in(renamed, s))
+        case Deref(x):
+            x1 = _subst_name(x, s)
+            if canon_name(x1) == s.cnew:
+                if s.semantic and s.quoted is not None:
+                    return s.quoted
+                return Deref(s.new)
+            return Deref(x)
+    raise TypeError(f"not a process: {q!r}")
 
 
 def subst_syntactic(p: Process, new: Name, old: Name) -> Process:

@@ -118,15 +118,15 @@ def strip_marker(t: Term) -> Term:
     """Remove the unique R from a normal form, recovering the plain term."""
     if marker_count(t) != 1:
         raise ValueError("expected exactly one R to strip")
+    return _strip_spine_marker(t)
 
-    def go(u: Term) -> Term:
-        if u.head is R_DECL:
-            return u.children[0]
-        if u.head is APP_DECL:
-            return ap(go(u.children[0]), u.children[1])
-        raise ValueError("R is not on the application spine")
 
-    return go(t)
+def _strip_spine_marker(u: Term) -> Term:
+    if u.head is R_DECL:
+        return u.children[0]
+    if u.head is APP_DECL:
+        return ap(_strip_spine_marker(u.children[0]), u.children[1])
+    raise ValueError("R is not on the application spine")
 
 
 def wrap_markers(t: Term, n: int) -> Term:

@@ -106,45 +106,44 @@ class _Cursor:
 
 
 def parse_ski(text: str, variant: str = "plain") -> Term:
-    has_marker = variant != "plain"
     cur = _Cursor(_tokenize(text, ("(", ")"), idents=True))
-
-    def term() -> Term:
-        tok = cur.peek()
-        if tok.text == "(":
-            cur.next()
-            head = cur.peek()
-            if head.kind == "word" and head.text == "R":
-                if not has_marker:
-                    raise ParseError("R is not a constructor of the plain calculus",
-                                     head.line, head.column)
-                cur.next()
-                inner = term()
-                cur.expect(")")
-                return ski.R(inner)
-            fun = term()
-            arg = term()
-            cur.expect(")")
-            return ski.ap(fun, arg)
-        if tok.kind == "word":
-            cur.next()
-            if tok.text == "S":
-                return ski.S()
-            if tok.text == "K":
-                return ski.K()
-            if tok.text == "I":
-                return ski.I()
-            if tok.text == "R":
-                message = ("R must be applied, as in (R t)" if has_marker
-                           else "R is not a constructor of the plain calculus")
-                raise ParseError(message, tok.line, tok.column)
-            raise ParseError(f"unknown combinator {tok.text!r}", tok.line, tok.column)
-        cur.fail("expected a term")
-        raise AssertionError
-
-    result = term()
+    result = _ski_term(cur, variant != "plain")
     cur.done()
     return result
+
+
+def _ski_term(cur: _Cursor, has_marker: bool) -> Term:
+    tok = cur.peek()
+    if tok.text == "(":
+        cur.next()
+        head = cur.peek()
+        if head.kind == "word" and head.text == "R":
+            if not has_marker:
+                raise ParseError("R is not a constructor of the plain calculus",
+                                 head.line, head.column)
+            cur.next()
+            inner = _ski_term(cur, has_marker)
+            cur.expect(")")
+            return ski.R(inner)
+        fun = _ski_term(cur, has_marker)
+        arg = _ski_term(cur, has_marker)
+        cur.expect(")")
+        return ski.ap(fun, arg)
+    if tok.kind == "word":
+        cur.next()
+        if tok.text == "S":
+            return ski.S()
+        if tok.text == "K":
+            return ski.K()
+        if tok.text == "I":
+            return ski.I()
+        if tok.text == "R":
+            message = ("R must be applied, as in (R t)" if has_marker
+                       else "R is not a constructor of the plain calculus")
+            raise ParseError(message, tok.line, tok.column)
+        raise ParseError(f"unknown combinator {tok.text!r}", tok.line, tok.column)
+    cur.fail("expected a term")
+    raise AssertionError
 
 
 def print_ski(t: Term) -> str:
@@ -160,24 +159,24 @@ _COMB_ATOMS = {decl.name: decl for decl in comb.ATOM_DECLS}
 
 def parse_comb(text: str) -> Term:
     cur = _Cursor(_tokenize(text, ("(", ")", "|", "!", "&", "*"), idents=True))
-
-    def term() -> Term:
-        tok = cur.peek()
-        if tok.text == "(":
-            cur.next()
-            fun = term()
-            arg = term()
-            cur.expect(")")
-            return comb.ap(fun, arg)
-        if tok.text in _COMB_ATOMS:
-            cur.next()
-            return comb.atom(_COMB_ATOMS[tok.text])
-        cur.fail(f"expected a combinator atom or '(', found {tok.text or 'end of input'!r}")
-        raise AssertionError
-
-    result = term()
+    result = _comb_term(cur)
     cur.done()
     return result
+
+
+def _comb_term(cur: _Cursor) -> Term:
+    tok = cur.peek()
+    if tok.text == "(":
+        cur.next()
+        fun = _comb_term(cur)
+        arg = _comb_term(cur)
+        cur.expect(")")
+        return comb.ap(fun, arg)
+    if tok.text in _COMB_ATOMS:
+        cur.next()
+        return comb.atom(_COMB_ATOMS[tok.text])
+    cur.fail(f"expected a combinator atom or '(', found {tok.text or 'end of input'!r}")
+    raise AssertionError
 
 
 def print_comb(t: Term) -> str:
@@ -195,72 +194,76 @@ _RHO_KEYWORDS = {"for"}
 
 def parse_rho(text: str) -> rho.Process:
     cur = _Cursor(_tokenize(text, _RHO_SYMBOLS, idents=True))
-
-    def proc() -> rho.Process:
-        parts = [prefix()]
-        while cur.peek().text == "|":
-            cur.next()
-            parts.append(prefix())
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = rho.Par(part, out)
-        return out
-
-    def prefix() -> rho.Process:
-        tok = cur.peek()
-        if tok.text == "&" or (tok.kind == "word" and tok.text not in _RHO_KEYWORDS
-                               and tok.text != "0"):
-            subject = name()
-            cur.expect("!")
-            return rho.Output(subject, prefix())
-        return primary()
-
-    def primary() -> rho.Process:
-        tok = cur.peek()
-        if tok.text == "0":
-            cur.next()
-            return rho.ZERO
-        if tok.text == "for":
-            cur.next()
-            cur.expect("(")
-            binder = ident()
-            cur.expect("<-")
-            subject = name()
-            cur.expect(")")
-            return rho.Input(subject, binder, prefix())
-        if tok.text == "*":
-            cur.next()
-            return rho.Deref(name())
-        if tok.text == "(":
-            cur.next()
-            inner = proc()
-            cur.expect(")")
-            return inner
-        cur.fail(f"expected a process, found {tok.text or 'end of input'!r}")
-        raise AssertionError
-
-    def name() -> rho.Name:
-        tok = cur.peek()
-        if tok.text == "&":
-            cur.next()
-            return rho.Quote(primary())
-        if tok.kind == "word" and tok.text not in _RHO_KEYWORDS and tok.text != "0":
-            cur.next()
-            return rho.Var(tok.text)
-        cur.fail(f"expected a name, found {tok.text or 'end of input'!r}")
-        raise AssertionError
-
-    def ident() -> str:
-        tok = cur.peek()
-        if tok.kind == "word" and tok.text not in _RHO_KEYWORDS and tok.text != "0":
-            cur.next()
-            return tok.text
-        cur.fail(f"expected an identifier, found {tok.text or 'end of input'!r}")
-        raise AssertionError
-
-    result = proc()
+    result = _rho_proc(cur)
     cur.done()
     return result
+
+
+def _rho_proc(cur: _Cursor) -> rho.Process:
+    parts = [_rho_prefix(cur)]
+    while cur.peek().text == "|":
+        cur.next()
+        parts.append(_rho_prefix(cur))
+    out = parts[-1]
+    for part in reversed(parts[:-1]):
+        out = rho.Par(part, out)
+    return out
+
+
+def _rho_prefix(cur: _Cursor) -> rho.Process:
+    tok = cur.peek()
+    if tok.text == "&" or (tok.kind == "word" and tok.text not in _RHO_KEYWORDS
+                           and tok.text != "0"):
+        subject = _rho_name(cur)
+        cur.expect("!")
+        return rho.Output(subject, _rho_prefix(cur))
+    return _rho_primary(cur)
+
+
+def _rho_primary(cur: _Cursor) -> rho.Process:
+    tok = cur.peek()
+    if tok.text == "0":
+        cur.next()
+        return rho.ZERO
+    if tok.text == "for":
+        cur.next()
+        cur.expect("(")
+        binder = _rho_ident(cur)
+        cur.expect("<-")
+        subject = _rho_name(cur)
+        cur.expect(")")
+        return rho.Input(subject, binder, _rho_prefix(cur))
+    if tok.text == "*":
+        cur.next()
+        return rho.Deref(_rho_name(cur))
+    if tok.text == "(":
+        cur.next()
+        inner = _rho_proc(cur)
+        cur.expect(")")
+        return inner
+    cur.fail(f"expected a process, found {tok.text or 'end of input'!r}")
+    raise AssertionError
+
+
+def _rho_name(cur: _Cursor) -> rho.Name:
+    tok = cur.peek()
+    if tok.text == "&":
+        cur.next()
+        return rho.Quote(_rho_primary(cur))
+    if tok.kind == "word" and tok.text not in _RHO_KEYWORDS and tok.text != "0":
+        cur.next()
+        return rho.Var(tok.text)
+    cur.fail(f"expected a name, found {tok.text or 'end of input'!r}")
+    raise AssertionError
+
+
+def _rho_ident(cur: _Cursor) -> str:
+    tok = cur.peek()
+    if tok.kind == "word" and tok.text not in _RHO_KEYWORDS and tok.text != "0":
+        cur.next()
+        return tok.text
+    cur.fail(f"expected an identifier, found {tok.text or 'end of input'!r}")
+    raise AssertionError
 
 
 def print_rho(p: rho.Process) -> str:

@@ -3,8 +3,9 @@
 Everything here is deliberately written without the rewriting core's
 matching and search: plain structural matching, explicit tree rebuilding,
 and textbook graph search.  The redex enumerator reuses only the core's term
-helpers and `canonicalize`; `naive_canonicalize` is canonicalization by its
-definition, with no marks and no reuse of unchanged nodes.
+helpers, and canonicalizes its successors with `naive_canonicalize`:
+canonicalization by its definition, with no marks and no reuse of unchanged
+nodes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from skirho.core import (
     MetaVar,
     Redex,
     Term,
-    canonicalize,
     flatten_term,
     group_join,
     instantiate,
@@ -187,7 +187,7 @@ def naive_redexes(p, t, rules=None):
     (rule, then pre-order position, then decomposition), with no index and
     no compiled matcher: every rule is matched by plain recursion at every
     position, and every successor is the whole term rebuilt and
-    canonicalized again."""
+    canonicalized again by `naive_canonicalize`."""
     out = []
     for rule in p.rules:
         if rules is not None and rule.name not in rules:
@@ -202,7 +202,7 @@ def naive_redexes(p, t, rules=None):
                     inst = instantiate(rule.rhs, b)
                     if left is not None and left != g.unit:
                         inst = Term(g.app, (Term(g.app, (g.operator, inst)), left))
-                    succ = canonicalize(p, replace_at(t, path, inst))
+                    succ = naive_canonicalize(p, replace_at(t, path, inst))
                     out.append((Redex(rule.name, path, b, 0, left), succ))
             elif _group(p, node) is None:
                 peel, marker, target = _peeled(p, rule.lhs, node)
@@ -210,7 +210,7 @@ def naive_redexes(p, t, rules=None):
                     inst = instantiate(rule.rhs, b)
                     for _ in range(peel):
                         inst = Term(marker, (inst,))
-                    succ = canonicalize(p, replace_at(t, path, inst))
+                    succ = naive_canonicalize(p, replace_at(t, path, inst))
                     out.append((Redex(rule.name, path, b, peel, None), succ))
     return out
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 from collections import Counter
 
@@ -265,3 +266,21 @@ def test_context_wrapped_reductions_preserve_weak_barbs():
             assert before == after
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("side", ["process", "combinator"])
+def test_bounded_bisim_leaves_no_reference_cycles(side):
+    rng = random.Random(57)
+    pairs = [(rho.random_comm_candidate(rng), rho.random_comm_candidate(rng)) for _ in range(30)]
+    if side == "combinator":
+        pairs = [(wrap_context(interp(p)), wrap_context(interp(q))) for p, q in pairs]
+    checks = [(p, q, names_occurring(p)[:3]) for p, q in pairs]
+    bounded_bisim(*checks[0], 3)
+    gc.collect()
+    gc.disable()
+    try:
+        verdicts = [bounded_bisim(p, q, names, 3).bisimilar for p, q, names in checks]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert True in verdicts and False in verdicts

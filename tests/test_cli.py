@@ -306,6 +306,40 @@ def test_validate_trace_json_rejects_bad_shapes():
         validate_trace_json(bad)
 
 
+_GOOD_TRACE = {"calculus": "ski", "initial": "(I K)",
+               "steps": [{"rule": "iota", "position": [], "result": "K"}], "status": "normal_form"}
+
+
+def _with_step(**fields):
+    return dict(_GOOD_TRACE, steps=[dict(_GOOD_TRACE["steps"][0], **fields)])
+
+
+@pytest.mark.parametrize("obj", [
+    None, 5, "calculus", [], ["calculus", "initial", "steps", "status"],
+    dict(_GOOD_TRACE, calculus=["ski"]),
+    dict(_GOOD_TRACE, calculus={"ski": 1}),
+    dict(_GOOD_TRACE, initial=None),
+    dict(_GOOD_TRACE, status=["normal_form"]),
+    dict(_GOOD_TRACE, steps={}),
+    dict(_GOOD_TRACE, steps=[5]),
+    dict(_GOOD_TRACE, steps=[None]),
+    dict(_GOOD_TRACE, steps=["rule"]),
+    dict(_GOOD_TRACE, steps=[["rule", "position", "result"]]),
+    _with_step(rule=None),
+    _with_step(result=["K"]),
+    _with_step(position=[True]),
+    _with_step(position=[0, False]),
+    _with_step(position=[1.0]),
+    _with_step(position=None),
+])
+def test_malformed_traces_raise_value_error(obj):
+    validate_trace_json(_GOOD_TRACE)
+    with pytest.raises(ValueError):
+        validate_trace_json(obj)
+    with pytest.raises(ValueError):
+        replay_trace_json(obj)
+
+
 def test_replay_rejects_forged_step():
     forged = {
         "calculus": "ski",

@@ -29,3 +29,25 @@ def private_reads(path: Path) -> list[str]:
 
 def test_no_private_names_cross_modules():
     assert [hit for path in sorted(SRC.glob("*.py")) for hit in private_reads(path)] == []
+
+
+def closure_references(path: Path) -> list[str]:
+    """Every nested function that refers by name to itself or to another
+    function nested in the same top-level function: such closures hold each
+    other in cells, a reference cycle left for the collector on every call."""
+    hits = []
+    for top in ast.parse(path.read_text()).body:
+        scopes = [top] if isinstance(top, ast.FunctionDef) else [
+            n for n in getattr(top, "body", ()) if isinstance(n, ast.FunctionDef)]
+        for scope in scopes:
+            nested = [n for n in ast.walk(scope) if isinstance(n, ast.FunctionDef) and n is not scope]
+            names = {n.name for n in nested}
+            for n in nested:
+                used = {x.id for x in ast.walk(n) if isinstance(x, ast.Name) and isinstance(x.ctx, ast.Load)}
+                hits += [f"{path.name}:{n.lineno}: {scope.name}.{n.name} refers to {name}"
+                         for name in sorted(used & names)]
+    return hits
+
+
+def test_no_nested_function_refers_to_itself_or_a_sibling():
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in closure_references(path)] == []
