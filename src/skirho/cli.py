@@ -9,6 +9,7 @@ example a sort failure where the process sort was required).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -153,13 +154,7 @@ def _cmd_translate(args) -> int:
         _emit(args, {"calculus": "rho-comb", "term": rendered}, rendered)
         return EXIT_OK
     if calculus == "rho-comb":
-        try:
-            process = comb.backinterp(term, fuel=args.fuel)
-        except comb.TranslationError as err:
-            raise CliError(str(err), EXIT_PROPERTY) from err
-        except FuelExhausted as err:
-            raise CliError(str(err), EXIT_FUEL) from err
-        rendered = print_rho(process)
+        rendered = print_rho(comb.backinterp(term, fuel=args.fuel))
         _emit(args, {"calculus": "rho", "term": rendered}, rendered)
         return EXIT_OK
     raise CliError("translate expects --calculus rho or rho-comb", EXIT_INPUT)
@@ -270,10 +265,7 @@ def _cmd_roundtrip(args) -> int:
         ok2 = comb.backinterp(again, fuel=args.fuel) == back
         checks.append(("composite_idempotent", ok2, print_comb(again)))
     elif calculus == "rho-comb":
-        try:
-            process = comb.backinterp(term, fuel=args.fuel)
-        except comb.TranslationError as err:
-            raise CliError(str(err), EXIT_PROPERTY) from err
+        process = comb.backinterp(term, fuel=args.fuel)
         target = comb.interp(process)
         trace = reduce(comb.PRESENTATION, term, "all", args.fuel,
                        rules=comb.NON_COMM_RULES, target=target)
@@ -306,57 +298,58 @@ def _build_parser() -> argparse.ArgumentParser:
         description="term rewriting for combinator calculi and a reflective process calculus",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--seed": {"type": int, "default": 0},
+        "--fuel": {"type": int, "default": 1000},
+        "--names": {"type": str, "default": None, "help": "comma separated name literals"},
+    }
 
-    def common(p: argparse.ArgumentParser, calculus: bool = True) -> None:
+    def command(name: str, run, about: str, *flags: str,
+                calculus: bool = True) -> argparse.ArgumentParser:
+        """A subcommand accepting `--format` and only the shared `flags` it reads."""
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(run=run)
         if calculus:
             p.add_argument("--calculus", choices=CALCULI, required=True)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--fuel", type=int, default=1000)
-        p.add_argument("--names", type=str, default=None,
-                       help="comma separated name literals")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        return p
 
-    p = sub.add_parser("reduce", help="reduce a term and print the result")
-    common(p)
-    p.add_argument("--strategy", choices=("first", "all", "random"), default="first")
-    p.add_argument("--gas", type=int, default=0, help="marker count (ski-gas only)")
+    for name, verbose, about in (("reduce", False, "reduce a term and print the result"),
+                                 ("trace", True, "reduce a term and print every step")):
+        p = command(name, functools.partial(_cmd_reduce, verbose=verbose), about,
+                    "--seed", "--fuel")
+        p.add_argument("--strategy", choices=("first", "all", "random"), default="first")
+        p.add_argument("--gas", type=int, default=0, help="marker count (ski-gas only)")
+        p.add_argument("term")
+
+    p = command("translate", _cmd_translate,
+                "translate between the process calculus and combinators", "--fuel")
     p.add_argument("term")
 
-    p = sub.add_parser("trace", help="reduce a term and print every step")
-    common(p)
-    p.add_argument("--strategy", choices=("first", "all", "random"), default="first")
-    p.add_argument("--gas", type=int, default=0, help="marker count (ski-gas only)")
+    p = command("sort", _cmd_sort, "infer the sort of a combinator")
     p.add_argument("term")
 
-    p = sub.add_parser("translate", help="translate between the process calculus and combinators")
-    common(p)
-    p.add_argument("term")
-
-    p = sub.add_parser("sort", help="infer the sort of a combinator")
-    common(p)
-    p.add_argument("term")
-
-    p = sub.add_parser("barbs", help="observable output subjects")
-    common(p)
+    p = command("barbs", _cmd_barbs, "observable output subjects", "--names")
     p.add_argument("--depth", type=int, default=None,
                    help="bound for eventual barbs; omit for immediate barbs")
     p.add_argument("term")
 
-    p = sub.add_parser("bisim", help="bounded barbed bisimulation check")
-    common(p)
+    p = command("bisim", _cmd_bisim, "bounded barbed bisimulation check", "--names")
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("left")
     p.add_argument("right")
 
-    p = sub.add_parser("faithfulness", help="compare verdicts across the translation")
-    common(p, calculus=False)
+    p = command("faithfulness", _cmd_faithfulness, "compare verdicts across the translation",
+                "--names", calculus=False)
     p.add_argument("--calculus", choices=("rho",), default="rho")
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("left")
     p.add_argument("right")
 
-    p = sub.add_parser("roundtrip", help="check both translation round trips for one input")
-    common(p)
+    p = command("roundtrip", _cmd_roundtrip,
+                "check both translation round trips for one input", "--fuel")
     p.add_argument("term")
 
     return parser
@@ -369,29 +362,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 0:
                 raise CliError(f"--{flag} must be >= 0", EXIT_INPUT)
-        if args.command == "reduce":
-            return _cmd_reduce(args, verbose=False)
-        if args.command == "trace":
-            return _cmd_reduce(args, verbose=True)
-        if args.command == "translate":
-            return _cmd_translate(args)
-        if args.command == "sort":
-            return _cmd_sort(args)
-        if args.command == "barbs":
-            return _cmd_barbs(args)
-        if args.command == "bisim":
-            return _cmd_bisim(args)
-        if args.command == "faithfulness":
-            return _cmd_faithfulness(args)
-        if args.command == "roundtrip":
-            return _cmd_roundtrip(args)
-        raise CliError(f"unknown command {args.command!r}", EXIT_INPUT)
+        return args.run(args)
     except CliError as err:
         print(str(err), file=sys.stderr)
         return err.code
     except FuelExhausted as err:
         print(str(err), file=sys.stderr)
         return EXIT_FUEL
+    except comb.TranslationError as err:
+        print(str(err), file=sys.stderr)
+        return EXIT_PROPERTY
     except RecursionError:
         print("term nested too deeply", file=sys.stderr)
         return EXIT_INPUT

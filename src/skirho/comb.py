@@ -7,7 +7,7 @@ and quote evaluation are guarded by a linear context resource ``C``, while
 the S/K/I rules fire in any context.  Translation from the calculus
 eliminates binders by bracket abstraction; translation back normalizes the
 S/K/I spines once, reads the constructors off the normal form, and normalizes
-again only each input continuation applied to its fresh bound name.  Sort
+again only each input continuation applied to its binder's name token.  Sort
 inference unifies by binding mutable sort variables in place.
 """
 
@@ -34,7 +34,6 @@ from .core import (
     group_join,
     reduce,
     replace_at,
-    step,
     subterm_at,
 )
 from .rho import Deref, Input, Output, Par, Process, Quote, Var, ZERO as RHO_ZERO
@@ -355,9 +354,11 @@ def backinterp(c: Term, fuel: int = DEFAULT_FUEL) -> Process:
     """Translate a context-free, W-sorted combinator back into a process.
 
     S/K/I spines are reduced before constructors are read off; each input
-    continuation is applied to the quote of a fresh combinator drawn from a
-    deterministic family, then that name is bound.  Spending more than `fuel`
-    S/K/I steps raises FuelExhausted.
+    continuation is applied to the name token of its binder, the inverse of
+    bracket abstraction, and a token at a name position is read as the bound
+    name.  A token under a quote has no process counterpart and raises
+    TranslationError.  Spending more than `fuel` S/K/I steps raises
+    FuelExhausted.
     """
     if contains_constructor(c, C_DECL):
         raise TranslationError("combinator must not mention the context resource")
@@ -366,7 +367,10 @@ def backinterp(c: Term, fuel: int = DEFAULT_FUEL) -> Process:
     if sort_infer(c) != W:
         raise TranslationError("combinator is not W-sorted")
     budget = [fuel]
-    return rho.canon_process(_backinterp(_skinormal(c, budget), budget))
+    p = _backinterp(_skinormal(c, budget), budget, 0)
+    if not rho.is_closed(p):
+        raise TranslationError("a bound name occurs under a quote")
+    return rho.canon_process(p)
 
 
 def _skinormal(c: Term, budget: list[int]) -> Term:
@@ -375,13 +379,6 @@ def _skinormal(c: Term, budget: list[int]) -> Term:
     if trace.status != "normal_form" or budget[0] < 0:
         raise FuelExhausted("ran out of fuel unwinding S/K/I applications")
     return trace.final
-
-
-def _fresh_family(i: int) -> Term:
-    out = atom(ZERO_DECL)
-    for _ in range(i):
-        out = aps(atom(BANG_DECL), ap(atom(AMP_DECL), out), atom(ZERO_DECL))
-    return out
 
 
 def quote_subterms(t: Term) -> list[Term]:
@@ -394,32 +391,37 @@ def quote_subterms(t: Term) -> list[Term]:
     return out
 
 
-def _backinterp(c: Term, budget: list[int]) -> Process:
-    """Read a canonical S/K/I-normal combinator as a process.  Its subterms
-    are canonical and normal too; only an input body is normalized again."""
+def _backinterp(c: Term, budget: list[int], depth: int) -> Process:
+    """Read a canonical S/K/I-normal combinator as a process under `depth`
+    enclosing inputs.  Its subterms are canonical and normal too; only an
+    input body is normalized again."""
     comps = par_components(c)
     if len(comps) != 1:
-        return rho.par_of([_backinterp(e, budget) for e in comps])
+        return rho.par_of([_backinterp(e, budget, depth) for e in comps])
     (c,) = comps
     if c.head == ZERO_DECL:
         return RHO_ZERO
     if c.head == APP_DECL:
         fun, arg = c.children
         if fun.head == STAR_DECL:
-            return Deref(Quote(_backinterp(_as_quote(c.children[1]), budget)))
+            return Deref(_name(arg, budget, depth))
         if fun.head == APP_DECL:
             head, first = fun.children
             if head.head == BANG_DECL:
-                return Output(Quote(_backinterp(_as_quote(first), budget)),
-                              _backinterp(arg, budget))
+                return Output(_name(first, budget, depth), _backinterp(arg, budget, depth))
             if head.head == FOR_DECL:
-                return _backinterp_input(_as_quote(first), arg, budget)
+                subject = _name(first, budget, depth)
+                binder = f"y{depth}"
+                body = _skinormal(ap(arg, name_token(binder)), budget)
+                return Input(subject, binder, _backinterp(body, budget, depth + 1))
     raise TranslationError(f"no translation clause applies to {c!r}")
 
 
-def _as_quote(t: Term) -> Term:
+def _name(t: Term, budget: list[int], depth: int) -> rho.Name:
+    if is_name_token(t):
+        return Var(t.head.name[len(NAME_TOKEN_PREFIX):])
     if t.head == APP_DECL and t.children[0].head == AMP_DECL:
-        return t.children[1]
+        return Quote(_backinterp(t.children[1], budget, depth))
     raise TranslationError(f"expected a quoted combinator, got {t!r}")
 
 
@@ -432,24 +434,8 @@ def par_components(t: Term) -> list[Term]:
     return comps if comps else [group.unit]
 
 
-def _backinterp_input(subject: Term, continuation: Term, budget: list[int]) -> Process:
-    subject_p = _backinterp(subject, budget)
-    taboo = {rho.canon_process(_backinterp(q, budget))
-             for q in quote_subterms(continuation)}
-    i = 0
-    while True:
-        fresh = _fresh_family(i)
-        fresh_p = rho.canon_process(_backinterp(fresh, budget))
-        if fresh_p not in taboo:
-            break
-        i += 1
-    body = _backinterp(_skinormal(ap(continuation, ap(atom(AMP_DECL), fresh)), budget), budget)
-    bound = rho.subst_syntactic(body, Var("y0"), Quote(fresh_p))
-    return Input(Quote(subject_p), "y0", bound)
-
-
 # ---------------------------------------------------------------------------
-# seeded generation and the normal-form probe
+# seeded generation
 
 
 def random_sorted_comb(rng: _random.Random, depth: int = 3, expansions: int = 3) -> Term:
@@ -493,39 +479,6 @@ def _expand_once(t: Term, rng: _random.Random) -> Term:
     else:
         new = ap(atom(I_DECL), sub)
     return replace_at(t, pos, new)
-
-
-def normal_form_probe(samples: int = 50, seed: int = 0, depth: int = 3) -> dict:
-    """Experimental probe of the conjectured normal-form correspondence.
-
-    Checks, on seeded samples, how often the composite translation acts as
-    the identity on translation images and how communication steps line up
-    one-to-one on both sides.  Returns observation counts only; nothing here
-    is asserted.
-    """
-    rng = _random.Random(seed)
-    stats = {"samples": 0, "composite_fixed": 0, "comm_matched": 0, "comm_total": 0}
-    for _ in range(samples):
-        p = rho.random_process(rng, depth)
-        image = interp(p)
-        stats["samples"] += 1
-        again = interp(backinterp(image))
-        if again == image:
-            stats["composite_fixed"] += 1
-        succs = rho.comm_step(p)
-        stats["comm_total"] += len(succs)
-        wrapped = canon(wrap_context(image))
-        comb_succs = step(PRESENTATION, wrapped, rules=("xi",))
-        translated = set()
-        for s in comb_succs:
-            inner = unwrap_context(s)
-            if inner is not None:
-                try:
-                    translated.add(backinterp(inner))
-                except (TranslationError, FuelExhausted):
-                    pass
-        stats["comm_matched"] += len(succs & translated)
-    return stats
 
 
 def unwrap_context(t: Term) -> Optional[Term]:

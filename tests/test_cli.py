@@ -149,6 +149,50 @@ def test_translate_unsorted_exits_3(capsys):
     assert code == 3
 
 
+def test_translate_back_keeps_a_computed_quote_free(capsys):
+    code, out, err = run_cli(capsys, "translate", "--calculus", "rho-comb",
+                             "((for (& 0)) ((S (K *)) ((S (K &)) (K 0))))")
+    assert (code, out, err) == (0, "for(v0 <- &0)*&0\n", "")
+
+
+def test_translate_back_bound_name_under_quote_exits_3(capsys):
+    code, out, err = run_cli(capsys, "translate", "--calculus", "rho-comb",
+                             "((for (& 0)) ((S ((S (K !)) ((S (K &)) ((S ((S (K !)) I))"
+                             " (K 0))))) (K 0)))")
+    assert code == 3
+    assert out == ""
+    assert err == "a bound name occurs under a quote\n"
+
+
+_BASE_ARGV = {
+    "reduce": ("--calculus", "ski", "(I K)"),
+    "trace": ("--calculus", "ski", "(I K)"),
+    "translate": ("--calculus", "rho", "0"),
+    "sort": ("--calculus", "rho-comb", "0"),
+    "barbs": ("--calculus", "rho", "&0!0"),
+    "bisim": ("--calculus", "rho", "&0!0", "0"),
+    "faithfulness": ("&0!0", "0"),
+    "roundtrip": ("--calculus", "rho", "0"),
+}
+_UNREAD_FLAGS = [
+    ("translate", "--seed"), ("sort", "--seed"), ("barbs", "--seed"), ("bisim", "--seed"),
+    ("faithfulness", "--seed"), ("roundtrip", "--seed"),
+    ("sort", "--fuel"), ("barbs", "--fuel"), ("bisim", "--fuel"), ("faithfulness", "--fuel"),
+    ("reduce", "--names"), ("trace", "--names"), ("translate", "--names"), ("sort", "--names"),
+    ("roundtrip", "--names"),
+]
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD_FLAGS)
+def test_flag_a_command_does_not_read_exits_1(capsys, command, flag):
+    assert run_cli(capsys, command, *_BASE_ARGV[command])[0] == 0
+    value = "&0" if flag == "--names" else "5"
+    code, out, err = run_cli(capsys, command, flag, value, *_BASE_ARGV[command])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "unrecognized arguments" in err
+
+
 def test_barbs_cli(capsys):
     code, out, _ = run_cli(capsys, "barbs", "--calculus", "rho",
                            "0 | &(0|0)!0", "--names", "&0")
@@ -209,12 +253,14 @@ _FUZZ_TEXTS = {
 }
 _FUZZ_NAMES = ("&0", "(& 0)", "&(&0!0), &0", "&(", "")
 _FUZZ_CHARS = "()&*!|<-, xyzSKIRC0#"
-_FUZZ_OPTIONS = {
-    "reduce": ("--gas", "--strategy"),
-    "trace": ("--gas", "--strategy"),
-    "barbs": ("--depth",),
-    "bisim": ("--depth",),
-    "faithfulness": ("--depth",),
+_FUZZ_OPTIONS = {  # the options each command accepts besides --calculus and --format
+    "reduce": ("--fuel", "--seed", "--gas", "--strategy"),
+    "trace": ("--fuel", "--seed", "--gas", "--strategy"),
+    "translate": ("--fuel",),
+    "barbs": ("--names", "--depth"),
+    "bisim": ("--names", "--depth"),
+    "faithfulness": ("--names", "--depth"),
+    "roundtrip": ("--fuel",),
 }
 
 
@@ -230,16 +276,17 @@ def _fuzz_text(rng, calculus):
 
 
 def _fuzz_argv(rng, command, calculus):
-    argv = [command, "--calculus", calculus, "--fuel", str(rng.randint(0, 2))]
+    argv = [command, "--calculus", calculus]
     for option in _FUZZ_OPTIONS.get(command, ()):
         if option == "--strategy":
             argv += [option, rng.choice(("first", "all", "random"))]
-        elif option == "--depth" or rng.random() < 0.5:
+        elif option == "--names":
+            if rng.random() < 0.3:
+                argv += [option, rng.choice(_FUZZ_NAMES)]
+        elif option in ("--fuel", "--depth") or rng.random() < 0.5:
             argv += [option, str(rng.randint(0, 2))]
     if rng.random() < 0.3:
         argv += ["--format", rng.choice(("text", "json"))]
-    if rng.random() < 0.3:
-        argv += ["--names", rng.choice(_FUZZ_NAMES)]
     texts = 2 if command in ("bisim", "faithfulness") else 1
     return argv + [_fuzz_text(rng, calculus) for _ in range(texts)]
 

@@ -34,7 +34,6 @@ from skirho.comb import (
     comb_presentation,
     interp,
     name_token,
-    normal_form_probe,
     random_sorted_comb,
     sort_infer,
     wrap_context,
@@ -289,13 +288,29 @@ def test_backinterp_reduces_spines_first():
 
 
 def test_backinterp_fresh_name_avoids_capture():
-    # continuation that already mentions the first fresh candidate's quote
+    # continuation that ignores its argument and dereferences a quote
     cont = ap(atom(K_DECL), ap(atom(STAR_DECL), quote(z())))
     t = aps(atom(FOR_DECL), quote(z()), cont)
     got = backinterp(t)
     assert isinstance(got, Input)
     # the pre-existing dereference must not have been bound
     assert got.body == Deref(Quote(ZERO))
+
+
+def test_backinterp_computed_quote_is_not_bound():
+    # the continuation builds *(&0) from S/K detours: no quote of it is
+    # written out, yet the dereferenced name is &0, not the bound name
+    t = parse_comb("((for (& 0)) ((S (K *)) ((S (K &)) (K 0))))")
+    assert print_rho(backinterp(t)) == "for(v0 <- &0)*&0"
+
+
+def test_backinterp_rejects_bound_name_under_quote():
+    # the continuation sends on &(y!0): a bound name inside a quote has no
+    # process counterpart, since binders never reach inside a quote
+    t = parse_comb("((for (& 0)) ((S ((S (K !)) ((S (K &)) ((S ((S (K !)) I)) (K 0)))))"
+                   " (K 0)))")
+    with pytest.raises(TranslationError, match="under a quote"):
+        backinterp(t)
 
 
 def test_backinterp_binds_fresh_name_occurrences():
@@ -315,8 +330,8 @@ def test_backinterp_outputs_are_pinned():
     assert digest == "75964f3065612b439f8d4c963e46d35360e154bff2f11378d9f2ae354557a21c"
 
 
-# S/K/I detours in subjects, quotes and continuations, with the least fuel
-# their back translation needs
+# S/K/I detours in subjects, quotes and continuations, and inputs inside a
+# quote in a continuation, with the least fuel their back translation needs
 FUEL_PINS = [
     ("((for (((S (K &)) (K 0)) ((! (& 0)) 0))) ((S ((S (K for)) ((K I) (& 0)))) (K (K (I 0)))))",
      11),
@@ -326,6 +341,8 @@ FUEL_PINS = [
     ("((for (& 0)) ((S ((S (K !)) I)) ((S ((((K I) 0) K) *)) I)))", 9),
     ("((| ((for (& 0)) (K 0))) ((for (& 0)) (((S (K (S (((K K) (* (& 0))) *)))) (K I)) (& 0))))",
      8),
+    ("((| ((! (& 0)) 0)) ((for (& 0)) (K ((! (& ((for (& ((for (& 0)) (K 0)))) ((S (K *)) I))))"
+     " 0))))", 5),
 ]
 
 
@@ -363,12 +380,6 @@ def test_roundtrip_idempotent_small():
         q = random_sorted_comb(rng, depth=3, expansions=2)
         image = interp(backinterp(q))
         assert interp(backinterp(image)) == image
-
-
-def test_probe_reports_counts():
-    stats = normal_form_probe(samples=10, seed=1, depth=2)
-    assert stats["samples"] == 10
-    assert set(stats) == {"samples", "composite_fixed", "comm_matched", "comm_total"}
 
 
 # ---------------------------------------------------------------------------
