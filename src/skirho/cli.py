@@ -125,10 +125,13 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _cmd_reduce(args, verbose: bool) -> int:
     calc = RECORDS[args.calculus]
+    if calc.gas is None and args.gas is not None:
+        raise CliError(f"skirho {args.command}: unrecognized arguments: --gas "
+                       "(read only with --calculus ski-gas)", EXIT_INPUT)
     term = _parse_term(calc, args.term)
     if calc.gas is not None:
         try:
-            term = calc.gas(term, args.gas)
+            term = calc.gas(term, args.gas or 0)
         except ValueError as err:
             raise CliError(str(err), EXIT_INPUT) from err
     trace = drive(calc.canon(term), calc.edges, args.strategy, args.fuel, seed=args.seed)
@@ -321,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = command(name, functools.partial(_cmd_reduce, verbose=verbose), about,
                     "--seed", "--fuel")
         p.add_argument("--strategy", choices=("first", "all", "random"), default="first")
-        p.add_argument("--gas", type=int, default=0, help="marker count (ski-gas only)")
+        p.add_argument("--gas", type=int, default=None, help="marker count (ski-gas only)")
         p.add_argument("term")
 
     p = command("translate", _cmd_translate,

@@ -14,7 +14,6 @@ inference unifies by binding mutable sort variables in place.
 from __future__ import annotations
 
 import itertools
-import random as _random
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -33,8 +32,6 @@ from .core import (
     flatten_term,
     group_join,
     reduce,
-    replace_at,
-    subterm_at,
 )
 from .rho import Deref, Input, Output, Par, Process, Quote, Var, ZERO as RHO_ZERO
 
@@ -432,53 +429,6 @@ def par_components(t: Term) -> list[Term]:
         return [t]
     comps = flatten_term(group, t)
     return comps if comps else [group.unit]
-
-
-# ---------------------------------------------------------------------------
-# seeded generation
-
-
-def random_sorted_comb(rng: _random.Random, depth: int = 3, expansions: int = 3) -> Term:
-    """Seeded W-sorted context-free combinator with embedded S/K/I spines.
-
-    Starts from the translation of a random closed process, then wraps random
-    subterms in identity and constant applications (and occasionally an S
-    split) that reduce back to the original.
-    """
-    t = interp(rho.random_process(rng, depth))
-    for _ in range(rng.randint(0, expansions)):
-        t = _expand_once(t, rng)
-    return t
-
-
-def _positions_of(t: Term) -> list[tuple[int, ...]]:
-    out = [()]
-    for i, c in enumerate(t.children):
-        out.extend((i,) + p for p in _positions_of(c))
-    return out
-
-
-def _junk(rng: _random.Random) -> Term:
-    t = interp(rho.random_process(rng, 1))
-    if rng.random() < 0.5:
-        return ap(atom(AMP_DECL), t)
-    return t
-
-
-def _expand_once(t: Term, rng: _random.Random) -> Term:
-    pos = rng.choice(_positions_of(t))
-    sub = subterm_at(t, pos)
-    kind = rng.choice(["i", "k", "s"])
-    if kind == "i":
-        new = ap(atom(I_DECL), sub)
-    elif kind == "k":
-        new = aps(atom(K_DECL), sub, _junk(rng))
-    elif kind == "s" and sub.head == APP_DECL:
-        f, a = sub.children
-        new = aps(atom(S_DECL), ap(atom(K_DECL), f), ap(atom(K_DECL), a), _junk(rng))
-    else:
-        new = ap(atom(I_DECL), sub)
-    return replace_at(t, pos, new)
 
 
 def unwrap_context(t: Term) -> Optional[Term]:

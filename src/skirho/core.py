@@ -302,14 +302,6 @@ def term_key(t: Term):
         return key
 
 
-def subterm_at(t: Term, position: Sequence[int]) -> Term:
-    for i in position:
-        if i >= len(t.children):
-            raise InvalidRedex(f"position {tuple(position)} is not in the term")
-        t = t.children[i]
-    return t
-
-
 def replace_at(t: Term, position: Sequence[int], replacement: Term) -> Term:
     ancestors = []
     for i in position:

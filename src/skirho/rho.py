@@ -8,16 +8,19 @@ composition a commutative monoid with the stopped process as unit and
 includes alpha-equivalence; name equivalence additionally collapses
 quote-of-dereference.
 
-Names are quasi-atomic: substitution and binding act on whole names at name
-positions of the process tree and never reach inside the contents of a quote
-that does not collapse to a dereferenced name.  A binder occurrence is
-therefore either a bare identifier or a quote-of-dereference chain that
-resolves to one.
+Names are quasi-atomic: binding acts on whole names at name positions of the
+process tree and never reaches inside the contents of a quote that does not
+collapse to a dereferenced name.  A binder occurrence is therefore either a
+bare identifier or a quote-of-dereference chain that resolves to one.
+Communication runs on canonical forms, where every name is resolved and
+every binder is a token distinct from the binders around it and from every
+free identifier; substitution there cannot capture (de Bruijn's nameless
+dummies), so the message is plugged in at the binder's occurrences with no
+renaming.
 """
 
 from __future__ import annotations
 
-import random as _random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -221,44 +224,42 @@ def canon_process(p: Process) -> Process:
     """Canonical representative of p's structural congruence class.
 
     Parallel composition is flattened to an ordered unit-free multiset,
-    binders are renamed to depth-indexed identifiers, quoted processes are
-    canonicalized recursively (in their own scope), and quote-of-dereference
-    collapses at name positions.  Idempotent; two processes are congruent iff
-    their canonical forms are identical.
+    binders are renamed to tokens v0, v1, ... numbered by depth, skipping
+    any that is a free identifier, quoted processes are canonicalized
+    recursively (in their own scope), and quote-of-dereference collapses at
+    name positions.  Idempotent; two processes are congruent iff their
+    canonical forms are identical.
     """
     return _canon_in(p, {}, 0, free_idents(p))
 
 
-def _token(depth: int, avoid: frozenset[str]) -> str:
-    i = depth
-    while f"v{i}" in avoid:
-        i += 1
-    return f"v{i}"
-
-
-def _canon_in(q: Process, env: dict[str, str], depth: int, avoid: frozenset[str]) -> Process:
+def _canon_in(q: Process, env: dict[str, str], first: int, avoid: frozenset[str]) -> Process:
+    """`first` is the least index the next binder token may take: each binder
+    takes an index above every enclosing one, so no two tokens collide."""
     match q:
         case Zero():
             return ZERO
         case Par():
-            comps = [_canon_in(c, env, depth, avoid) for c in par_components(q)]
+            comps = [_canon_in(c, env, first, avoid) for c in par_components(q)]
             comps = [c for comp in comps for c in par_components(comp)]
             comps.sort(key=process_key)
             return par_of(comps)
         case Output(x, body):
-            return Output(_canon_name_in(x, env, depth, avoid), _canon_in(body, env, depth, avoid))
+            return Output(_canon_name_in(x, env, avoid), _canon_in(body, env, first, avoid))
         case Deref(x):
-            return Deref(_canon_name_in(x, env, depth, avoid))
+            return Deref(_canon_name_in(x, env, avoid))
         case Input(x, binder, body):
-            tok = _token(depth, avoid)
+            i = first
+            while f"v{i}" in avoid:
+                i += 1
             inner = dict(env)
-            inner[binder] = tok
-            return Input(_canon_name_in(x, env, depth, avoid), tok,
-                         _canon_in(body, inner, depth + 1, avoid))
+            inner[binder] = f"v{i}"
+            return Input(_canon_name_in(x, env, avoid), f"v{i}",
+                         _canon_in(body, inner, i + 1, avoid))
     raise TypeError(f"not a process: {q!r}")
 
 
-def _canon_name_in(n: Name, env: dict[str, str], depth: int, avoid: frozenset[str]) -> Name:
+def _canon_name_in(n: Name, env: dict[str, str], avoid: frozenset[str]) -> Name:
     r = resolve_name(n)
     if isinstance(r, Var):
         return Var(env.get(r.ident, r.ident))
@@ -272,111 +273,6 @@ def canon_name(n: Name) -> Name:
     return Quote(canon_process(r.process))
 
 
-def struct_congruent(p: Process, q: Process) -> bool:
-    return canon_process(p) == canon_process(q)
-
-
-def name_equiv(x: Name, y: Name) -> bool:
-    return canon_name(x) == canon_name(y)
-
-
-def free_names(p: Process) -> frozenset[Name]:
-    """The free names of a process, as canonical names."""
-    match p:
-        case Zero():
-            return frozenset()
-        case Input(x, binder, body):
-            return frozenset((canon_name(x),)) | (free_names(body) - {Var(binder)})
-        case Output(x, body):
-            return frozenset((canon_name(x),)) | free_names(body)
-        case Par(l, r):
-            return free_names(l) | free_names(r)
-        case Deref(x):
-            return frozenset((canon_name(x),))
-    raise TypeError(f"not a process: {p!r}")
-
-
-# ---------------------------------------------------------------------------
-# substitution
-
-
-def _fresh_binder(body: Process, new: Name, old: Name, quoted: Optional[Process]) -> str:
-    """First z0, z1, ... distinct from both names, the free names of the
-    substituted process, and everything named in the body."""
-    taken = {n.ident for n in all_names(body) if isinstance(n, Var)}
-    for n in (new, old):
-        r = resolve_name(n)
-        if isinstance(r, Var):
-            taken.add(r.ident)
-    if quoted is not None:
-        for n in free_names(quoted):
-            if isinstance(n, Var):
-                taken.add(n.ident)
-    i = 0
-    while f"z{i}" in taken:
-        i += 1
-    return f"z{i}"
-
-
-@dataclass(frozen=True)
-class _Substitution:
-    """`new` for `old`, with what every node of the walk compares against."""
-
-    new: Name
-    old: Name
-    semantic: bool
-    cold: Name  # the canonical old name
-    cnew: Name  # the canonical new name
-    quoted: Optional[Process]  # the process the new name quotes, if any
-
-
-def _subst(p: Process, new: Name, old: Name, semantic: bool) -> Process:
-    resolved_new = resolve_name(new)
-    quoted = resolved_new.process if isinstance(resolved_new, Quote) else None
-    return _subst_in(p, _Substitution(new, old, semantic, canon_name(old), canon_name(new), quoted))
-
-
-def _subst_name(x: Name, s: _Substitution) -> Name:
-    return s.new if canon_name(x) == s.cold else x
-
-
-def _subst_in(q: Process, s: _Substitution) -> Process:
-    match q:
-        case Zero():
-            return ZERO
-        case Par(l, r):
-            return Par(_subst_in(l, s), _subst_in(r, s))
-        case Output(x, body):
-            return Output(_subst_name(x, s), _subst_in(body, s))
-        case Input(x, binder, body):
-            z = _fresh_binder(body, s.new, s.old, s.quoted)
-            renamed = _subst(body, Var(z), Var(binder), semantic=False)
-            return Input(_subst_name(x, s), z, _subst_in(renamed, s))
-        case Deref(x):
-            x1 = _subst_name(x, s)
-            if canon_name(x1) == s.cnew:
-                if s.semantic and s.quoted is not None:
-                    return s.quoted
-                return Deref(s.new)
-            return Deref(x)
-    raise TypeError(f"not a process: {q!r}")
-
-
-def subst_syntactic(p: Process, new: Name, old: Name) -> Process:
-    """Capture-avoiding substitution of `new` for `old` at name positions.
-
-    A dereference whose (substituted) name is equivalent to the new name is
-    rewritten to dereference the new name itself.
-    """
-    return _subst(p, new, old, semantic=False)
-
-
-def subst_semantic(p: Process, new: Name, old: Name) -> Process:
-    """Like the syntactic substitution, except a dereference of the new name
-    unfolds to the quoted process itself."""
-    return _subst(p, new, old, semantic=True)
-
-
 # ---------------------------------------------------------------------------
 # reduction
 
@@ -386,7 +282,9 @@ def comm_step(p: Process) -> set[Process]:
 
     Scans unordered pairs of top-level parallel components for an input and
     an output whose subjects are name-equivalent; the pair is replaced by the
-    continuation with the quoted output body substituted for the binder.
+    continuation with the quoted output body plugged in for the binder.  The
+    continuation is canonical, so its binder token is bound nowhere else in
+    it and the substitution cannot capture.
     """
     return _reducts(canon_process(p))
 
@@ -402,10 +300,33 @@ def _reducts(p: Process) -> set[Process]:
                 continue
             if ci.subject != cj.subject:  # components are canonical
                 continue
-            reduct = subst_syntactic(ci.body, Quote(cj.body), Var(ci.binder))
+            reduct = _plug(ci.body, ci.binder, Quote(cj.body))
             rest = [c for k, c in enumerate(comps) if k not in (i, j)]
             out.add(canon_process(par_of(rest + par_components(reduct))))
     return out
+
+
+def _plug(q: Process, binder: str, new: Name) -> Process:
+    """`new` at every name position of the canonical `q` that is `Var(binder)`.
+
+    Quotes are not entered: their contents are a scope of their own.
+    """
+    match q:
+        case Zero():
+            return q
+        case Par(l, r):
+            return Par(_plug(l, binder, new), _plug(r, binder, new))
+        case Output(x, body):
+            return Output(_plug_name(x, binder, new), _plug(body, binder, new))
+        case Input(x, b, body):
+            return Input(_plug_name(x, binder, new), b, _plug(body, binder, new))
+        case Deref(x):
+            return Deref(_plug_name(x, binder, new))
+    raise TypeError(f"not a process: {q!r}")
+
+
+def _plug_name(x: Name, binder: str, new: Name) -> Name:
+    return new if isinstance(x, Var) and x.ident == binder else x
 
 
 COMM = Redex("comm", (), {})
@@ -421,55 +342,3 @@ def rho_reduce(p: Process, strategy: str = "first", fuel: int = 1000,
                *, seed: Optional[int] = None) -> Trace:
     """Drive communication steps with the term rewriting strategies."""
     return drive(canon_process(p), comm_edges, strategy, fuel, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# random processes
-
-
-def random_process(rng: _random.Random, depth: int, binders: tuple[str, ...] = ()) -> Process:
-    """Seeded random closed process of bounded constructor depth."""
-    if depth <= 0:
-        choices = ["zero"] + (["deref"] if binders else [])
-        kind = rng.choice(choices)
-        if kind == "zero":
-            return ZERO
-        return Deref(Var(rng.choice(binders)))
-    kind = rng.choice(["zero", "par", "input", "output", "deref"])
-    if kind == "zero":
-        return ZERO
-    if kind == "par":
-        return Par(random_process(rng, depth - 1, binders),
-                   random_process(rng, depth - 1, binders))
-    if kind == "input":
-        binder = f"u{len(binders)}"
-        return Input(random_name(rng, depth - 1, binders), binder,
-                     random_process(rng, depth - 1, binders + (binder,)))
-    if kind == "output":
-        return Output(random_name(rng, depth - 1, binders),
-                      random_process(rng, depth - 1, binders))
-    return Deref(random_name(rng, depth - 1, binders))
-
-
-def random_name(rng: _random.Random, depth: int, binders: tuple[str, ...]) -> Name:
-    if binders and rng.random() < 0.4:
-        if rng.random() < 0.25:
-            # quote-of-dereference chain resolving to a binder occurrence
-            return Quote(Deref(Var(rng.choice(binders))))
-        return Var(rng.choice(binders))
-    if depth > 0 and rng.random() < 0.15:
-        return Quote(Deref(random_name(rng, depth - 1, ())))
-    # quote contents live in their own scope: no outer binders inside
-    return Quote(random_process(rng, max(depth - 1, 0), ()))
-
-
-def random_comm_candidate(rng: _random.Random, depth: int = 3) -> Process:
-    """Seeded process guaranteed to have at least one communication redex."""
-    subject = Quote(random_process(rng, 1))
-    binder = "u0"
-    receiver = Input(subject, binder, random_process(rng, depth - 1, (binder,)))
-    sender = Output(subject, random_process(rng, depth - 1))
-    noise = random_process(rng, depth - 1)
-    comps = [receiver, sender] + par_components(noise)
-    rng.shuffle(comps)
-    return par_of(comps)

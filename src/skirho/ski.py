@@ -10,7 +10,6 @@ so every step consumes one R, like a fuel supply.
 
 from __future__ import annotations
 
-import random as _random
 from typing import Optional
 
 from .core import (
@@ -206,14 +205,3 @@ def whnf_oracle(t: Term, fuel: int = DEFAULT_FUEL) -> Optional[Term]:
         t = reduct
         for a in rest:
             t = ap(t, a)
-
-
-def random_ski_term(size: int, rng: _random.Random) -> Term:
-    """Uniform random choice over tree shapes and atoms with a size budget.
-
-    ``size`` counts combinator atoms (leaves); no R is ever generated.
-    """
-    if size <= 1:
-        return rng.choice((S, K, I))()
-    left = rng.randint(1, size - 1)
-    return ap(random_ski_term(left, rng), random_ski_term(size - left, rng))

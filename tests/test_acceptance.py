@@ -28,7 +28,6 @@ from skirho.comb import (
     comb_presentation,
     interp,
     name_token,
-    random_sorted_comb,
     sort_infer,
     wrap_context,
 )
@@ -36,7 +35,6 @@ from skirho.core import canonicalize, instantiate, reduce, step
 from skirho.ski import (
     gas_trace,
     marker_count,
-    random_ski_term,
     ski_presentation,
     strip_marker,
     whnf_oracle,
@@ -45,6 +43,7 @@ from skirho.ski import (
 )
 from skirho.syntax import parse_rho
 
+from gen import random_comm_candidate, random_process, random_ski_term, random_sorted_comb
 from naive import enumerate_ski_terms, naive_ski_step
 
 PLAIN = ski_presentation("plain")
@@ -81,7 +80,7 @@ def whnf_corpus():
 @pytest.fixture(scope="module")
 def process_corpus():
     rng = random.Random(7177)
-    return [rho.random_process(rng, 4) for _ in range(300)]
+    return [random_process(rng, 4) for _ in range(300)]
 
 
 def test_criterion_1_ski_oracle_equivalence():
@@ -242,7 +241,7 @@ def test_criterion_8_communication_correspondence():
     checked_processes = 0
     path_checked = 0
     while checked_processes < 100:
-        p = rho.random_comm_candidate(rng, 3)
+        p = random_comm_candidate(rng, 3)
         successors = rho.comm_step(p)
         if not successors:
             continue

@@ -23,6 +23,8 @@ from skirho.core import step
 from skirho.rho import ZERO, Input, Output, Par, Quote, Var, par_of
 from skirho.syntax import parse_comb, parse_rho, parse_rho_name
 
+from gen import random_comm_candidate, random_process
+
 N0 = Quote(ZERO)
 
 
@@ -60,7 +62,7 @@ def test_barbs_monotone_in_name_set():
 def test_barbs_invariant_under_canonicalization():
     rng = random.Random(40)
     for _ in range(80):
-        p = rho.random_comm_candidate(rng, 3)
+        p = random_comm_candidate(rng, 3)
         names = names_occurring(p)
         assert barbs(p, names) == barbs(rho.canon_process(p), names)
 
@@ -128,8 +130,8 @@ def test_bisim_distinguishes_weak_barb():
 def test_bisim_symmetric():
     rng = random.Random(41)
     for _ in range(25):
-        a = rho.random_comm_candidate(rng, 2)
-        b = rho.random_process(rng, 2)
+        a = random_comm_candidate(rng, 2)
+        b = random_process(rng, 2)
         names = names_occurring(a) + [n for n in names_occurring(b)
                                       if n not in names_occurring(a)]
         va = bounded_bisim(a, b, names, 2)
@@ -140,8 +142,8 @@ def test_bisim_symmetric():
 def test_bisim_monotone_in_depth():
     rng = random.Random(42)
     for _ in range(20):
-        a = rho.random_comm_candidate(rng, 2)
-        b = rho.random_comm_candidate(rng, 2)
+        a = random_comm_candidate(rng, 2)
+        b = random_comm_candidate(rng, 2)
         names = names_occurring(a) + [n for n in names_occurring(b)
                                       if n not in names_occurring(a)]
         verdicts = [bounded_bisim(a, b, names, d).bisimilar for d in (0, 1, 2, 3)]
@@ -159,6 +161,19 @@ def test_bisim_state_budget_is_inconclusive(monkeypatch):
     monkeypatch.setattr(bisim, "explore", lambda *args: core.explore(*args, state_budget=1))
     with pytest.raises(BudgetExhausted):
         bounded_bisim(relay(), relay(), [N0], 3)
+
+
+def test_faithfulness_budget_on_either_side_is_inconclusive():
+    p = parse_rho("for(y <- &0)(y!0) | &0!(&0!0)")
+    q = Par(p, ZERO)
+    names = bisim.names_occurring(p)
+    report = faithfulness_check(p, q, names, 3, budget=1)
+    assert (report.agree, report.inconclusive) == (False, True)
+    assert report.calculus is None and report.combinator is None
+    report = faithfulness_check(p, q, names, 3, budget=4)
+    assert (report.agree, report.inconclusive) == (False, True)
+    assert report.calculus.bisimilar and report.combinator is None
+    assert faithfulness_check(p, q, names, 3).agree
 
 
 def test_negative_bounds_rejected():
@@ -256,7 +271,7 @@ def test_context_wrapped_reductions_preserve_weak_barbs():
     rng = random.Random(43)
     checked = 0
     for _ in range(40):
-        p = rho.random_comm_candidate(rng, 2)
+        p = random_comm_candidate(rng, 2)
         names = [comb.ap(comb.atom(comb.AMP_DECL), interp(n.process))
                  for n in names_occurring(p) if isinstance(n, Quote)]
         wrapped = comb_canon(wrap_context(interp(p)))
@@ -271,7 +286,7 @@ def test_context_wrapped_reductions_preserve_weak_barbs():
 @pytest.mark.parametrize("side", ["process", "combinator"])
 def test_bounded_bisim_leaves_no_reference_cycles(side):
     rng = random.Random(57)
-    pairs = [(rho.random_comm_candidate(rng), rho.random_comm_candidate(rng)) for _ in range(30)]
+    pairs = [(random_comm_candidate(rng), random_comm_candidate(rng)) for _ in range(30)]
     if side == "combinator":
         pairs = [(wrap_context(interp(p)), wrap_context(interp(q))) for p, q in pairs]
     checks = [(p, q, names_occurring(p)[:3]) for p, q in pairs]

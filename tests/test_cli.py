@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from skirho import bisim, core
 from skirho.cli import CALCULI, main, replay_trace_json, validate_trace_json
 
 
@@ -179,7 +180,7 @@ _UNREAD_FLAGS = [
     ("faithfulness", "--seed"), ("roundtrip", "--seed"),
     ("sort", "--fuel"), ("barbs", "--fuel"), ("bisim", "--fuel"), ("faithfulness", "--fuel"),
     ("reduce", "--names"), ("trace", "--names"), ("translate", "--names"), ("sort", "--names"),
-    ("roundtrip", "--names"),
+    ("roundtrip", "--names"), ("reduce", "--gas"), ("trace", "--gas"),
 ]
 
 
@@ -191,6 +192,22 @@ def test_flag_a_command_does_not_read_exits_1(capsys, command, flag):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command", ["reduce", "trace"])
+def test_gas_is_read_only_by_ski_gas(capsys, command):
+    for calculus in CALCULI:
+        text = _FUZZ_TEXTS[calculus][0]
+        assert run_cli(capsys, command, "--calculus", calculus, text)[0] == 0
+        code, out, err = run_cli(capsys, command, "--calculus", calculus, "--gas", "3", text)
+        if calculus == "ski-gas":
+            assert code == 0
+        else:
+            assert (code, out) == (1, "")
+            assert len(err.splitlines()) == 1 and "--gas" in err
+    # without --gas, ski-gas starts with no markers and so takes no step
+    code, out, _ = run_cli(capsys, command, "--calculus", "ski-gas", "(I K)")
+    assert code == 0 and "steps: 0" in out
 
 
 def test_barbs_cli(capsys):
@@ -212,6 +229,13 @@ def test_faithfulness_cli(capsys):
                            "for(y <- &0)0 | &0!0", "&0!0 | for(z <- &0)0 | 0")
     assert code == 0
     assert "agreement: yes" in out
+
+
+def test_faithfulness_state_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(bisim, "explore", lambda *args: core.explore(*args, state_budget=1))
+    code, out, err = run_cli(capsys, "faithfulness",
+                             "for(y <- &0)0 | &0!0", "&0!0 | for(z <- &0)0 | 0")
+    assert (code, out, err) == (2, "", "state budget exhausted; verdict inconclusive\n")
 
 
 def test_faithfulness_accepts_a_name_quoting_an_open_process(capsys):
@@ -278,6 +302,8 @@ def _fuzz_text(rng, calculus):
 def _fuzz_argv(rng, command, calculus):
     argv = [command, "--calculus", calculus]
     for option in _FUZZ_OPTIONS.get(command, ()):
+        if option == "--gas" and calculus != "ski-gas":
+            continue
         if option == "--strategy":
             argv += [option, rng.choice(("first", "all", "random"))]
         elif option == "--names":

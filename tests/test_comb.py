@@ -34,13 +34,14 @@ from skirho.comb import (
     comb_presentation,
     interp,
     name_token,
-    random_sorted_comb,
     sort_infer,
     wrap_context,
 )
 from skirho.core import FuelExhausted, instantiate, reduce, step
 from skirho.rho import ZERO, Deref, Input, Output, Par, Quote, Var
 from skirho.syntax import parse_comb, print_rho
+
+from gen import random_comm_candidate, random_process, random_sorted_comb
 
 PRES = comb_presentation()
 
@@ -212,7 +213,7 @@ def test_sort_inference_is_pinned():
 def test_sort_interp_is_process_sorted():
     rng = random.Random(31)
     for _ in range(100):
-        p = rho.random_process(rng, 3)
+        p = random_process(rng, 3)
         assert sort_infer(interp(p)) == W
 
 
@@ -361,7 +362,7 @@ def test_backinterp_fuel_boundary_is_pinned(text, fuel):
 def test_roundtrip_alpha_small():
     rng = random.Random(32)
     for _ in range(120):
-        p = rho.random_process(rng, 4)
+        p = random_process(rng, 4)
         assert backinterp(interp(p)) == rho.canon_process(p)
 
 
@@ -394,7 +395,7 @@ def test_guarded_rules_fire_only_at_top_level():
     rng = random.Random(35)
     seen_any = False
     for _ in range(60):
-        p = rho.random_comm_candidate(rng, 3)
+        p = random_comm_candidate(rng, 3)
         wrapped = canon(wrap_context(interp(p)))
         for redex in find_redexes(PRES, wrapped, rules=("xi", "epsilon")):
             assert redex.position == (), redex
@@ -405,7 +406,7 @@ def test_guarded_rules_fire_only_at_top_level():
 def test_interp_output_is_translation_complete():
     rng = random.Random(36)
     for _ in range(100):
-        image = interp(rho.random_process(rng, 3))
+        image = interp(random_process(rng, 3))
         assert not comb.contains_name_token(image)
         assert not comb.contains_constructor(image, C_DECL)
 
@@ -415,7 +416,7 @@ def test_elimination_sorts_over_corpus():
     rng = random.Random(37)
     checked = 0
     for _ in range(400):
-        p = rho.random_process(rng, 3)
+        p = random_process(rng, 3)
         stack = [p]
         while stack:
             q = stack.pop()
@@ -436,5 +437,5 @@ def test_wrap_context_examples():
     assert wrap_context(z()) == aps(atom(PAR_DECL), atom(C_DECL), z())
     rng = random.Random(38)
     for _ in range(30):
-        image = interp(rho.random_process(rng, 3))
+        image = interp(random_process(rng, 3))
         assert sort_infer(wrap_context(image)) == W

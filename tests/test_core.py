@@ -43,6 +43,7 @@ from skirho import comb, rho, ski
 from skirho.comb import ATOM_DECLS, ZERO_DECL, PAR_DECL, AMP_DECL, BANG_DECL, FOR_DECL, K_DECL
 from skirho.ski import I, K, S, ap
 
+from gen import random_comm_candidate, random_process, random_ski_term, random_sorted_comb
 from naive import (bfs_distance_to_normal, close_under_monoid_laws, naive_canonicalize, naive_redexes,
                    naive_ski_step)
 
@@ -241,7 +242,7 @@ def test_rule_analysis_belongs_to_the_instance():
     rng = random.Random(3)
     found = 0
     for _ in range(12):
-        wrapped = comb.canon(comb.wrap_context(comb.interp(rho.random_process(rng, 3))))
+        wrapped = comb.canon(comb.wrap_context(comb.interp(random_process(rng, 3))))
         redexes = find_redexes(comb.PRESENTATION, wrapped)
         assert find_redexes(copy, wrapped) == redexes
         found += len(redexes)
@@ -445,11 +446,11 @@ def test_state_budget_reports_fuel_exhausted():
 
 
 def _random_plain_term(rng, size):
-    return ski.random_ski_term(size, rng)
+    return random_ski_term(size, rng)
 
 
 def _random_comb_term(rng):
-    return comb.random_sorted_comb(rng, depth=2, expansions=2)
+    return random_sorted_comb(rng, depth=2, expansions=2)
 
 
 def test_canonicalize_idempotent_random():
@@ -654,13 +655,13 @@ def test_incremental_successors_match_whole_term_canonicalization():
     rng = random.Random(23)
     cases = []
     for _ in range(60):  # criterion 8 shapes: communicating groups and groups of 2-12
-        cases.append((COMB, comb.wrap_context(comb.interp(rho.random_comm_candidate(rng, 3)))))
-        group = rho.random_process(rng, 2)
+        cases.append((COMB, comb.wrap_context(comb.interp(random_comm_candidate(rng, 3)))))
+        group = random_process(rng, 2)
         for _ in range(rng.randint(1, 11)):
-            group = rho.Par(group, rho.random_process(rng, rng.randint(1, 2)))
+            group = rho.Par(group, random_process(rng, rng.randint(1, 2)))
         cases.append((COMB, comb.wrap_context(comb.interp(group))))
     for _ in range(30):  # criterion 5 shape: sorted combinators with S/K/I detours
-        cases.append((COMB, comb.wrap_context(comb.random_sorted_comb(rng, depth=3, expansions=3))))
+        cases.append((COMB, comb.wrap_context(random_sorted_comb(rng, depth=3, expansions=3))))
     for variant in ("whnf", "gas"):
         for _ in range(150):
             t = _sprinkled(_random_plain_term(rng, rng.randint(2, 10)), rng)
@@ -752,12 +753,12 @@ def _index_cases():
             cases.append((ski.ski_presentation(variant), t))
             cases.append((TOY_SKI, t))
     for _ in range(40):  # criterion 8 shapes: comm candidates and groups of 2-12
-        cases.append((COMB, comb.wrap_context(comb.interp(rho.random_comm_candidate(rng, 3)))))
-        group = rho.random_process(rng, 2)
+        cases.append((COMB, comb.wrap_context(comb.interp(random_comm_candidate(rng, 3)))))
+        group = random_process(rng, 2)
         for _ in range(rng.randint(1, 11)):
-            group = rho.Par(group, rho.random_process(rng, rng.randint(1, 2)))
+            group = rho.Par(group, random_process(rng, rng.randint(1, 2)))
         cases.append((COMB, comb.wrap_context(comb.interp(group))))
-        cases.append((COMB, comb.random_sorted_comb(rng, depth=3, expansions=3)))
+        cases.append((COMB, random_sorted_comb(rng, depth=3, expansions=3)))
     cases += [(TOY_COMB, _toy_comb_term(rng)) for _ in range(150)]
     return cases
 
@@ -862,7 +863,7 @@ def test_a_mark_holds_for_its_own_presentation_only():
     for _ in range(100):
         # |-groups with R markers around subterms: canonical under one
         # presentation, not under the other
-        t = _sprinkled(_scrambled(comb.random_sorted_comb(rng, depth=2, expansions=2), rng), rng)
+        t = _sprinkled(_scrambled(random_sorted_comb(rng, depth=2, expansions=2), rng), rng)
         for p1, p2 in ((WHNF, COMB), (COMB, WHNF)):
             once = canonicalize(p1, t)
             assert canonicalize(p2, once) == naive_canonicalize(p2, once)
@@ -873,9 +874,9 @@ def test_group_matching_leaves_no_reference_cycles():
     rng = random.Random(54)
     terms = []
     for _ in range(50):  # criterion 8 shapes
-        group = rho.random_process(rng, 2)
+        group = random_process(rng, 2)
         for _ in range(rng.randint(1, 11)):
-            group = rho.Par(group, rho.random_process(rng, rng.randint(1, 2)))
+            group = rho.Par(group, random_process(rng, rng.randint(1, 2)))
         terms.append(canonicalize(COMB, comb.wrap_context(comb.interp(group))))
     step(COMB, terms[0], rules=("xi",))
     gc.collect()

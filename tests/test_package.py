@@ -1,13 +1,16 @@
-"""Package layout: no module reads another module's private names."""
+"""Package layout: no module reads another module's private names, no
+closure refers to itself, and no public name is there for the tests alone."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import skirho
 
 SRC = Path(skirho.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = {path.stem for path in SRC.glob("*.py")}
 
 
@@ -51,3 +54,26 @@ def closure_references(path: Path) -> list[str]:
 
 def test_no_nested_function_refers_to_itself_or_a_sibling():
     assert [hit for path in sorted(SRC.glob("*.py")) for hit in closure_references(path)] == []
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name under an AST node."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names})
+
+
+def test_every_public_definition_has_a_reader_besides_the_tests():
+    """A public top-level function or class is read by other code in the
+    package, exported, read by the benchmark or named in the README; what
+    only tests use belongs in `tests/gen.py` or a test module."""
+    statements = [stmt for path in sorted(SRC.glob("*.py")) for stmt in ast.parse(path.read_text()).body]
+    reads = [(stmt, names_read(stmt)) for stmt in statements]
+    outside = set(skirho.__all__) | set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in (ROOT / "bench").rglob("*.py"):
+        outside |= names_read(ast.parse(path.read_text()))
+    unread = [node.name for node in statements
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in outside
+              and not any(node.name in names for stmt, names in reads if stmt is not node)]
+    assert unread == []

@@ -1,5 +1,4 @@
-"""Process calculus: free names, congruence, name equivalence, substitution,
-communication."""
+"""Process calculus: closedness, congruence, name equivalence, communication."""
 
 from __future__ import annotations
 
@@ -17,21 +16,17 @@ from skirho.rho import (
     Par,
     Quote,
     Var,
-    all_names,
     canon_name,
     canon_process,
     comm_step,
     free_idents,
-    free_names,
     is_closed,
-    name_equiv,
     par_of,
-    random_process,
     rho_reduce,
-    struct_congruent,
-    subst_semantic,
-    subst_syntactic,
 )
+from skirho.syntax import parse_rho
+
+from gen import random_comm_candidate, random_process
 
 N0 = Quote(ZERO)
 
@@ -41,30 +36,11 @@ def out0():
 
 
 # ---------------------------------------------------------------------------
-# free names
-
-
-def test_fn_stopped():
-    assert free_names(ZERO) == frozenset()
-
-
-def test_fn_output():
-    assert free_names(out0()) == frozenset({N0})
-
-
-def test_fn_input_removes_binder():
-    p = Input(N0, "y", Deref(Var("y")))
-    assert free_names(p) == frozenset({N0})
-
-
-def test_fn_par_union():
-    p = Par(out0(), Deref(Quote(Output(N0, ZERO))))
-    assert free_names(p) == {N0, Quote(Output(N0, ZERO))}
+# closedness
 
 
 def test_fn_counts_quoted_deref_chain_as_binder():
     p = Input(N0, "y", Output(Quote(Deref(Var("y"))), ZERO))
-    assert free_names(p) == frozenset({N0})
     assert is_closed(p)
 
 
@@ -81,7 +57,7 @@ def test_canon_associate_commute():
     left = Par(Par(a, b), c)
     right = Par(a, Par(b, c))
     assert canon_process(left) == canon_process(right)
-    assert struct_congruent(Par(a, b), Par(b, a))
+    assert canon_process(Par(a, b)) == canon_process(Par(b, a))
 
 
 def test_canon_alpha():
@@ -103,12 +79,22 @@ def test_canon_congruence_closed_under_constructors():
     for _ in range(60):
         p, q = random_process(rng, 3), random_process(rng, 3)
         r = random_process(rng, 2)
-        if not struct_congruent(p, q):
+        if canon_process(p) != canon_process(q):
             continue
-        assert struct_congruent(Par(p, r), Par(q, r))
-        assert struct_congruent(Output(N0, p), Output(N0, q))
-        assert struct_congruent(Input(N0, "y", p), Input(N0, "y", q))
-        assert struct_congruent(Deref(Quote(p)), Deref(Quote(q)))
+        assert canon_process(Par(p, r)) == canon_process(Par(q, r))
+        assert canon_process(Output(N0, p)) == canon_process(Output(N0, q))
+        assert canon_process(Input(N0, "y", p)) == canon_process(Input(N0, "y", q))
+        assert canon_process(Deref(Quote(p))) == canon_process(Deref(Quote(q)))
+
+
+def test_canon_binder_tokens_stay_distinct_next_to_free_v_identifiers():
+    # free identifiers named like tokens push the binders of both depths up;
+    # they must still get one token each, or the two processes would merge
+    p = parse_rho("for(a <- &0)for(b <- a)(b!0 | a!0) | v0!0 | v1!0")
+    q = parse_rho("for(a <- &0)for(b <- a)(b!0 | b!0) | v0!0 | v1!0")
+    assert canon_process(p) != canon_process(q)
+    assert canon_process(p) == canon_process(
+        parse_rho("v1!0 | for(x <- &0)for(y <- x)(x!0 | y!0) | v0!0"))
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +102,15 @@ def test_canon_congruence_closed_under_constructors():
 
 
 def test_name_equiv_quote_deref_collapse():
-    assert name_equiv(Quote(Deref(N0)), N0)
+    assert canon_name(Quote(Deref(N0))) == canon_name(N0)
 
 
 def test_name_equiv_congruent_quotes():
-    assert name_equiv(Quote(Par(ZERO, ZERO)), N0)
+    assert canon_name(Quote(Par(ZERO, ZERO))) == canon_name(N0)
 
 
 def test_name_equiv_distinct():
-    assert not name_equiv(N0, Quote(out0()))
+    assert canon_name(N0) != canon_name(Quote(out0()))
 
 
 def test_name_equiv_inference_rules_random():
@@ -132,85 +118,11 @@ def test_name_equiv_inference_rules_random():
     for _ in range(150):
         p = random_process(rng, 3)
         # quote of dereference collapses
-        assert name_equiv(Quote(Deref(Quote(p))), Quote(p))
+        assert canon_name(Quote(Deref(Quote(p)))) == canon_name(Quote(p))
         # congruent processes, equivalent quotes
         padded = Par(ZERO, p)
-        assert struct_congruent(p, padded)
-        assert name_equiv(Quote(p), Quote(padded))
-
-
-# ---------------------------------------------------------------------------
-# substitution
-
-
-def test_subst_stopped():
-    assert subst_syntactic(ZERO, N0, Quote(out0())) == ZERO
-
-
-def test_subst_deref_equivalent_to_new_name():
-    # the dereferenced name is already equivalent to the incoming name
-    d = Deref(Quote(Par(ZERO, ZERO)))
-    got = subst_syntactic(d, N0, Quote(out0()))
-    assert got == Deref(N0)
-    assert subst_semantic(d, N0, Quote(out0())) == ZERO
-
-
-def test_subst_deref_other_name_unchanged():
-    d = Deref(Quote(out0()))
-    assert subst_semantic(d, N0, Quote(Deref(N0))) == d
-
-
-def test_subst_at_subject():
-    old = Quote(out0())
-    p = Output(old, ZERO)
-    assert subst_syntactic(p, N0, old) == Output(N0, ZERO)
-
-
-def test_subst_binder_occurrences():
-    body = Par(Output(Var("y"), ZERO), Deref(Var("y")))
-    got = subst_syntactic(body, N0, Var("y"))
-    assert got == Par(Output(N0, ZERO), Deref(N0))
-    sem = subst_semantic(body, N0, Var("y"))
-    assert sem == Par(Output(N0, ZERO), ZERO)
-
-
-def test_subst_input_clause_freshens_binder(monkeypatch):
-    recorded = []
-    original = rho._fresh_binder
-
-    def spy(body, new, old, quoted):
-        z = original(body, new, old, quoted)
-        recorded.append((body, new, old, quoted, z))
-        return z
-
-    monkeypatch.setattr(rho, "_fresh_binder", spy)
-    rng = random.Random(23)
-    applications = 0
-    for _ in range(120):
-        p = random_process(rng, 4)
-        q = random_process(rng, 2)
-        subst_syntactic(p, Quote(q), N0)
-    for body, new, old, quoted, z in recorded:
-        applications += 1
-        zn = Var(z)
-        assert not name_equiv(zn, new)
-        assert not name_equiv(zn, old)
-        if quoted is not None:
-            for fn in free_names(quoted):
-                assert not name_equiv(zn, fn)
-        assert zn not in all_names(body)
-    assert applications > 0
-
-
-def test_subst_never_captures():
-    # substituting a process that mentions the very identifier a binder uses
-    p = Input(N0, "z0", Output(Var("z0"), ZERO))
-    new = Quote(Input(N0, "z0", ZERO))
-    got = subst_syntactic(p, new, N0)
-    # subject was substituted, binder occurrences still line up
-    assert isinstance(got, Input)
-    assert got.subject == new
-    assert free_names(got) == {canon_name(new)}
+        assert canon_process(p) == canon_process(padded)
+        assert canon_name(Quote(p)) == canon_name(Quote(padded))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +162,7 @@ def test_comm_distinct_receivers_two_successors():
 def test_comm_invariant_under_canonicalization():
     rng = random.Random(24)
     for _ in range(120):
-        p = rho.random_comm_candidate(rng, 3)
+        p = random_comm_candidate(rng, 3)
         assert comm_step(p) == comm_step(canon_process(p))
 
 
@@ -260,6 +172,39 @@ def test_comm_substitutes_quoted_deref_chain_subject():
     p = Par(Input(N0, "y", body), Output(N0, out0()))
     (successor,) = comm_step(p)
     assert successor == canon_process(Output(Quote(out0()), ZERO))
+
+
+def test_subst_binder_occurrences():
+    # the binder as an output subject, under a dereference, as an input subject
+    p = parse_rho("for(y <- &0)(y!0 | *y | for(z <- y)*z) | &0!(&0!0)")
+    want = parse_rho("&(&0!0)!0 | *&(&0!0) | for(z <- &(&0!0))*z")
+    assert comm_step(p) == {canon_process(want)}
+
+
+def test_subst_never_captures():
+    # the message binds z0, as the continuation's inner input does; canonically
+    # the message binds v0, the token of the continuation's own binder
+    p = Par(Input(N0, "y", Input(N0, "z0", Par(Output(Var("z0"), ZERO), Output(Var("y"), ZERO)))),
+            Output(N0, Input(N0, "z0", Output(Var("z0"), ZERO))))
+    (successor,) = comm_step(p)
+    message = Quote(Input(N0, "w", Output(Var("w"), ZERO)))
+    assert successor == canon_process(Input(N0, "x", Par(Output(Var("x"), ZERO), Output(message, ZERO))))
+    assert is_closed(successor)
+
+
+def test_comm_does_not_plug_inside_quotes():
+    # the quoted input reuses the outer binder's token in a scope of its own;
+    # a dereference of another name stays as it is
+    p = parse_rho("for(y <- &0)(&(for(w <- &0)w!0)!0 | *&(&0!0) | y!0) | &0!0")
+    want = parse_rho("&(for(w <- &0)w!0)!0 | *&(&0!0) | &0!0")
+    assert comm_step(p) == {canon_process(want)}
+
+
+def test_comm_with_free_v_identifiers_keeps_the_binders_apart():
+    # canonically both binders would be v2 if tokens could collide, and the
+    # inner one would shadow the outer one's occurrence v1!0
+    p = parse_rho("for(v1 <- &0)(for(v0 <- v1)(v0!0 | v1!0)) | &0!(*v0) | *v1")
+    assert comm_step(p) == {canon_process(parse_rho("for(y <- v0)(y!0 | v0!0) | *v1"))}
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +272,7 @@ def _cycles_left(f, inputs) -> int:
 
 def test_canonical_forms_communication_and_translation_leave_no_reference_cycles():
     rng = random.Random(56)
-    procs = [rho.random_comm_candidate(rng) for _ in range(50)]
+    procs = [random_comm_candidate(rng) for _ in range(50)]
     assert _cycles_left(canon_process, procs) == 0
     assert _cycles_left(comm_step, procs) == 0
     assert _cycles_left(lambda p: comb.backinterp(comb.interp(p)), procs) == 0

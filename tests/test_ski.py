@@ -20,7 +20,6 @@ from skirho.ski import (
     gas_run,
     gas_trace,
     marker_count,
-    random_ski_term,
     ski_presentation,
     strip_marker,
     whnf,
@@ -28,6 +27,8 @@ from skirho.ski import (
     whnf_run,
     wrap_markers,
 )
+
+from gen import random_ski_term
 
 PLAIN = ski_presentation("plain")
 WHNF = ski_presentation("whnf")

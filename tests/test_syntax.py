@@ -19,6 +19,8 @@ from skirho.syntax import (
     print_ski,
 )
 
+from gen import random_process, random_ski_term, random_sorted_comb
+
 
 def test_parse_ski_application_tree():
     t = parse_ski("((S K) K)")
@@ -85,7 +87,7 @@ def test_parse_rho_name_literals():
 def test_roundtrip_ski_random():
     rng = random.Random(50)
     for _ in range(300):
-        t = ski.random_ski_term(rng.randint(1, 10), rng)
+        t = random_ski_term(rng.randint(1, 10), rng)
         assert parse_ski(print_ski(t)) == t
 
 
@@ -93,14 +95,14 @@ def test_roundtrip_ski_marked():
     rng = random.Random(51)
     whnf = ski.ski_presentation("whnf")
     for _ in range(150):
-        t = canonicalize(whnf, ski.R(ski.random_ski_term(rng.randint(1, 8), rng)))
+        t = canonicalize(whnf, ski.R(random_ski_term(rng.randint(1, 8), rng)))
         assert parse_ski(print_ski(t), "whnf") == t
 
 
 def test_roundtrip_rho_random():
     rng = random.Random(52)
     for _ in range(400):
-        p = rho.random_process(rng, 4)
+        p = random_process(rng, 4)
         text = print_rho(p)
         assert parse_rho(text) == p
         # printing is stable across one more cycle
@@ -110,7 +112,7 @@ def test_roundtrip_rho_random():
 def test_roundtrip_comb_random():
     rng = random.Random(53)
     for _ in range(200):
-        q = comb.random_sorted_comb(rng, 3, 2)
+        q = random_sorted_comb(rng, 3, 2)
         assert parse_comb(print_comb(q)) == q
 
 
