@@ -233,18 +233,11 @@ def faithfulness_check(p: rho.Process, q: rho.Process, names, depth: int,
 
 
 def names_occurring(agent: Agent) -> list:
-    """All names occurring in an agent, canonical and deduplicated."""
+    """The names an agent can barb on, canonical and deduplicated: every
+    name occurring in it but an identifier an enclosing input binds."""
     if isinstance(agent, Term):
-        quotes = comb.quote_subterms(comb.canon(agent))
-        out = []
-        for qt in quotes:
-            name = comb.canon(comb.ap(comb.atom(comb.AMP_DECL), qt))
-            if name not in out:
-                out.append(name)
-        return out
-    out = []
-    for n in rho.all_names(agent):
-        c = rho.canon_name(n)
-        if c not in out:
-            out.append(c)
-    return out
+        found = [comb.ap(comb.atom(comb.AMP_DECL), q) for q in comb.quote_subterms(comb.canon(agent))]
+    else:
+        free = rho.free_idents(agent)
+        found = [n for n in rho.all_names(agent) if isinstance(n, rho.Quote) or n.ident in free]
+    return list(dict.fromkeys(map(calculus_of(agent).canon_name, found)))

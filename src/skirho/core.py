@@ -21,20 +21,17 @@ marker may match with surplus markers peeled off into the surrounding
 context.  Both correspond to matching the rule inside some representative
 of the congruence class, which is exactly where the one-step edges of the
 free model live.  Each presentation compiles its left-hand sides once, on
-first use, into matchers (one binding or none without a group node) and
-files each rule in an index: under the spine key of its left-hand side (the
-constructor its leftmost path ends in, the path's length and markers), or
-under its group and the atoms it requires.  One pass over a term keys every
-position, and a rule is tried only at the positions filed under its key.
+first use, into matchers keyed by their group or by the spine key of their
+leftmost path (the constructor it ends in, its length and markers).
 
-A `Term` carries its hash, computed once at construction, its order key
-(`term_key`), computed on first use, and a mark naming the presentation it
-is canonical under, set where that is established.  `canonicalize` returns
-a marked term at once, and of any other term rebuilds only the nodes that
-change: every canonical subterm comes back as the same object.  A successor
-is the term with its redex replaced, put through `canonicalize`: every other
-subterm of a canonical term is marked already, so that walks only the new
-right-hand-side nodes and the redex path.
+A `Term` carries its hash and, once asked, its order key (`term_key`).  A
+canonical term carries its rule summary under the presentation it is
+canonical under: which rules' keys it and its subtree hold, found from its
+children's summaries in the walk that marks it (incremental attribute
+evaluation, Reps, Teitelbaum & Demers 1983).  `canonicalize` returns a
+marked term at once and rebuilds and summarizes only the nodes that change,
+so a successor pays for its redex path and new right-hand side, and redex
+enumeration enters only the subtrees whose summary holds the rule it tries.
 """
 
 from __future__ import annotations
@@ -116,9 +113,9 @@ class Term:
 
     Immutable.  The hash is computed once, from the head's and the children's
     cached hashes; `term_key` caches the order key on the node when first
-    asked (a term with MetaVar leaves never needs one), and canonicalization
-    marks it with the presentation it is canonical under (`_mark`, unset
-    until then, so that construction pays nothing for it).
+    asked (a term with MetaVar leaves never needs one), and `_mark` holds the
+    rule summary of a canonical node, whose first entry is the presentation
+    it is canonical under (unset until then: construction pays nothing).
     """
 
     __slots__ = ("head", "children", "_hash", "_key", "_mark")
@@ -252,7 +249,11 @@ class Presentation:
     @cached_property
     def _rule_table(self) -> tuple[_Rule, ...]:
         """Each rule with its left-hand side compiled, built on first use."""
-        return tuple(_compile_rule(self, rule) for rule in self.rules)
+        return tuple(_compile_rule(self, rule, 1 << i) for i, rule in enumerate(self.rules))
+
+    @cached_property
+    def _summaries(self) -> dict:
+        return {}  # what `_summarize` has made
 
 
 @dataclass
@@ -392,7 +393,8 @@ def canonicalize(p: Presentation, t: Term) -> Term:
 
 
 def _canon(p: Presentation, t: Term) -> Term:
-    if getattr(t, "_mark", None) is p:
+    s = getattr(t, "_mark", None)
+    if s is not None and s[0] is p:
         return t
     g = _group_of(p, t)
     if g is None:
@@ -402,7 +404,7 @@ def _canon(p: Presentation, t: Term) -> Term:
     elems = sorted((x for e in flatten_term(g, t) for x in flatten_term(g, _canon(p, e))), key=term_key)
     if not _joins(g, t, elems):
         t = group_join(g, elems)
-    _set_mark(t, p)
+    _summarize(p, t, g, elems)
     return t
 
 
@@ -422,9 +424,12 @@ def _settle(p: Presentation, t: Term) -> Term:
             x, y = t.children[0].children
             return _settle(p, Term(f.app, (_settle(p, Term(f.marker, (x,))), y)))
     g = _group_of(p, t)
-    if g is not None:
-        t = group_join(g, sorted(flatten_term(g, t), key=term_key))
-    _set_mark(t, p)
+    if g is None:
+        _summarize(p, t, None, t.children)
+        return t
+    elems = sorted(flatten_term(g, t), key=term_key)
+    t = group_join(g, elems)
+    _summarize(p, t, g, elems)
     return t
 
 
@@ -602,25 +607,97 @@ def match_pattern(p: Presentation, pat: Pattern, t: Term) -> Optional[dict[str, 
 
 @dataclass(frozen=True)
 class _Rule:
-    """A rule with its left-hand side compiled: flattened when group-shaped,
-    else a matcher with its spine key (None: any position may match) and the
-    marker floats ``(float, spine-marker count)`` that may peel for it."""
+    """A rule with its bit in the summaries and its left-hand side compiled:
+    flattened when group-shaped, else a matcher with its spine key (None: no
+    key) and the marker floats ``(float, spine-marker count)`` that may peel."""
 
     rule: RewriteRule
+    bit: int
     flat: Optional[_Flat] = None
     match: Optional[Matcher] = None
     spine: Optional[tuple] = None
     floats: tuple = ()
 
 
-def _compile_rule(p: Presentation, rule: RewriteRule) -> _Rule:
+def _compile_rule(p: Presentation, rule: RewriteRule, bit: int) -> _Rule:
     g = _group_of(p, rule.lhs)
     if g is not None:
-        return _Rule(rule, flat=_flat(p, g, rule.lhs))
+        return _Rule(rule, bit, flat=_flat(p, g, rule.lhs))
     floats = tuple((f, c) for f in p.congruence.marker_floats
                    if (c := _pattern_spine_marker(f, rule.lhs)) is not None)
-    return _Rule(rule, match=_matcher(p, rule.lhs), spine=_positions(p, rule.lhs)[0][0][4],
-                 floats=floats)
+    spine, path = None, [rule.lhs]  # the leftmost path, to a leaf, a metavariable or a group
+    while path[-1].children and _group_of(p, path[-1]) is None:
+        path.append(path[-1].children[0])
+    for node in reversed(path):
+        spine = _spine_key(p, node, spine)
+    return _Rule(rule, bit, match=_matcher(p, rule.lhs), spine=spine, floats=floats)
+
+
+def _spine_key(p: Presentation, node: Pattern, first: Optional[tuple]) -> Optional[tuple]:
+    """The spine key of a node outside a group, from its first child's: the
+    name its leftmost path ends in and how many of the path's nodes are not
+    floating markers and how many are; None past a metavariable or a group."""
+    if not node.children:
+        return None if node.head is None else (node.head.name, 0, 0)
+    m = any(node.head == f.marker for f in p.congruence.marker_floats)
+    return first and (first[0], first[1] + (not m), first[2] + m)
+
+
+def _own(p: Presentation, spine: Optional[tuple], g: Optional[AcuGroup]) -> int:
+    """The rules tried at a node with this spine key or group: a group rule at
+    its group's nodes, or everywhere if it takes one element; any other rule
+    outside groups, where its key, if any, agrees in name and length and
+    asks for at most these markers."""
+    return sum(r.bit for r in p._rule_table if (
+        r.flat.group is g or len(r.flat.needs) + len(r.flat.elems) <= 1 if r.flat is not None
+        else g is None and (r.spine is None or spine and r.spine[:2] == spine[:2] and r.spine[2] <= spine[2])))
+
+
+def _summarize(p: Presentation, t: Term, g: Optional[AcuGroup], parts: Sequence[Term]) -> None:
+    """Mark t, canonical under p, with its summary ``(p, spine, group, own,
+    below)``: its spine key, its group, and the rules tried at t and in its
+    subtree, found from the summaries of `parts`, its elements if it is a
+    g-group node and else its children.  Nodes alike share one tuple."""
+    if g is not None and len(parts) < 2:
+        _summary(p, t)  # the join is the unit or the one element
+        return
+    below, first = 0, None
+    for c in parts:
+        s = getattr(c, "_mark", None)
+        if s is None or s[0] is not p:
+            s = _summary(p, c)
+        below |= s[4]
+        first = first or s
+    key = g if g is not None else (t.head.name, first[1] if first else ())
+    found = p._summaries.get(key)
+    if found is None:
+        spine = None if g is not None else _spine_key(p, t, first and first[1])
+        found = p._summaries[key] = (spine, _own(p, spine, g), {})
+    spine, own, made = found
+    s = made.get(below | own)
+    if s is None:
+        s = made[below | own] = (p, spine, g, own, below | own)
+    _set_mark(t, s)
+
+
+def _summary(p: Presentation, t: Term) -> tuple:
+    """The summary of t, canonical under p: its mark, or made with an
+    explicit stack for t and every node below it not marked for p (a
+    congruence-free presentation marks only what is enumerated, and a node
+    shared with another presentation may carry that one's mark)."""
+    todo: list = [(t, None, None)]
+    while todo:
+        u, g, parts = todo.pop()
+        s = getattr(u, "_mark", None)
+        if s is not None and s[0] is p:
+            continue
+        if parts is not None:  # every part is summarized by now
+            _summarize(p, u, g, parts)
+            continue
+        g = _group_of(p, u)
+        parts = u.children if g is None else flatten_term(g, u)
+        todo += [(u, g, parts)] + [(c, None, None) for c in parts]
+    return t._mark
 
 
 def _select(p: Presentation, rules: Optional[Sequence[str]]) -> tuple[_Rule, ...]:
@@ -675,114 +752,84 @@ def _peel(floats: Sequence[tuple[MarkerFloat, int]], node: Term) -> tuple[int, O
     return 0, None, node
 
 
-def _positions(p: Presentation, t: Pattern) -> tuple[list[tuple], dict]:
-    """Pre-order positions ``(path, node, group, elements, spine)`` of t, a
-    maximal ACU group counting as one node over its elements, and the index
-    of them, in pre-order, by group and by ``(name, length)``.  A node
-    outside a group has the spine key of its leftmost path: the name of the
-    constructor it ends in, how many of its nodes are not floating markers
-    and how many are; None when the path meets a metavariable or a group.
-    A rule's key is its left-hand side's: it matches only where name and
-    length agree, with at least as many markers."""
-    out: list = []
-    _collect_positions(p, [f.marker for f in p.congruence.marker_floats], out, t, ())
-    index: dict = {}
-    for pos in out:
-        key = pos[2] if pos[2] is not None else pos[4] and pos[4][:2]
-        if key is not None:
-            index.setdefault(key, []).append(pos)
-    return out, index
-
-
-def _collect_positions(p: Presentation, markers: list[ConstructorDecl], out: list,
-                       node: Pattern, path: tuple[int, ...]) -> Optional[tuple]:
-    """Append node's positions to out, in pre-order; return its spine key."""
-    g = _group_of(p, node)
-    i = len(out)
-    out.append(None)
-    if g is not None:
-        elems = []
-        cur, base = node, path
-        while _group_of(p, cur) is g:
-            elems.append(cur.children[0].children[1])
-            _collect_positions(p, markers, out, elems[-1], base + (0, 1))
-            cur = cur.children[1]
-            base += (1,)
-        elems.append(cur)
-        _collect_positions(p, markers, out, cur, base)
-        out[i] = (path, node, g, elems, None)
-        return None
-    spine = None if node.head is None else (node.head.name, 0, 0)
-    for j, c in enumerate(node.children):
-        below = _collect_positions(p, markers, out, c, path + (j,))
-        if j == 0:
-            m = node.head in markers
-            spine = below and (below[0], below[1] + (not m), below[2] + m)
-    out[i] = (path, node, None, None, spine)
-    return spine
+def _sites(p: Presentation, t: Term, s: tuple, bit: int) -> Iterator[tuple]:
+    """Pre-order ``(path, node, summary)`` of the positions of canonical t (a
+    maximal group is one node over its elements) whose summary holds `bit`
+    as their own; a subtree whose summary does not hold it is skipped."""
+    todo = [((), t, s)]
+    while todo:
+        path, node, s = todo.pop()
+        if s[3] & bit:
+            yield path, node, s
+        if s[2] is None:
+            kids = [((i,), c) for i, c in enumerate(node.children)]
+        else:
+            kids, base = [], ()
+            while _shaped(s[2], node):
+                kids.append((base + (0, 1), node.children[0].children[1]))
+                node, base = node.children[1], base + (1,)
+            kids.append((base, node))
+        for step, c in reversed(kids):
+            cs = getattr(c, "_mark", None)
+            if cs is None or cs[0] is not p:
+                cs = _summary(p, c)
+            if cs[4] & bit:
+                todo.append((path + step, c, cs))
 
 
 def iter_redexes(
     p: Presentation, t: Term, rules: Optional[Sequence[str]] = None
 ) -> Iterator[tuple[Redex, Term]]:
-    """Yield (redex, canonical successor) pairs of a canonical term in
-    deterministic order.
+    """Yield (redex, canonical successor) pairs of t's canonical form in
+    deterministic order, one at a time: `first` stops at the first.
 
     Order is rule-major: presentation rule order first, then leftmost-outermost
     position, then multiset decomposition order.  A rule is tried only at the
-    positions the index files under its key.  A successor is the term with
-    the redex replaced, put through `canonicalize`: the rest of the term is
-    marked canonical already, so this walks only the new right-hand-side
-    nodes, the wrappers around them and the redex path.  Naming a rule the
-    presentation lacks raises ValueError.
+    positions whose summary holds it, in subtrees whose summary holds it
+    below.  A successor is the term with the redex replaced, put through
+    `canonicalize`, which walks only the new right-hand-side nodes, the
+    wrappers around them and the redex path.  Naming a rule the presentation
+    lacks raises ValueError.
     """
     table = _select(p, rules)
-    positions, index = _positions(p, t)
+    t = canonicalize(p, t)
+    top = _summary(p, t)
     for r in table:
-        rule = r.rule
-        if r.flat is not None:
-            flat = r.flat
-            g = flat.group
-            # a node outside the group is a group of at most one element
-            many = len(flat.needs) + len(flat.elems) > 1
-            for path, node, group, elems, _ in index.get(g, ()) if many else positions:
-                if group is not g:
-                    elems = [] if node == g.unit else [node]
+        for path, node, s in _sites(p, t, top, r.bit) if top[4] & r.bit else ():
+            if r.flat is not None:
+                flat, g = r.flat, r.flat.group
+                # a node outside the group is a group of at most one element
+                elems = flatten_term(g, node) if s[2] is g else [] if node == g.unit else [node]
                 left = _take(flat.needs, elems)
                 if left is None or len(left) < len(flat.elems):
                     continue
                 for b in _match_group(flat, left, {}, not flat.collectors):
                     rest = b.pop(REST_VAR, None)
-                    inst = instantiate(rule.rhs, b)
+                    inst = instantiate(r.rule.rhs, b)
                     if rest is not None and rest != g.unit:
                         inst = Term(g.app, (Term(g.app, (g.operator, inst)), rest))
-                    yield (Redex(rule.name, path, b, peel=0, rest=rest),
+                    yield (Redex(r.rule.name, path, b, peel=0, rest=rest),
                            canonicalize(p, replace_at(t, path, inst)))
-            continue
-        key = r.spine
-        for path, node, group, _, spine in positions if key is None else index.get(key[:2], ()):
-            if group is not None or key is not None and spine[2] < key[2]:
-                continue  # a group node hosts only ACU-shaped rules
-            if r.floats and (spine is None or spine[2]):
+                continue
+            if r.floats and (s[1] is None or s[1][2]):
                 peel, marker, target = _peel(r.floats, node)
             else:
                 peel, marker, target = 0, None, node
             for b in r.match(target, {}):
-                inst = instantiate(rule.rhs, b)
+                inst = instantiate(r.rule.rhs, b)
                 for _ in range(peel):
                     inst = Term(marker, (inst,))
-                yield (Redex(rule.name, path, b, peel=peel, rest=None),
+                yield (Redex(r.rule.name, path, b, peel=peel, rest=None),
                        canonicalize(p, replace_at(t, path, inst)))
 
 
 def find_redexes(p: Presentation, t: Term, rules: Optional[Sequence[str]] = None) -> list[Redex]:
-    t = canonicalize(p, t)
     return [r for r, _ in iter_redexes(p, t, rules)]
 
 
 def apply_redex(p: Presentation, t: Term, r: Redex) -> Term:
     want = Redex(r.rule, tuple(r.position), r.binding, r.peel, r.rest)
-    for cand, succ in iter_redexes(p, canonicalize(p, t)):
+    for cand, succ in iter_redexes(p, t):
         if cand == want:
             return succ
     raise InvalidRedex(f"redex {r.rule}@{tuple(r.position)} does not apply to this term")
@@ -790,12 +837,10 @@ def apply_redex(p: Presentation, t: Term, r: Redex) -> Term:
 
 def step(p: Presentation, t: Term, rules: Optional[Sequence[str]] = None) -> set[Term]:
     """Set of canonical one-step successors, deduplicated."""
-    t = canonicalize(p, t)
     return {succ for _, succ in iter_redexes(p, t, rules)}
 
 
 def is_normal(p: Presentation, t: Term, rules: Optional[Sequence[str]] = None) -> bool:
-    t = canonicalize(p, t)
     return next(iter_redexes(p, t, rules), None) is None
 
 
@@ -958,15 +1003,9 @@ def _check_pattern(p: Presentation, q: Pattern, where: str, mvar_sorts: dict[str
 def validate_presentation(p: Presentation) -> ValidationReport:
     defects: list[str] = []
 
-    names = [s.name for s in p.sorts]
-    for name in sorted({n for n in names if names.count(n) > 1}):
-        defects.append(f"duplicate sort name {name}")
-    cnames = [c.name for c in p.constructors]
-    for name in sorted({n for n in cnames if cnames.count(n) > 1}):
-        defects.append(f"duplicate constructor name {name}")
-    rnames = [r.name for r in p.rules]
-    for name in sorted({n for n in rnames if rnames.count(n) > 1}):
-        defects.append(f"duplicate rule name {name}")
+    for kind, items in (("sort", p.sorts), ("constructor", p.constructors), ("rule", p.rules)):
+        names = [x.name for x in items]
+        defects += [f"duplicate {kind} name {n}" for n in sorted({n for n in names if names.count(n) > 1})]
 
     for ctor in p.constructors:
         for s in (*ctor.argument_sorts, ctor.result_sort):

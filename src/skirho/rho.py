@@ -185,7 +185,7 @@ def is_closed(p: Process) -> bool:
 
 
 def all_names(p: Process) -> list[Name]:
-    """Every name at a reachable name position, resolved; binders as idents."""
+    """Every name at a reachable name position, resolved."""
     out: list[Name] = []
     _names_in(p, out)
     return out
@@ -203,9 +203,8 @@ def _names_in(q: Process, out: list[Name]) -> None:
             _names_in(body, out)
         case Deref(x):
             _name_and_names_in(x, out)
-        case Input(x, binder, body):
+        case Input(x, _, body):
             _name_and_names_in(x, out)
-            out.append(Var(binder))
             _names_in(body, out)
 
 

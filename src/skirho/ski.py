@@ -159,8 +159,6 @@ def gas_run(t: Term, n: int, fuel: Optional[int] = None) -> tuple[Term, int]:
         raise ValueError("term must be R-free")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if fuel is None:
-        fuel = n
     trace = gas_trace(t, n, fuel)
     if trace.status == "fuel_exhausted":
         raise FuelExhausted("gas run did not finish within fuel")

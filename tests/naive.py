@@ -188,7 +188,11 @@ def naive_redexes(p, t, rules=None):
     no compiled matcher: every rule is matched by plain recursion at every
     position, and every successor is the whole term rebuilt and
     canonicalized again by `naive_canonicalize`."""
-    out = []
+    return list(iter_naive_redexes(p, t, rules))
+
+
+def iter_naive_redexes(p, t, rules=None):
+    """`naive_redexes`, one at a time."""
     for rule in p.rules:
         if rules is not None and rule.name not in rules:
             continue
@@ -203,7 +207,7 @@ def naive_redexes(p, t, rules=None):
                     if left is not None and left != g.unit:
                         inst = Term(g.app, (Term(g.app, (g.operator, inst)), left))
                     succ = naive_canonicalize(p, replace_at(t, path, inst))
-                    out.append((Redex(rule.name, path, b, 0, left), succ))
+                    yield Redex(rule.name, path, b, 0, left), succ
             elif _group(p, node) is None:
                 peel, marker, target = _peeled(p, rule.lhs, node)
                 for b in _match(p, rule.lhs, target, {}):
@@ -211,8 +215,7 @@ def naive_redexes(p, t, rules=None):
                     for _ in range(peel):
                         inst = Term(marker, (inst,))
                     succ = naive_canonicalize(p, replace_at(t, path, inst))
-                    out.append((Redex(rule.name, path, b, peel, None), succ))
-    return out
+                    yield Redex(rule.name, path, b, peel, None), succ
 
 
 def _group(p, t):

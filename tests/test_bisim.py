@@ -67,6 +67,29 @@ def test_barbs_invariant_under_canonicalization():
         assert barbs(p, names) == barbs(rho.canon_process(p), names)
 
 
+def test_names_occurring_leaves_out_bound_identifiers():
+    p = parse_rho("for(y <- &0)(y!0 | for(z <- y)*z) | &0!0")
+    assert names_occurring(p) == [parse_rho_name("&0")]
+    # inside a quote a fresh scope begins; an identifier no input binds stays
+    p = parse_rho("for(y <- &(for(z <- &0)z!0))*y")
+    assert names_occurring(p) == [rho.canon_name(parse_rho_name("&(for(z <- &0)z!0)")), N0]
+    assert names_occurring(Par(Output(Var("x"), ZERO), Input(Var("x"), "x", out0()))) == [Var("x"), N0]
+
+
+def test_bound_identifiers_never_decide_a_verdict():
+    rng = random.Random(58)
+    bound = [Var(f"u{i}") for i in range(3)]  # every binder the generator writes
+    for _ in range(40):
+        p, q = random_comm_candidate(rng, 3), random_comm_candidate(rng, 3)
+        names = names_occurring(p) + [n for n in names_occurring(q) if n not in names_occurring(p)]
+        assert not any(isinstance(n, Var) for n in names)
+        for a, b in ((p, q), (p, Par(p, ZERO)), (q, q)):
+            with_bound = faithfulness_check(a, b, names + bound, 3)
+            report = faithfulness_check(a, b, names, 3)
+            assert (report.calculus.bisimilar, report.combinator.bisimilar) == (
+                with_bound.calculus.bisimilar, with_bound.combinator.bisimilar)
+
+
 def test_barbs_combinator_side():
     t = comb.aps(comb.atom(comb.PAR_DECL), comb.atom(comb.ZERO_DECL),
                  interp(out0()))

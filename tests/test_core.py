@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import gc
 import random
 
@@ -44,8 +45,8 @@ from skirho.comb import ATOM_DECLS, ZERO_DECL, PAR_DECL, AMP_DECL, BANG_DECL, FO
 from skirho.ski import I, K, S, ap
 
 from gen import random_comm_candidate, random_process, random_ski_term, random_sorted_comb
-from naive import (bfs_distance_to_normal, close_under_monoid_laws, naive_canonicalize, naive_redexes,
-                   naive_ski_step)
+from naive import (bfs_distance_to_normal, close_under_monoid_laws, iter_naive_redexes, naive_canonicalize,
+                   naive_redexes, naive_ski_step)
 
 PLAIN = ski.ski_presentation("plain")
 WHNF = ski.ski_presentation("whnf")
@@ -886,3 +887,113 @@ def test_group_matching_leaves_no_reference_cycles():
         assert found > 0 and gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the enumeration order, pinned
+
+
+def _pinned_inputs():
+    """Seeded inputs of the four calculi the rewriting core runs."""
+    from skirho.calculus import CALCULI
+
+    rng = random.Random(61)
+    cases = []
+    for _ in range(150):
+        t = random_ski_term(rng.randint(2, 14), rng)
+        cases.append((CALCULI["ski"], t))
+        cases.append((CALCULI["ski-whnf"], ski.R(random_ski_term(rng.randint(2, 14), rng))))
+        cases.append((CALCULI["ski-gas"], CALCULI["ski-gas"].gas(t, rng.randint(0, 6))))
+    for _ in range(50):  # criterion 5 and 8 shapes
+        cases.append((CALCULI["rho-comb"], comb.wrap_context(comb.interp(random_comm_candidate(rng, 3)))))
+        cases.append((CALCULI["rho-comb"], comb.wrap_context(random_sorted_comb(rng, depth=3, expansions=3))))
+    return [(calc, calc.canon(t)) for calc, t in cases]
+
+
+def _pin_lines(calc, t, seed):
+    """Every redex of t with its successor, then a first, random and all run."""
+    def redex(r):
+        binding = ",".join(f"{k}={calc.print(v)}" for k, v in sorted(r.binding.items()))
+        rest = None if r.rest is None else calc.print(r.rest)
+        return f"{r.rule}@{r.position} [{binding}] {r.peel} {rest}"
+
+    lines = [f"{redex(r)} -> {calc.print(u)}" for r, u in calc.edges(t)]
+    for strategy, fuel in (("first", 12), ("random", 12), ("all", 4)):
+        trace = drive(t, calc.edges, strategy, fuel, seed=seed, state_budget=300)
+        lines.append(f"{strategy} {trace.status} " + " ".join(
+            f"{redex(r)} -> {calc.print(u)}" for r, u in trace.steps))
+    return lines
+
+
+def test_enumeration_order_is_pinned():
+    # sha256 of the redex lists and traces, as computed when every
+    # enumeration still keyed each position of the whole term
+    lines = [line for i, (calc, t) in enumerate(_pinned_inputs()) for line in _pin_lines(calc, t, i)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert len(lines) == 2364  # 714 redexes (91 peel markers, 59 keep a rest) and 1,650 runs
+    assert digest == "4f2784c5d809c4d682e7df4778e2722a86174da9c2a730db46a7f4e377e6df48"
+
+
+# ---------------------------------------------------------------------------
+# a step pays for its redex path
+
+GROWING = "(((S I) I) ((S (K ((S I) I))) ((S ((S (K S)) K)) (K ((S I) I)))))"
+
+
+def _unsummarized(p, t):
+    """How many nodes of t carry no rule summary under p."""
+    n, todo = 0, [t]
+    while todo:
+        u = todo.pop()
+        s = getattr(u, "_mark", None)
+        if s is None or s[0] is not p:
+            n += 1
+            todo += u.children
+    return n
+
+
+def test_a_step_pays_for_its_redex_path_only():
+    from skirho.syntax import parse_ski
+
+    new_nodes = {r.name: sum(1 for _ in _pattern_nodes(r.rhs)) for r in PLAIN.rules}
+    assert new_nodes == {"sigma": 3, "kappa": 0, "iota": 0}
+    cur = naive = parse_ski(GROWING, variant="plain")
+    trace = reduce(PLAIN, cur, "first", 300)
+    assert len(trace.steps) == 300
+    for i, (r, succ) in enumerate(trace.steps):
+        assert (r, succ) == next(iter_naive_redexes(PLAIN, naive))
+        naive = succ
+        if i + 1 < len(trace.steps):
+            # what the next enumeration summarizes: the path and the new right-hand side
+            assert _unsummarized(PLAIN, succ) <= len(r.position) + new_nodes[r.rule]
+    assert max(len(r.position) for r, _ in trace.steps) > 10
+
+
+def _pattern_nodes(pat):
+    todo = [pat]
+    while todo:
+        q = todo.pop()
+        if not isinstance(q, MetaVar):
+            yield q
+            todo += q.children
+
+
+def _left_spine(t):
+    """Head name and argument names of a left spine of leaves."""
+    args = []
+    while t.children:
+        args.append(t.children[1].head.name)
+        t = t.children[0]
+    return t.head.name, args
+
+
+def test_deep_terms_do_not_overflow_the_enumerator():
+    t = I()
+    for _ in range(3000):  # I K K ... K: a left spine 3,000 applications deep
+        t = ap(t, K())
+    (succ,) = step(PLAIN, t)
+    assert _left_spine(succ) == ("K", ["K"] * 2999)
+    trace = reduce(PLAIN, t, "first", 10)
+    assert [r.rule for r, _ in trace.steps] == ["iota"] + ["kappa"] * 9
+    assert trace.steps[0][0].position == (0,) * 2999
+    assert _left_spine(trace.final) == ("K", ["K"] * 2981)
