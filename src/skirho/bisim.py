@@ -235,9 +235,7 @@ def faithfulness_check(p: rho.Process, q: rho.Process, names, depth: int,
 def names_occurring(agent: Agent) -> list:
     """The names an agent can barb on, canonical and deduplicated: every
     name occurring in it but an identifier an enclosing input binds."""
-    if isinstance(agent, Term):
-        found = [comb.ap(comb.atom(comb.AMP_DECL), q) for q in comb.quote_subterms(comb.canon(agent))]
-    else:
-        free = rho.free_idents(agent)
-        found = [n for n in rho.all_names(agent) if isinstance(n, rho.Quote) or n.ident in free]
-    return list(dict.fromkeys(map(calculus_of(agent).canon_name, found)))
+    found = (rho.all_names(agent) if not isinstance(agent, Term)
+             else [comb.ap(comb.atom(comb.AMP_DECL), q) for q in comb.quote_subterms(comb.canon(agent))])
+    names = [calculus_of(agent).canon_name(n) for n in found]
+    return [n for i, n in enumerate(names) if n not in names[:i]]

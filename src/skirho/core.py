@@ -668,23 +668,20 @@ def _summarize(p: Presentation, t: Term, g: Optional[AcuGroup], parts: Sequence[
             s = _summary(p, c)
         below |= s[4]
         first = first or s
-    key = g if g is not None else (t.head.name, first[1] if first else ())
-    found = p._summaries.get(key)
-    if found is None:
-        spine = None if g is not None else _spine_key(p, t, first and first[1])
-        found = p._summaries[key] = (spine, _own(p, spine, g), {})
-    spine, own, made = found
-    s = made.get(below | own)
+    # a group node by its group's identity (p holds the group), any other by its head and first child
+    key = (id(g), below) if g is not None else (t.head.name, first[1] if first else (), below)
+    s = p._summaries.get(key)
     if s is None:
-        s = made[below | own] = (p, spine, g, own, below | own)
+        spine = None if g is not None else _spine_key(p, t, first and first[1])
+        own = _own(p, spine, g)
+        s = p._summaries[key] = (p, spine, g, own, below | own)
     _set_mark(t, s)
 
 
 def _summary(p: Presentation, t: Term) -> tuple:
-    """The summary of t, canonical under p: its mark, or made with an
-    explicit stack for t and every node below it not marked for p (a
-    congruence-free presentation marks only what is enumerated, and a node
-    shared with another presentation may carry that one's mark)."""
+    """The summary of t, canonical under p: its mark, or made with an explicit
+    stack for t and every node below not marked for p (a congruence-free
+    presentation never marks; another presentation may have marked a node)."""
     todo: list = [(t, None, None)]
     while todo:
         u, g, parts = todo.pop()
@@ -753,22 +750,22 @@ def _peel(floats: Sequence[tuple[MarkerFloat, int]], node: Term) -> tuple[int, O
 
 
 def _sites(p: Presentation, t: Term, s: tuple, bit: int) -> Iterator[tuple]:
-    """Pre-order ``(path, node, summary)`` of the positions of canonical t (a
-    maximal group is one node over its elements) whose summary holds `bit`
-    as their own; a subtree whose summary does not hold it is skipped."""
+    """Pre-order ``(path, node, summary, kids)`` of the positions of canonical
+    t (a maximal group is one node over its elements, its kids) whose summary
+    holds `bit` as their own; a subtree whose summary does not is skipped."""
     todo = [((), t, s)]
     while todo:
         path, node, s = todo.pop()
-        if s[3] & bit:
-            yield path, node, s
         if s[2] is None:
             kids = [((i,), c) for i, c in enumerate(node.children)]
         else:
-            kids, base = [], ()
-            while _shaped(s[2], node):
-                kids.append((base + (0, 1), node.children[0].children[1]))
-                node, base = node.children[1], base + (1,)
-            kids.append((base, node))
+            kids, base, u = [], (), node
+            while _shaped(s[2], u):
+                kids.append((base + (0, 1), u.children[0].children[1]))
+                u, base = u.children[1], base + (1,)
+            kids.append((base, u))
+        if s[3] & bit:
+            yield path, node, s, kids
         for step, c in reversed(kids):
             cs = getattr(c, "_mark", None)
             if cs is None or cs[0] is not p:
@@ -795,11 +792,11 @@ def iter_redexes(
     t = canonicalize(p, t)
     top = _summary(p, t)
     for r in table:
-        for path, node, s in _sites(p, t, top, r.bit) if top[4] & r.bit else ():
+        for path, node, s, kids in _sites(p, t, top, r.bit) if top[4] & r.bit else ():
             if r.flat is not None:
                 flat, g = r.flat, r.flat.group
                 # a node outside the group is a group of at most one element
-                elems = flatten_term(g, node) if s[2] is g else [] if node == g.unit else [node]
+                elems = [c for _, c in kids] if s[2] is g else [] if node == g.unit else [node]
                 left = _take(flat.needs, elems)
                 if left is None or len(left) < len(flat.elems):
                     continue

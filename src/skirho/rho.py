@@ -185,34 +185,37 @@ def is_closed(p: Process) -> bool:
 
 
 def all_names(p: Process) -> list[Name]:
-    """Every name at a reachable name position, resolved."""
+    """Every name at a reachable name position, resolved, but an identifier
+    an enclosing input binds: the names p can barb on."""
     out: list[Name] = []
-    _names_in(p, out)
+    _names_in(p, frozenset(), out)
     return out
 
 
-def _names_in(q: Process, out: list[Name]) -> None:
+def _names_in(q: Process, bound: frozenset[str], out: list[Name]) -> None:
     match q:
         case Zero():
             pass
         case Par(l, r):
-            _names_in(l, out)
-            _names_in(r, out)
+            _names_in(l, bound, out)
+            _names_in(r, bound, out)
         case Output(x, body):
-            _name_and_names_in(x, out)
-            _names_in(body, out)
+            _name_and_names_in(x, bound, out)
+            _names_in(body, bound, out)
         case Deref(x):
-            _name_and_names_in(x, out)
-        case Input(x, _, body):
-            _name_and_names_in(x, out)
-            _names_in(body, out)
+            _name_and_names_in(x, bound, out)
+        case Input(x, binder, body):
+            _name_and_names_in(x, bound, out)
+            _names_in(body, bound | {binder}, out)
 
 
-def _name_and_names_in(n: Name, out: list[Name]) -> None:
+def _name_and_names_in(n: Name, bound: frozenset[str], out: list[Name]) -> None:
     r = resolve_name(n)
-    out.append(r)
     if isinstance(r, Quote):
-        _names_in(r.process, out)
+        out.append(r)
+        _names_in(r.process, frozenset(), out)  # a quote opens a fresh scope
+    elif r.ident not in bound:
+        out.append(r)
 
 
 # ---------------------------------------------------------------------------

@@ -871,6 +871,19 @@ def test_a_mark_holds_for_its_own_presentation_only():
             assert canonicalize(p1, canonicalize(p2, once)) == naive_canonicalize(p1, naive_canonicalize(p2, once))
 
 
+def test_a_summary_holds_for_its_own_presentation_only():
+    rng = random.Random(55)
+    for _ in range(150):
+        t = canonicalize(WHNF, ski.R(_sprinkled(_random_plain_term(rng, rng.randint(2, 10)), rng)))
+        todo = list(t.children)
+        while todo:  # every proper subterm enumerated under the plain presentation
+            u = todo.pop()
+            todo += u.children
+            list(iter_redexes(PLAIN, u))
+        for p in (WHNF, PLAIN):
+            assert list(iter_redexes(p, t)) == naive_redexes(p, t)
+
+
 def test_group_matching_leaves_no_reference_cycles():
     rng = random.Random(54)
     terms = []
@@ -957,15 +970,21 @@ def test_a_step_pays_for_its_redex_path_only():
 
     new_nodes = {r.name: sum(1 for _ in _pattern_nodes(r.rhs)) for r in PLAIN.rules}
     assert new_nodes == {"sigma": 3, "kappa": 0, "iota": 0}
-    cur = naive = parse_ski(GROWING, variant="plain")
-    trace = reduce(PLAIN, cur, "first", 300)
-    assert len(trace.steps) == 300
-    for i, (r, succ) in enumerate(trace.steps):
+    start = parse_ski(GROWING, variant="plain")
+    fresh = []  # before each enumeration, how many nodes lack a summary
+
+    def edges(u):
+        fresh.append(_unsummarized(PLAIN, u))
+        return iter_redexes(PLAIN, u)
+
+    trace = drive(start, edges, "first", 300)
+    assert len(trace.steps) == 300 and fresh[0] == 33  # the whole start term
+    naive = start
+    for (r, succ), before_next in zip(trace.steps, fresh[1:]):
         assert (r, succ) == next(iter_naive_redexes(PLAIN, naive))
         naive = succ
-        if i + 1 < len(trace.steps):
-            # what the next enumeration summarizes: the path and the new right-hand side
-            assert _unsummarized(PLAIN, succ) <= len(r.position) + new_nodes[r.rule]
+        # the successor is new only along the redex path and in the right-hand side
+        assert before_next <= len(r.position) + new_nodes[r.rule]
     assert max(len(r.position) for r, _ in trace.steps) > 10
 
 
