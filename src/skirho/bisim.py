@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from . import comb, rho
 from .calculus import CALCULI, Calculus
-from .core import StateBudgetExhausted, Successors, Term, explore
+from .core import StateBudgetExhausted, Successors, Term, explore, subterms
 
 Agent = Union[rho.Process, Term]
 
@@ -114,22 +114,21 @@ class BisimVerdict:
     witness: Optional[Witness] = None
 
 
-def bounded_bisim(a: Agent, b: Agent, names, depth: int,
-                  *, budget: int = DEFAULT_PAIR_BUDGET) -> BisimVerdict:
+def bounded_bisim(a: Agent, b: Agent, names, depth: int) -> BisimVerdict:
     """Decide the depth-bounded approximant of barbed bisimilarity.
 
     Each single step of one side must be matched by a multi-step of the
     other within the remaining depth, and every immediate barb by an
     eventual barb; the check is symmetric and memoized on canonical pairs.
-    Exhausting the pair budget or the state budget of an exploration raises
-    BudgetExhausted.
+    Exhausting the pair budget (`DEFAULT_PAIR_BUDGET`, read at each call) or
+    the state budget of an exploration raises BudgetExhausted.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     calc = calculus_of(a)
     if calculus_of(b) is not calc:
         raise TypeError("agents must belong to the same calculus")
-    run = _Run(calc, tuple(calc.canon_name(n) for n in names), _moves(calc), budget)
+    run = _Run(calc, tuple(calc.canon_name(n) for n in names), _moves(calc))
     try:
         witness = _check(run, calc.canon(a), calc.canon(b), depth)
     except StateBudgetExhausted as err:
@@ -148,7 +147,6 @@ class _Run:
     calc: Calculus
     names: tuple
     successors: Successors
-    budget: int
     memo: dict = field(default_factory=dict)
 
 
@@ -156,8 +154,8 @@ def _check(run: _Run, x: Agent, y: Agent, d: int) -> Optional[Witness]:
     key = (x, y, d)
     if key in run.memo:
         return run.memo[key]
-    if len(run.memo) >= run.budget:  # one entry per pair checked
-        raise BudgetExhausted(f"pair budget {run.budget} exhausted")
+    if len(run.memo) >= DEFAULT_PAIR_BUDGET:  # one entry per pair checked
+        raise BudgetExhausted(f"pair budget {DEFAULT_PAIR_BUDGET} exhausted")
     run.memo[key] = None  # assume matched while exploring this pair
     calc, reach = run.calc, {}
     result: Optional[Witness] = None
@@ -209,19 +207,18 @@ class FaithfulnessReport:
     combinator: Optional[BisimVerdict]
 
 
-def faithfulness_check(p: rho.Process, q: rho.Process, names, depth: int,
-                       *, budget: int = DEFAULT_PAIR_BUDGET) -> FaithfulnessReport:
+def faithfulness_check(p: rho.Process, q: rho.Process, names, depth: int) -> FaithfulnessReport:
     """Compare the bounded verdicts on the calculus side and on the
     context-wrapped translations, name set carried across the translation."""
     comb_names = [comb.interp_name(rho.canon_name(n)) for n in names]
     try:
-        calc = bounded_bisim(p, q, names, depth, budget=budget)
+        calc = bounded_bisim(p, q, names, depth)
     except BudgetExhausted:
         return FaithfulnessReport(False, True, None, None)
     wrapped_p = comb.wrap_context(comb.interp(p))
     wrapped_q = comb.wrap_context(comb.interp(q))
     try:
-        comb_verdict = bounded_bisim(wrapped_p, wrapped_q, comb_names, depth, budget=budget)
+        comb_verdict = bounded_bisim(wrapped_p, wrapped_q, comb_names, depth)
     except BudgetExhausted:
         return FaithfulnessReport(False, True, calc, None)
     return FaithfulnessReport(
@@ -236,6 +233,7 @@ def names_occurring(agent: Agent) -> list:
     """The names an agent can barb on, canonical and deduplicated: every
     name occurring in it but an identifier an enclosing input binds."""
     found = (rho.all_names(agent) if not isinstance(agent, Term)
-             else [comb.ap(comb.atom(comb.AMP_DECL), q) for q in comb.quote_subterms(comb.canon(agent))])
+             else [u for u in subterms(comb.canon(agent))
+                   if u.head == comb.APP_DECL and u.children[0].head == comb.AMP_DECL])
     names = [calculus_of(agent).canon_name(n) for n in found]
     return [n for i, n in enumerate(names) if n not in names[:i]]

@@ -32,6 +32,7 @@ from .core import (
     flatten_term,
     group_join,
     reduce,
+    subterms,
 )
 from .rho import Deref, Input, Output, Par, Process, Quote, Var, ZERO as RHO_ZERO
 
@@ -86,16 +87,6 @@ def name_token(ident: str) -> Term:
 
 def is_name_token(t: Term) -> bool:
     return not t.children and t.head.name.startswith(NAME_TOKEN_PREFIX)
-
-
-def contains_name_token(t: Term, ident: Optional[str] = None) -> bool:
-    if is_name_token(t) and (ident is None or t.head.name == NAME_TOKEN_PREFIX + ident):
-        return True
-    return any(contains_name_token(c, ident) for c in t.children)
-
-
-def contains_constructor(t: Term, decl: ConstructorDecl) -> bool:
-    return t.head == decl or any(contains_constructor(c, decl) for c in t.children)
 
 
 def wrap_context(t: Term) -> Term:
@@ -179,16 +170,22 @@ def abstract_elim(ident: str, c: Term) -> Term:
     Yields (K c) when the token is absent, I at the token itself, and an S
     split at applications; the result contains no occurrence of the token.
     """
-    token = NAME_TOKEN_PREFIX + ident
-    if not contains_name_token(c, ident):
-        return ap(atom(K_DECL), c)
-    if c.head.name == token and not c.children:
-        return atom(I_DECL)
-    if c.head == APP_DECL:
-        return aps(atom(S_DECL),
-                   abstract_elim(ident, c.children[0]),
-                   abstract_elim(ident, c.children[1]))
-    raise TranslationError(f"name token {ident} under non-application {c.head.name}")
+    out = _abstract(NAME_TOKEN_PREFIX + ident, c)
+    return ap(atom(K_DECL), c) if out is None else out
+
+
+def _abstract(token: str, c: Term) -> Optional[Term]:
+    """The bracket abstraction of `token` in c, or None when c lacks it."""
+    if not c.children:
+        return atom(I_DECL) if c.head.name == token else None
+    parts = [_abstract(token, child) for child in c.children]
+    if all(part is None for part in parts):
+        return None
+    if c.head != APP_DECL:
+        raise TranslationError(f"name token {token[len(NAME_TOKEN_PREFIX):]} "
+                               f"under non-application {c.head.name}")
+    f, x = (ap(atom(K_DECL), child) if part is None else part for part, child in zip(parts, c.children))
+    return aps(atom(S_DECL), f, x)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +354,12 @@ def backinterp(c: Term, fuel: int = DEFAULT_FUEL) -> Process:
     TranslationError.  Spending more than `fuel` S/K/I steps raises
     FuelExhausted.
     """
-    if contains_constructor(c, C_DECL):
-        raise TranslationError("combinator must not mention the context resource")
-    if contains_name_token(c):
+    tokens = False
+    for u in subterms(c):
+        if u.head == C_DECL:
+            raise TranslationError("combinator must not mention the context resource")
+        tokens = tokens or is_name_token(u)
+    if tokens:
         raise TranslationError("combinator must be translation-complete (no name tokens)")
     if sort_infer(c) != W:
         raise TranslationError("combinator is not W-sorted")
@@ -376,16 +376,6 @@ def _skinormal(c: Term, budget: list[int]) -> Term:
     if trace.status != "normal_form" or budget[0] < 0:
         raise FuelExhausted("ran out of fuel unwinding S/K/I applications")
     return trace.final
-
-
-def quote_subterms(t: Term) -> list[Term]:
-    """Every quoted combinator ``q`` of a subterm ``(& q)``, in pre-order."""
-    out = []
-    if t.head == APP_DECL and t.children[0].head == AMP_DECL and not t.children[0].children:
-        out.append(t.children[1])
-    for ch in t.children:
-        out.extend(quote_subterms(ch))
-    return out
 
 
 def _backinterp(c: Term, budget: list[int], depth: int) -> Process:

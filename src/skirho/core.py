@@ -317,15 +317,20 @@ def replace_at(t: Term, position: Sequence[int], replacement: Term) -> Term:
     return replacement
 
 
+def subterms(t: Pattern) -> Iterator[Pattern]:
+    """Every subterm of t, t itself first, in pre-order, on an explicit stack."""
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        yield u
+        todo += reversed(u.children)
+
+
 def pattern_metavars(pat: Pattern) -> dict[str, Sort]:
     out: dict[str, Sort] = {}
-    todo = [pat]
-    while todo:
-        q = todo.pop()
+    for q in subterms(pat):
         if isinstance(q, MetaVar):
             out.setdefault(q.name, q.sort)
-        else:
-            todo += reversed(q.children)
     return out
 
 

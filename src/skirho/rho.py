@@ -14,9 +14,12 @@ collapse to a dereferenced name.  A binder occurrence is therefore either a
 bare identifier or a quote-of-dereference chain that resolves to one.
 Communication runs on canonical forms, where every name is resolved and
 every binder is a token distinct from the binders around it and from every
-free identifier; substitution there cannot capture (de Bruijn's nameless
-dummies), so the message is plugged in at the binder's occurrences with no
-renaming.
+free identifier (de Bruijn's nameless dummies).  A reduct is built by one
+canonicalizing walk over the remaining components and the continuation,
+whose environment maps each identifier to the canonical name it stands for:
+the consumed input's binder to the quoted message, every inner binder to
+its fresh token.  The tokens avoid the reduct's free identifiers, the
+message's among them, so the substitution cannot capture.
 """
 
 from __future__ import annotations
@@ -235,9 +238,10 @@ def canon_process(p: Process) -> Process:
     return _canon_in(p, {}, 0, free_idents(p))
 
 
-def _canon_in(q: Process, env: dict[str, str], first: int, avoid: frozenset[str]) -> Process:
-    """`first` is the least index the next binder token may take: each binder
-    takes an index above every enclosing one, so no two tokens collide."""
+def _canon_in(q: Process, env: dict[str, Name], first: int, avoid: frozenset[str]) -> Process:
+    """`env` maps an identifier to the canonical name it stands for.  `first`
+    is the least index the next binder token may take: each binder takes an
+    index above every enclosing one, so no two tokens collide."""
     match q:
         case Zero():
             return ZERO
@@ -255,24 +259,22 @@ def _canon_in(q: Process, env: dict[str, str], first: int, avoid: frozenset[str]
             while f"v{i}" in avoid:
                 i += 1
             inner = dict(env)
-            inner[binder] = f"v{i}"
+            inner[binder] = Var(f"v{i}")
             return Input(_canon_name_in(x, env, avoid), f"v{i}",
                          _canon_in(body, inner, i + 1, avoid))
     raise TypeError(f"not a process: {q!r}")
 
 
-def _canon_name_in(n: Name, env: dict[str, str], avoid: frozenset[str]) -> Name:
+def _canon_name_in(n: Name, env: dict[str, Name], avoid: frozenset[str]) -> Name:
     r = resolve_name(n)
     if isinstance(r, Var):
-        return Var(env.get(r.ident, r.ident))
+        return env.get(r.ident, r)
     return Quote(_canon_in(r.process, {}, 0, avoid))
 
 
 def canon_name(n: Name) -> Name:
-    r = resolve_name(n)
-    if isinstance(r, Var):
-        return r
-    return Quote(canon_process(r.process))
+    """The resolved name, a quoted process canonical in its own scope."""
+    return _canon_name_in(n, {}, _free_in_name(n, frozenset()))
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +282,21 @@ def canon_name(n: Name) -> Name:
 
 
 def comm_step(p: Process) -> set[Process]:
-    """All single-step reducts of a closed process, as canonical forms.
+    """All single-step reducts of a process, as canonical forms.
 
-    Scans unordered pairs of top-level parallel components for an input and
-    an output whose subjects are name-equivalent; the pair is replaced by the
-    continuation with the quoted output body plugged in for the binder.  The
-    continuation is canonical, so its binder token is bound nowhere else in
-    it and the substitution cannot capture.
+    Pairs each top-level input component with each top-level output
+    component on a name-equivalent subject; the pair is replaced by the
+    continuation with the quoted output body bound to the binder.
     """
     return _reducts(canon_process(p))
 
 
 def _reducts(p: Process) -> set[Process]:
-    comps = par_components(p)  # p is canonical
+    """Each reduct is one canonicalizing walk over the other components and
+    the continuation, with the binder mapped to the canonical message.  The
+    binder is a token of canonical p, so it is free in no other component,
+    and the walk avoids the free identifiers of the reduct, not those of p."""
+    comps = par_components(p)
     out: set[Process] = set()
     for i, ci in enumerate(comps):
         if not isinstance(ci, Input):
@@ -302,33 +306,14 @@ def _reducts(p: Process) -> set[Process]:
                 continue
             if ci.subject != cj.subject:  # components are canonical
                 continue
-            reduct = _plug(ci.body, ci.binder, Quote(cj.body))
-            rest = [c for k, c in enumerate(comps) if k not in (i, j)]
-            out.add(canon_process(par_of(rest + par_components(reduct))))
+            reduct = par_of([c for k, c in enumerate(comps) if k not in (i, j)] + [ci.body])
+            avoid = free_idents(reduct)
+            env: dict[str, Name] = {}
+            if ci.binder in avoid:
+                avoid = avoid - {ci.binder} | free_idents(cj.body)
+                env[ci.binder] = _canon_name_in(Quote(cj.body), {}, avoid)
+            out.add(_canon_in(reduct, env, 0, avoid))
     return out
-
-
-def _plug(q: Process, binder: str, new: Name) -> Process:
-    """`new` at every name position of the canonical `q` that is `Var(binder)`.
-
-    Quotes are not entered: their contents are a scope of their own.
-    """
-    match q:
-        case Zero():
-            return q
-        case Par(l, r):
-            return Par(_plug(l, binder, new), _plug(r, binder, new))
-        case Output(x, body):
-            return Output(_plug_name(x, binder, new), _plug(body, binder, new))
-        case Input(x, b, body):
-            return Input(_plug_name(x, binder, new), b, _plug(body, binder, new))
-        case Deref(x):
-            return Deref(_plug_name(x, binder, new))
-    raise TypeError(f"not a process: {q!r}")
-
-
-def _plug_name(x: Name, binder: str, new: Name) -> Name:
-    return new if isinstance(x, Var) and x.ident == binder else x
 
 
 COMM = Redex("comm", (), {})

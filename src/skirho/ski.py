@@ -24,6 +24,7 @@ from .core import (
     Term,
     Trace,
     reduce,
+    subterms,
 )
 
 T = Sort("T")
@@ -105,8 +106,7 @@ def ski_presentation(variant: str) -> Presentation:
 
 
 def marker_count(t: Term) -> int:
-    n = 1 if t.head is R_DECL else 0
-    return n + sum(marker_count(c) for c in t.children)
+    return sum(u.head is R_DECL for u in subterms(t))
 
 
 def contains_marker(t: Term) -> bool:

@@ -53,13 +53,20 @@ def random_name(rng: _random.Random, depth: int, binders: tuple[str, ...]) -> Na
     return Quote(random_process(rng, max(depth - 1, 0), ()))
 
 
-def random_comm_candidate(rng: _random.Random, depth: int = 3) -> Process:
-    """Seeded process guaranteed to have at least one communication redex."""
-    subject = Quote(random_process(rng, 1))
+def random_comm_candidate(rng: _random.Random, depth: int = 3,
+                          free: tuple[str, ...] = ()) -> Process:
+    """Seeded process guaranteed to have at least one communication redex.
+
+    The identifiers in `free` may occur free, the shared subject included.
+    """
+    if free and rng.random() < 0.3:
+        subject: Name = Var(rng.choice(free))
+    else:
+        subject = Quote(random_process(rng, 1))
     binder = "u0"
-    receiver = Input(subject, binder, random_process(rng, depth - 1, (binder,)))
-    sender = Output(subject, random_process(rng, depth - 1))
-    noise = random_process(rng, depth - 1)
+    receiver = Input(subject, binder, random_process(rng, depth - 1, free + (binder,)))
+    sender = Output(subject, random_process(rng, depth - 1, free))
+    noise = random_process(rng, depth - 1, free)
     comps = [receiver, sender] + par_components(noise)
     rng.shuffle(comps)
     return par_of(comps)

@@ -175,9 +175,10 @@ def test_bisim_monotone_in_depth():
                 assert shallower
 
 
-def test_bisim_budget_exhaustion():
+def test_bisim_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(bisim, "DEFAULT_PAIR_BUDGET", 1)
     with pytest.raises(BudgetExhausted):
-        bounded_bisim(relay(), relay(), [N0], 3, budget=1)
+        bounded_bisim(relay(), relay(), [N0], 3)
 
 
 def test_bisim_state_budget_is_inconclusive(monkeypatch):
@@ -186,16 +187,19 @@ def test_bisim_state_budget_is_inconclusive(monkeypatch):
         bounded_bisim(relay(), relay(), [N0], 3)
 
 
-def test_faithfulness_budget_on_either_side_is_inconclusive():
+def test_faithfulness_budget_on_either_side_is_inconclusive(monkeypatch):
     p = parse_rho("for(y <- &0)(y!0) | &0!(&0!0)")
     q = Par(p, ZERO)
     names = bisim.names_occurring(p)
-    report = faithfulness_check(p, q, names, 3, budget=1)
+    monkeypatch.setattr(bisim, "DEFAULT_PAIR_BUDGET", 1)
+    report = faithfulness_check(p, q, names, 3)
     assert (report.agree, report.inconclusive) == (False, True)
     assert report.calculus is None and report.combinator is None
-    report = faithfulness_check(p, q, names, 3, budget=4)
+    monkeypatch.setattr(bisim, "DEFAULT_PAIR_BUDGET", 4)
+    report = faithfulness_check(p, q, names, 3)
     assert (report.agree, report.inconclusive) == (False, True)
     assert report.calculus.bisimilar and report.combinator is None
+    monkeypatch.undo()
     assert faithfulness_check(p, q, names, 3).agree
 
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from skirho import comb, rho
+from skirho import rho
 from skirho.comb import (
     AMP_DECL,
     ArrowSort,
@@ -33,13 +33,14 @@ from skirho.comb import (
     canon,
     comb_presentation,
     interp,
+    is_name_token,
     name_token,
     sort_infer,
     wrap_context,
 )
-from skirho.core import FuelExhausted, instantiate, reduce, step
+from skirho.core import FuelExhausted, instantiate, reduce, step, subterms
 from skirho.rho import ZERO, Deref, Input, Output, Par, Quote, Var
-from skirho.syntax import parse_comb, print_rho
+from skirho.syntax import parse_comb, print_comb, print_rho
 
 from gen import random_comm_candidate, random_process, random_sorted_comb
 
@@ -164,7 +165,7 @@ def test_elim_output_on_bound_name_matches_hand_expansion():
 def test_elim_result_has_no_token():
     body = ap(atom(STAR_DECL), name_token("x"))
     eliminated = abstract_elim("x", body)
-    assert not comb.contains_name_token(eliminated, "x")
+    assert not any(is_name_token(u) for u in subterms(eliminated))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,15 @@ def test_sort_inference_is_pinned():
     assert sum("'" in repr(s) for s in mixes) == 34
     digest = hashlib.sha256("\n".join(map(repr, sorts)).encode()).hexdigest()
     assert digest == "90a691defcc643e0adcbda2c6ef5c2a121fab5fe168fe0591444dca852495f2c"
+
+
+def test_interp_images_are_pinned():
+    # sha256 of the 1,000 printed images, as computed when bracket
+    # abstraction scanned every subterm for the token again
+    rng = random.Random(1301)
+    images = [print_comb(interp(random_process(rng, 4))) for _ in range(1000)]
+    digest = hashlib.sha256("\n".join(images).encode()).hexdigest()
+    assert digest == "19e168d79053b88adcf2716849dc650140c39be95abdf15662fa43e00e88f63c"
 
 
 def test_sort_interp_is_process_sorted():
@@ -407,8 +417,7 @@ def test_interp_output_is_translation_complete():
     rng = random.Random(36)
     for _ in range(100):
         image = interp(random_process(rng, 3))
-        assert not comb.contains_name_token(image)
-        assert not comb.contains_constructor(image, C_DECL)
+        assert not any(is_name_token(u) or u.head == C_DECL for u in subterms(image))
 
 
 def test_elimination_sorts_over_corpus():

@@ -37,6 +37,7 @@ from skirho.core import (
     reduce,
     replace_at,
     step,
+    subterms,
     term_key,
     validate_presentation,
 )
@@ -1004,6 +1005,21 @@ def _left_spine(t):
         args.append(t.children[1].head.name)
         t = t.children[0]
     return t.head.name, args
+
+
+def _preorder(t):
+    return [t] + [u for c in t.children for u in _preorder(c)]
+
+
+def test_subterms_is_pre_order():
+    x = MetaVar("x", T)
+    pat = ap(ap(S(), x), ap(K(), I()))
+    assert [repr(u) for u in subterms(pat)] == [
+        "(app (app S ?x) (app K I))", "(app S ?x)", "S", "?x", "(app K I)", "K", "I"]
+    rng = random.Random(41)
+    for _ in range(50):
+        t = random_sorted_comb(rng)
+        assert list(subterms(t)) == _preorder(t)
 
 
 def test_deep_terms_do_not_overflow_the_enumerator():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
 
 from skirho import comb, rho
@@ -24,7 +25,7 @@ from skirho.rho import (
     par_of,
     rho_reduce,
 )
-from skirho.syntax import parse_rho
+from skirho.syntax import parse_rho, print_rho
 
 from gen import random_comm_candidate, random_process
 
@@ -205,6 +206,37 @@ def test_comm_with_free_v_identifiers_keeps_the_binders_apart():
     # inner one would shadow the outer one's occurrence v1!0
     p = parse_rho("for(v1 <- &0)(for(v0 <- v1)(v0!0 | v1!0)) | &0!(*v0) | *v1")
     assert comm_step(p) == {canon_process(parse_rho("for(y <- v0)(y!0 | v0!0) | *v1"))}
+
+
+def test_comm_reduct_avoids_only_its_own_free_identifiers():
+    # v0 is free in the process but not in the reduct, so the reduct's
+    # binder takes v0 again
+    p = parse_rho("for(y <- v0)for(z <- &0)z!0 | v0!0")
+    assert comm_step(p) == {parse_rho("for(v0 <- &0)v0!0")}
+
+
+def _comm_cases():
+    """Seeded communication candidates, every second one open in v0 and v1."""
+    rng = random.Random(1302)
+    return [random_comm_candidate(rng, 4, ("v0", "v1") if i % 2 else ()) for i in range(1000)]
+
+
+def test_comm_reducts_are_canonical():
+    for p in _comm_cases():
+        for q in comm_step(p):
+            assert canon_process(q) == q, (p, q)
+
+
+def test_comm_reducts_are_pinned():
+    # sha256 of each process with its sorted, printed reducts, as computed
+    # when every reduct was plugged first and canonicalized afterwards
+    cases = _comm_cases()
+    assert sum(not is_closed(p) for p in cases) > 300
+    lines = [print_rho(p) + " => " + " ; ".join(sorted(print_rho(q) for q in comm_step(p)))
+             for p in cases]
+    assert sum(line.count(" ; ") + 1 for line in lines) == 1238
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "9a44a2ec4b8646e46d6bce2ee0f064e40ad41bb713ea1f464f9ab13cd10b84ba"
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,14 @@ def test_strip_marker_expects_one_marker():
         strip_marker(R(R(K())))
 
 
+def test_marker_scans_return_on_a_deep_spine():
+    t = I()
+    for _ in range(3000):  # I K K ... K: a left spine 3,000 applications deep
+        t = ap(t, K())
+    assert not contains_marker(t)
+    assert marker_count(R(R(t))) == 2
+
+
 # ---------------------------------------------------------------------------
 # gas
 
