@@ -10,13 +10,13 @@ negative verdict carries a replayable witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import comb, rho
 from .calculus import CALCULI, Calculus
-from .core import StateBudgetExhausted, Successors, Term, explore, subterms
+from .core import Record, StateBudgetExhausted, Successors, Term, explore, subterms
 
 Agent = Union[rho.Process, Term]
 
@@ -48,8 +48,8 @@ def barbs(agent: Agent, names) -> frozenset:
     return calc.barbs(calc.canon(agent), tuple(calc.canon_name(n) for n in names))
 
 
-@dataclass
-class WeakBarbs:
+class WeakBarbs(Record):
+    __slots__ = __match_args__ = ("names", "truncated")
     names: frozenset
     truncated: bool
 
@@ -78,8 +78,7 @@ def weak_barbs(agent: Agent, names, bound: int) -> WeakBarbs:
     return WeakBarbs(frozenset(found), False)
 
 
-@dataclass
-class Witness:
+class Witness(NamedTuple):
     """A replayable distinguishing certificate.
 
     ``kind`` is "barb" when an immediate barb of `agent` has no weak match
@@ -128,7 +127,7 @@ def bounded_bisim(a: Agent, b: Agent, names, depth: int) -> BisimVerdict:
     calc = calculus_of(a)
     if calculus_of(b) is not calc:
         raise TypeError("agents must belong to the same calculus")
-    run = _Run(calc, tuple(calc.canon_name(n) for n in names), _moves(calc))
+    run = _Run(calc, tuple(calc.canon_name(n) for n in names), _moves(calc), {})
     try:
         witness = _check(run, calc.canon(a), calc.canon(b), depth)
     except StateBudgetExhausted as err:
@@ -138,8 +137,7 @@ def bounded_bisim(a: Agent, b: Agent, names, depth: int) -> BisimVerdict:
     return BisimVerdict(False, depth, witness)
 
 
-@dataclass
-class _Run:
+class _Run(NamedTuple):
     """One `bounded_bisim` call: what every pair check reads and the memo it
     fills.  The recursion is at module level: a nested function calling
     itself would leave a reference cycle behind every check."""
@@ -147,7 +145,7 @@ class _Run:
     calc: Calculus
     names: tuple
     successors: Successors
-    memo: dict = field(default_factory=dict)
+    memo: dict
 
 
 def _check(run: _Run, x: Agent, y: Agent, d: int) -> Optional[Witness]:
@@ -199,8 +197,7 @@ def _reachable(run: _Run, reach: dict, q: Agent, d: int) -> list[Agent]:
     return reach[q]
 
 
-@dataclass
-class FaithfulnessReport:
+class FaithfulnessReport(NamedTuple):
     agree: bool
     inconclusive: bool
     calculus: Optional[BisimVerdict]

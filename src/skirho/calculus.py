@@ -12,9 +12,8 @@ callers canonicalize once, where a term enters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import comb, rho, ski
 from .core import Successors, Term, canonicalize, iter_redexes, term_key
@@ -30,8 +29,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class Calculus:
+class Calculus(NamedTuple):
     """Terms, their one-step edges and, for agent calculi, names and barbs.
 
     `parse` raises ValueError (a `syntax.ParseError` for bad syntax).

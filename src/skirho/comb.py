@@ -14,8 +14,7 @@ inference unifies by binding mutable sort variables in place.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import rho
 from .core import (
@@ -100,7 +99,7 @@ PRESENTATION = Presentation(
     sorts=(T,),
     constructors=ATOM_DECLS + (APP_DECL,),
     congruence=CongruenceSpec(
-        acu_groups=(AcuGroup(app=APP_DECL, operator=atom(PAR_DECL), unit=atom(ZERO_DECL)),),
+        acu_groups=(AcuGroup(APP_DECL, atom(PAR_DECL), atom(ZERO_DECL)),),
     ),
     rules=(
         RewriteRule("sigma", aps(atom(S_DECL), _P, _Q, _R), ap(ap(_P, _R), ap(_Q, _R))),
@@ -192,16 +191,14 @@ def _abstract(token: str, c: Term) -> Optional[Term]:
 # sorting
 
 
-@dataclass(frozen=True)
-class BaseSort:
+class BaseSort(NamedTuple):
     name: str
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class ArrowSort:
+class ArrowSort(NamedTuple):
     arg: "SortExpr"
     res: "SortExpr"
 
@@ -210,8 +207,7 @@ class ArrowSort:
         return f"{arg} => {self.res!r}"
 
 
-@dataclass(frozen=True)
-class SortVar:
+class SortVar(NamedTuple):
     name: str
 
     def __repr__(self) -> str:
@@ -224,10 +220,14 @@ W = BaseSort("W")
 N = BaseSort("N")
 
 
-@dataclass(frozen=True)
-class SortScheme:
+class SortScheme(NamedTuple):
     quantified: tuple[str, ...]
     body: SortExpr
+
+
+for _sort in (BaseSort, ArrowSort, SortVar, SortScheme):  # equal fields of another sort class stay unequal
+    _sort.__eq__ = lambda a, b: tuple.__eq__(a, b) if a.__class__ is b.__class__ else NotImplemented
+    _sort.__ne__ = lambda a, b: tuple.__ne__(a, b) if a.__class__ is b.__class__ else NotImplemented
 
 
 def _arrows(*sorts: SortExpr) -> SortExpr:

@@ -39,9 +39,9 @@ from __future__ import annotations
 import itertools
 import random as _random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 DEFAULT_STATE_BUDGET = 200_000
 
@@ -68,25 +68,58 @@ class InvalidRedex(RewriteError):
     """Raised when a redex is replayed against a term it was not found in."""
 
 
-@dataclass(frozen=True)
-class Sort:
-    name: str
+class Record:
+    """A slotted immutable record whose fields are its `__match_args__`: equal
+    only to a record of its own class with equal fields, hashed as its field
+    tuple and printed like a dataclass.  Slots are read faster than a tuple's
+    fields, so records read at every node or rule in the loops below are
+    these; records only built, hashed and compared are `NamedTuple`s."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__match_args__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__match_args__)} fields, got {len(values)}")
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__match_args__)})"
+
+
+class Sort(Record):
+    __slots__ = __match_args__ = ("name",)
 
     def __repr__(self) -> str:
         return f"Sort({self.name!r})"
 
 
-@dataclass(frozen=True)
-class ConstructorDecl:
+class ConstructorDecl(Record):
     """Equal by value: declarations minted apart (comb's name tokens) may meet."""
 
-    name: str
-    argument_sorts: tuple[Sort, ...]
-    result_sort: Sort
-    _hash: int = field(init=False, repr=False, compare=False)
+    __match_args__ = ("name", "argument_sorts", "result_sort")
+    __slots__ = __match_args__ + ("_hash",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.name, self.argument_sorts, self.result_sort)))
+    def __init__(self, name: str, argument_sorts: tuple[Sort, ...], result_sort: Sort) -> None:
+        Record.__init__(self, name, argument_sorts, result_sort)
+        object.__setattr__(self, "_hash", hash((name, argument_sorts, result_sort)))
 
     @property
     def arity(self) -> int:
@@ -175,12 +208,10 @@ _set_key = Term._key.__set__  # type: ignore[attr-defined]
 _set_mark = Term._mark.__set__  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
-class MetaVar:
+class MetaVar(Record):
     """A pattern leaf; as a leaf it has no head and no children."""
 
-    name: str
-    sort: Sort
+    __slots__ = __match_args__ = ("name", "sort")
     head = None
     children = ()
 
@@ -196,32 +227,31 @@ class MetaVar:
 Pattern = Union[MetaVar, Term]
 
 
-@dataclass(frozen=True)
-class AcuGroup:
+class AcuGroup(Record):
     """The shape ``((operator x) y)`` built with a binary ``app`` constructor."""
 
+    __slots__ = __match_args__ = ("app", "operator", "unit")
     app: ConstructorDecl
     operator: Term
     unit: Term
 
 
-@dataclass(frozen=True)
-class MarkerFloat:
+class MarkerFloat(Record):
     """The equation ``marker(app(x, y)) = app(marker(x), y)`` for a unary
     ``marker`` and a binary ``app``."""
 
-    marker: ConstructorDecl
-    app: ConstructorDecl
+    __slots__ = __match_args__ = ("marker", "app")
 
 
-@dataclass(frozen=True)
-class CongruenceSpec:
-    acu_groups: tuple[AcuGroup, ...] = ()
-    marker_floats: tuple[MarkerFloat, ...] = ()
+class CongruenceSpec(Record):
+    __slots__ = __match_args__ = ("acu_groups", "marker_floats")
+
+    def __init__(self, acu_groups: tuple[AcuGroup, ...] = (), marker_floats: tuple[MarkerFloat, ...] = ()) -> None:
+        Record.__init__(self, acu_groups, marker_floats)
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(Record):
+    __slots__ = __match_args__ = ("name", "lhs", "rhs")
     name: str
     lhs: Pattern
     rhs: Pattern
@@ -255,9 +285,12 @@ class Presentation:
     def _summaries(self) -> dict:
         return {}  # what `_summarize` has made
 
+    @cached_property
+    def _selections(self) -> dict:
+        return {}  # what `_select` has made, by rule-name tuple
 
-@dataclass
-class Redex:
+
+class Redex(NamedTuple):
     rule: str
     position: tuple[int, ...]
     binding: dict[str, Term]
@@ -283,8 +316,7 @@ class Trace:
         return len(self.steps)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     defects: list[str]
 
@@ -448,15 +480,11 @@ def congruent(p: Presentation, t: Term, u: Term) -> bool:
 Matcher = Callable[[Term, dict], Iterable[dict]]  # (t, b) -> bindings extending b
 
 
-@dataclass(frozen=True)
-class _Flat:
+class _Flat(Record):
     """A group-shaped pattern node, flattened: the atoms it requires, the
     matchers of its other element patterns, and its collectors."""
 
-    group: AcuGroup
-    needs: tuple[Term, ...]
-    elems: tuple[Matcher, ...]
-    collectors: tuple[MetaVar, ...]
+    __slots__ = __match_args__ = ("group", "needs", "elems", "collectors")
 
 
 def _flat(p: Presentation, g: AcuGroup, pat: Term) -> _Flat:
@@ -610,24 +638,18 @@ def match_pattern(p: Presentation, pat: Pattern, t: Term) -> Optional[dict[str, 
 # redex enumeration
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(Record):
     """A rule with its bit in the summaries and its left-hand side compiled:
     flattened when group-shaped, else a matcher with its spine key (None: no
     key) and the marker floats ``(float, spine-marker count)`` that may peel."""
 
-    rule: RewriteRule
-    bit: int
-    flat: Optional[_Flat] = None
-    match: Optional[Matcher] = None
-    spine: Optional[tuple] = None
-    floats: tuple = ()
+    __slots__ = __match_args__ = ("rule", "bit", "flat", "match", "spine", "floats")
 
 
 def _compile_rule(p: Presentation, rule: RewriteRule, bit: int) -> _Rule:
     g = _group_of(p, rule.lhs)
     if g is not None:
-        return _Rule(rule, bit, flat=_flat(p, g, rule.lhs))
+        return _Rule(rule, bit, _flat(p, g, rule.lhs), None, None, ())
     floats = tuple((f, c) for f in p.congruence.marker_floats
                    if (c := _pattern_spine_marker(f, rule.lhs)) is not None)
     spine, path = None, [rule.lhs]  # the leftmost path, to a leaf, a metavariable or a group
@@ -635,7 +657,7 @@ def _compile_rule(p: Presentation, rule: RewriteRule, bit: int) -> _Rule:
         path.append(path[-1].children[0])
     for node in reversed(path):
         spine = _spine_key(p, node, spine)
-    return _Rule(rule, bit, match=_matcher(p, rule.lhs), spine=spine, floats=floats)
+    return _Rule(rule, bit, None, _matcher(p, rule.lhs), spine, floats)
 
 
 def _spine_key(p: Presentation, node: Pattern, first: Optional[tuple]) -> Optional[tuple]:
@@ -704,13 +726,17 @@ def _summary(p: Presentation, t: Term) -> tuple:
 
 def _select(p: Presentation, rules: Optional[Sequence[str]]) -> tuple[_Rule, ...]:
     """The compiled rules named in `rules` (all when None), in presentation
-    order; ValueError names any entry the presentation lacks."""
+    order, made once per name tuple; ValueError names any entry the
+    presentation lacks, on every call."""
     if rules is None:
         return p._rule_table
-    unknown = [n for n in rules if all(r.name != n for r in p.rules)]
-    if unknown:
-        raise ValueError(f"the presentation has no rule {', '.join(map(repr, unknown))}")
-    return tuple(r for r in p._rule_table if r.rule.name in rules)
+    table = p._selections.get(rules := tuple(rules))
+    if table is None:
+        unknown = [n for n in rules if all(r.name != n for r in p.rules)]
+        if unknown:
+            raise ValueError(f"the presentation has no rule {', '.join(map(repr, unknown))}")
+        table = p._selections[rules] = tuple(r for r in p._rule_table if r.rule.name in rules)
+    return table
 
 
 def _spine(app: ConstructorDecl, t: Term) -> tuple[Term, list[Term]]:
@@ -810,7 +836,7 @@ def iter_redexes(
                     inst = instantiate(r.rule.rhs, b)
                     if rest is not None and rest != g.unit:
                         inst = Term(g.app, (Term(g.app, (g.operator, inst)), rest))
-                    yield (Redex(r.rule.name, path, b, peel=0, rest=rest),
+                    yield (Redex(r.rule.name, path, b, 0, rest),
                            canonicalize(p, replace_at(t, path, inst)))
                 continue
             if r.floats and (s[1] is None or s[1][2]):
@@ -821,7 +847,7 @@ def iter_redexes(
                 inst = instantiate(r.rule.rhs, b)
                 for _ in range(peel):
                     inst = Term(marker, (inst,))
-                yield (Redex(r.rule.name, path, b, peel=peel, rest=None),
+                yield (Redex(r.rule.name, path, b, peel),
                        canonicalize(p, replace_at(t, path, inst)))
 
 

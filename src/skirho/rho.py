@@ -24,20 +24,20 @@ message's among them, so the substitution cannot capture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .core import Redex, Trace, drive
 
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(NamedTuple):
+    def __bool__(self) -> bool:  # a tuple with no fields is falsy
+        return True
+
     def __repr__(self) -> str:
         return "0"
 
 
-@dataclass(frozen=True)
-class Input:
+class Input(NamedTuple):
     subject: "Name"
     binder: str
     body: "Process"
@@ -46,8 +46,7 @@ class Input:
         return f"for({self.binder} <- {self.subject!r}){self.body!r}"
 
 
-@dataclass(frozen=True)
-class Output:
+class Output(NamedTuple):
     subject: "Name"
     body: "Process"
 
@@ -55,8 +54,7 @@ class Output:
         return f"{self.subject!r}!({self.body!r})"
 
 
-@dataclass(frozen=True)
-class Par:
+class Par(NamedTuple):
     left: "Process"
     right: "Process"
 
@@ -64,24 +62,21 @@ class Par:
         return f"({self.left!r} | {self.right!r})"
 
 
-@dataclass(frozen=True)
-class Deref:
+class Deref(NamedTuple):
     name: "Name"
 
     def __repr__(self) -> str:
         return f"*{self.name!r}"
 
 
-@dataclass(frozen=True)
-class Quote:
+class Quote(NamedTuple):
     process: "Process"
 
     def __repr__(self) -> str:
         return f"&({self.process!r})"
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     ident: str
 
     def __repr__(self) -> str:

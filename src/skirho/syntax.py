@@ -10,7 +10,7 @@ printing then reparsing is the identity on syntax trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import comb, rho, ski
 from .core import Term
@@ -24,8 +24,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int

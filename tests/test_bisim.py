@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import random
 from collections import Counter
@@ -251,7 +250,7 @@ def test_each_state_is_expanded_once_per_check(monkeypatch):
             expanded[name, state] += 1
             return calc.edges(state)
 
-        monkeypatch.setitem(bisim.CALCULI, name, dataclasses.replace(calc, edges=edges))
+        monkeypatch.setitem(bisim.CALCULI, name, calc._replace(edges=edges))
     left = Par(relay(), Input(N0, "z", out0()))
     right = Par(out0(), Input(N0, "z", out0()))
     report = faithfulness_check(left, right, [N0], 4)

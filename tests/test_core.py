@@ -41,7 +41,7 @@ from skirho.core import (
     term_key,
     validate_presentation,
 )
-from skirho import comb, rho, ski
+from skirho import comb, core, rho, ski
 from skirho.comb import ATOM_DECLS, ZERO_DECL, PAR_DECL, AMP_DECL, BANG_DECL, FOR_DECL, K_DECL
 from skirho.ski import I, K, S, ap
 
@@ -322,6 +322,16 @@ def test_unknown_rule_names_are_rejected():
         with pytest.raises(ValueError, match="'sigm'"):
             call()
     assert step(PLAIN, t, rules=()) == set()
+
+
+def test_rule_selection_is_made_once_and_an_unknown_name_fails_every_call():
+    t = ap(I(), K())
+    for _ in range(3):
+        with pytest.raises(ValueError, match="'sigm'"):
+            step(PLAIN, t, rules=("iota", "sigm"))
+    assert step(PLAIN, t, rules=["iota"]) == step(PLAIN, t, rules=("iota",)) == {K()}
+    assert core._select(PLAIN, ["iota"]) is core._select(PLAIN, ("iota",))
+    assert [r.rule.name for r in core._select(COMB, ("xi", "sigma"))] == ["sigma", "xi"]
 
 
 # ---------------------------------------------------------------------------

@@ -77,3 +77,24 @@ def test_every_public_definition_has_a_reader_besides_the_tests():
               and not node.name.startswith("_") and node.name not in outside
               and not any(node.name in names for stmt, names in reads if stmt is not node)]
     assert unread == []
+
+
+def test_dataclasses_only_where_replace_or_cached_property_needs_them():
+    """Each `@dataclass` runs generated methods through `exec` at import, a
+    cost every fresh interpreter pays: records are `NamedTuple`s or slotted
+    `core.Record`s, except the three that `dataclasses.replace` (and, for a
+    presentation, `cached_property`) needs."""
+    decorated, importers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for d in node.decorator_list:
+                    target = d.func if isinstance(d, ast.Call) else d
+                    if "dataclass" in ast.unparse(target):
+                        decorated.append(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                if "dataclasses" in modules:
+                    importers.append(path.stem)
+    assert sorted(decorated) == ["BisimVerdict", "Presentation", "Trace"]
+    assert importers == ["bisim", "core"]
