@@ -30,6 +30,7 @@ from .core import (
     canonicalize,
     flatten_term,
     group_join,
+    leaf,
     reduce,
     subterms,
 )
@@ -65,7 +66,8 @@ class TranslationError(Exception):
 
 
 def atom(decl: ConstructorDecl) -> Term:
-    return Term(decl)
+    """The one term of the atom `decl`, shared by every combinator built here."""
+    return leaf(decl)
 
 
 def ap(f: Term, x: Term) -> Term:

@@ -115,7 +115,7 @@ class ConstructorDecl(Record):
     """Equal by value: declarations minted apart (comb's name tokens) may meet."""
 
     __match_args__ = ("name", "argument_sorts", "result_sort")
-    __slots__ = __match_args__ + ("_hash",)
+    __slots__ = __match_args__ + ("_hash", "_leaf")
 
     def __init__(self, name: str, argument_sorts: tuple[Sort, ...], result_sort: Sort) -> None:
         Record.__init__(self, name, argument_sorts, result_sort)
@@ -149,6 +149,8 @@ class Term:
     asked (a term with MetaVar leaves never needs one), and `_mark` holds the
     rule summary of a canonical node, whose first entry is the presentation
     it is canonical under (unset until then: construction pays nothing).
+    A nullary constructor's term is one object, `leaf(decl)`, wherever the
+    helpers build it, so its mark and order key are made once and reused.
     """
 
     __slots__ = ("head", "children", "_hash", "_key", "_mark")
@@ -225,6 +227,16 @@ class MetaVar(Record):
 
 
 Pattern = Union[MetaVar, Term]
+
+
+def leaf(decl: ConstructorDecl) -> Term:
+    """The one term of the nullary constructor `decl`, made on first use and
+    kept on the declaration (a declaration minted apart has its own)."""
+    try:
+        return decl._leaf
+    except AttributeError:
+        object.__setattr__(decl, "_leaf", Term(decl))
+        return decl._leaf
 
 
 class AcuGroup(Record):
@@ -373,6 +385,8 @@ def instantiate(pat: Pattern, binding: dict[str, Term]) -> Term:
             return binding[pat.name]
         except KeyError:
             raise RewriteError(f"metavariable {pat.name} is unbound") from None
+    if not pat.children:
+        return pat  # a leaf of the pattern is a term already
     return Term(pat.head, tuple(instantiate(c, binding) for c in pat.children))
 
 
@@ -436,6 +450,9 @@ def _canon(p: Presentation, t: Term) -> Term:
     g = _group_of(p, t)
     if g is None:
         kids = tuple([_canon(p, c) for c in t.children])
+        if kids == t.children and not p.congruence.marker_floats:
+            _summarize(p, t, None, kids)  # no float moves, and t is no group
+            return t
         return _settle(p, t if kids == t.children else Term(t.head, kids))
     # a maximal group: flatten it once, canonicalize its elements, sort once
     elems = sorted((x for e in flatten_term(g, t) for x in flatten_term(g, _canon(p, e))), key=term_key)
@@ -684,7 +701,8 @@ def _summarize(p: Presentation, t: Term, g: Optional[AcuGroup], parts: Sequence[
     """Mark t, canonical under p, with its summary ``(p, spine, group, own,
     below)``: its spine key, its group, and the rules tried at t and in its
     subtree, found from the summaries of `parts`, its elements if it is a
-    g-group node and else its children.  Nodes alike share one tuple."""
+    g-group node and else its children; a group rule is not tried at a group
+    node that lacks one of its required atoms.  Nodes alike share one tuple."""
     if g is not None and len(parts) < 2:
         _summary(p, t)  # the join is the unit or the one element
         return
@@ -695,12 +713,18 @@ def _summarize(p: Presentation, t: Term, g: Optional[AcuGroup], parts: Sequence[
             s = _summary(p, c)
         below |= s[4]
         first = first or s
-    # a group node by its group's identity (p holds the group), any other by its head and first child
-    key = (id(g), below) if g is not None else (t.head.name, first[1] if first else (), below)
+    # a group node by its group's identity (p holds the group) and the rules
+    # of its group it lacks a required atom of, any other by its head and first child
+    lack = 0
+    if g is not None:
+        for r in p._rule_table:
+            if r.flat is not None and r.flat.group is g and not all(a in parts for a in r.flat.needs):
+                lack |= r.bit
+    key = (id(g), below, lack) if g is not None else (t.head.name, first[1] if first else (), below)
     s = p._summaries.get(key)
     if s is None:
         spine = None if g is not None else _spine_key(p, t, first and first[1])
-        own = _own(p, spine, g)
+        own = _own(p, spine, g) & ~lack
         s = p._summaries[key] = (p, spine, g, own, below | own)
     _set_mark(t, s)
 

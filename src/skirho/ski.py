@@ -23,6 +23,7 @@ from .core import (
     Sort,
     Term,
     Trace,
+    leaf,
     reduce,
     subterms,
 )
@@ -41,15 +42,15 @@ DEFAULT_FUEL = 1000
 
 
 def S() -> Term:
-    return Term(S_DECL)
+    return leaf(S_DECL)
 
 
 def K() -> Term:
-    return Term(K_DECL)
+    return leaf(K_DECL)
 
 
 def I() -> Term:
-    return Term(I_DECL)
+    return leaf(I_DECL)
 
 
 def ap(f: Term, x: Term) -> Term:
