@@ -713,8 +713,8 @@ def _summarize(p: Presentation, t: Term, g: Optional[AcuGroup], parts: Sequence[
             s = _summary(p, c)
         below |= s[4]
         first = first or s
-    # a group node by its group's identity (p holds the group) and the rules
-    # of its group it lacks a required atom of, any other by its head and first child
+    # a group node by its group's identity (p holds the group) and the rules of
+    # its group whose required atoms it lacks, any other by its head and first child
     lack = 0
     if g is not None:
         for r in p._rule_table:
