@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple, Optional, Union
 
-from . import comb, rho
+from . import rho
 from .calculus import CALCULI, Calculus
 from .core import Record, StateBudgetExhausted, Successors, Term, explore, subterms
 
@@ -207,6 +207,7 @@ class FaithfulnessReport(NamedTuple):
 def faithfulness_check(p: rho.Process, q: rho.Process, names, depth: int) -> FaithfulnessReport:
     """Compare the bounded verdicts on the calculus side and on the
     context-wrapped translations, name set carried across the translation."""
+    from . import comb
     comb_names = [comb.interp_name(rho.canon_name(n)) for n in names]
     try:
         calc = bounded_bisim(p, q, names, depth)
@@ -229,8 +230,11 @@ def faithfulness_check(p: rho.Process, q: rho.Process, names, depth: int) -> Fai
 def names_occurring(agent: Agent) -> list:
     """The names an agent can barb on, canonical and deduplicated: every
     name occurring in it but an identifier an enclosing input binds."""
-    found = (rho.all_names(agent) if not isinstance(agent, Term)
-             else [u for u in subterms(comb.canon(agent))
-                   if u.head == comb.APP_DECL and u.children[0].head == comb.AMP_DECL])
+    if isinstance(agent, Term):
+        from . import comb
+        found = [u for u in subterms(comb.canon(agent))
+                 if u.head == comb.APP_DECL and u.children[0].head == comb.AMP_DECL]
+    else:
+        found = rho.all_names(agent)
     names = [calculus_of(agent).canon_name(n) for n in found]
     return [n for i, n in enumerate(names) if n not in names[:i]]

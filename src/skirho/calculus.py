@@ -8,6 +8,11 @@ the strategies of `core.drive` take them, and the fixed order on canonical
 terms.  The two agent calculi also carry their names and immediate barbs,
 which is all bisimulation reads.  `edges` and `barbs` take canonical terms:
 callers canonicalize once, where a term enters.
+
+`CALCULI` makes a record on its first lookup, importing its calculus's
+module then, so a process that runs one calculus loads only that one:
+`CALCULI["ski"]` never imports `rho` or `comb`.  Until then the name is not
+among the keys; the command line lists the five names itself.
 """
 
 from __future__ import annotations
@@ -15,18 +20,8 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, NamedTuple, Optional
 
-from . import comb, rho, ski
+from . import ski
 from .core import Successors, Term, canonicalize, iter_redexes, term_key
-from .syntax import (
-    parse_comb,
-    parse_rho,
-    parse_rho_name,
-    parse_ski,
-    print_comb,
-    print_rho,
-    print_rho_name,
-    print_ski,
-)
 
 
 class Calculus(NamedTuple):
@@ -53,8 +48,8 @@ class Calculus(NamedTuple):
 
 def _ski(variant: str, gas: Optional[Callable[[Term, int], Term]] = None) -> Calculus:
     pres = ski.PRESENTATIONS[variant]
-    return Calculus(partial(parse_ski, variant=variant), print_ski, partial(canonicalize, pres),
-                    partial(iter_redexes, pres), term_key, gas=gas)
+    return Calculus(partial(ski.parse_ski, variant=variant), ski.print_ski,
+                    partial(canonicalize, pres), partial(iter_redexes, pres), term_key, gas=gas)
 
 
 def _fuel(t: Term, n: int) -> Term:
@@ -63,38 +58,31 @@ def _fuel(t: Term, n: int) -> Term:
     return ski.wrap_markers(t, n)
 
 
-def _parse_closed(text: str) -> rho.Process:
-    p = parse_rho(text)
-    if not rho.is_closed(p):
-        raise ValueError("process must be closed")
-    return p
+def _rho() -> Calculus:
+    from . import rho
+    return Calculus(rho.parse_closed, rho.print_rho, rho.canon_process, rho.comm_edges,
+                    rho.process_key, parse_name=rho.parse_rho_name, print_name=rho.print_rho_name,
+                    canon_name=rho.canon_name, barbs=rho.barbs)
 
 
-def _rho_barbs(p: rho.Process, names: tuple) -> frozenset:
-    return frozenset(c.subject for c in rho.par_components(p)
-                     if isinstance(c, rho.Output) and c.subject in names)
+def _rho_comb() -> Calculus:
+    from . import comb
+    return Calculus(comb.parse_comb, comb.print_comb, comb.canon,
+                    partial(iter_redexes, comb.PRESENTATION), term_key,
+                    parse_name=comb.parse_comb, print_name=comb.print_comb,
+                    canon_name=comb.canon, barbs=comb.barbs)
 
 
-def _comb_barbs(t: Term, names: tuple) -> frozenset:
-    """Subjects ``x`` of the components ``((! x) P)`` among `names`."""
-    found = set()
-    for c in comb.par_components(t):
-        if c.head == comb.APP_DECL and c.children[0].head == comb.APP_DECL:
-            send, subject = c.children[0].children
-            if send.head == comb.BANG_DECL and subject in names:
-                found.add(subject)
-    return frozenset(found)
+_BUILDERS = {"ski": partial(_ski, "plain"), "ski-whnf": partial(_ski, "whnf"),
+             "ski-gas": partial(_ski, "gas", gas=_fuel), "rho": _rho, "rho-comb": _rho_comb}
 
 
-CALCULI = {
-    "ski": _ski("plain"),
-    "ski-whnf": _ski("whnf"),
-    "ski-gas": _ski("gas", gas=_fuel),
-    "rho": Calculus(_parse_closed, print_rho, rho.canon_process, rho.comm_edges,
-                    rho.process_key, parse_name=parse_rho_name, print_name=print_rho_name,
-                    canon_name=rho.canon_name, barbs=_rho_barbs),
-    "rho-comb": Calculus(parse_comb, print_comb, comb.canon,
-                         partial(iter_redexes, comb.PRESENTATION), term_key,
-                         parse_name=parse_comb, print_name=print_comb,
-                         canon_name=comb.canon, barbs=_comb_barbs),
-}
+class _Registry(dict):
+    """The records made so far; looking a name up makes its record if missing."""
+
+    def __missing__(self, name: str) -> Calculus:
+        record = self[name] = _BUILDERS[name]()
+        return record
+
+
+CALCULI: dict[str, Calculus] = _Registry()

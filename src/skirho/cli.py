@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Optional, Sequence
 
-from . import bisim, comb, rho
 from .calculus import CALCULI as RECORDS, Calculus
 from .core import FuelExhausted, Trace, drive, reduce
-from .syntax import ParseError, print_comb, print_rho
+from .syntax import ParseError
 
-CALCULI = tuple(RECORDS)  # the calculus names, in registry order
+CALCULI = ("ski", "ski-whnf", "ski-gas", "rho", "rho-comb")  # a command loads only its own
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -114,13 +112,27 @@ def replay_trace_json(obj: dict):
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
+        import json
         print(json.dumps(payload))
     else:
         print(text)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each imports the calculi it runs, and no other
+
+
+def _translating(run):
+    """A command that translates: a `comb.TranslationError` exits 3 with its message."""
+
+    def checked(args) -> int:
+        from . import comb
+        try:
+            return run(args)
+        except comb.TranslationError as err:
+            raise CliError(str(err), EXIT_PROPERTY) from err
+
+    return checked
 
 
 def _cmd_reduce(args, verbose: bool) -> int:
@@ -149,15 +161,17 @@ def _cmd_reduce(args, verbose: bool) -> int:
     return EXIT_FUEL if trace.status == "fuel_exhausted" else EXIT_OK
 
 
+@_translating
 def _cmd_translate(args) -> int:
+    from . import comb, rho
     calculus = args.calculus
     term = _parse_term(RECORDS[calculus], args.term)
     if calculus == "rho":
-        rendered = print_comb(comb.interp(term))
+        rendered = comb.print_comb(comb.interp(term))
         _emit(args, {"calculus": "rho-comb", "term": rendered}, rendered)
         return EXIT_OK
     if calculus == "rho-comb":
-        rendered = print_rho(comb.backinterp(term, fuel=args.fuel))
+        rendered = rho.print_rho(comb.backinterp(term, fuel=args.fuel))
         _emit(args, {"calculus": "rho", "term": rendered}, rendered)
         return EXIT_OK
     raise CliError("translate expects --calculus rho or rho-comb", EXIT_INPUT)
@@ -166,6 +180,7 @@ def _cmd_translate(args) -> int:
 def _cmd_sort(args) -> int:
     if args.calculus != "rho-comb":
         raise CliError("sort expects --calculus rho-comb", EXIT_INPUT)
+    from . import comb
     term = _parse_term(RECORDS[args.calculus], args.term)
     inferred = comb.sort_infer(term)
     if inferred is None:
@@ -185,6 +200,7 @@ def _agent(args, text: str):
 def _agent_names(args, agents) -> list:
     names = _parse_names(RECORDS[args.calculus], args.names)
     if names is None:
+        from . import bisim
         names = []
         for agent in agents:
             for n in bisim.names_occurring(agent):
@@ -194,6 +210,7 @@ def _agent_names(args, agents) -> list:
 
 
 def _cmd_barbs(args) -> int:
+    from . import bisim
     agent = _agent(args, args.term)
     names = _agent_names(args, [agent])
     show = RECORDS[args.calculus].print_name
@@ -213,6 +230,7 @@ def _cmd_barbs(args) -> int:
 
 
 def _cmd_bisim(args) -> int:
+    from . import bisim
     left = _agent(args, args.left)
     right = _agent(args, args.right)
     names = _agent_names(args, [left, right])
@@ -234,7 +252,9 @@ def _cmd_bisim(args) -> int:
     return EXIT_OK
 
 
+@_translating
 def _cmd_faithfulness(args) -> int:
+    from . import bisim
     left = _agent(args, args.left)
     right = _agent(args, args.right)
     names = _agent_names(args, [left, right])
@@ -255,7 +275,9 @@ def _cmd_faithfulness(args) -> int:
     return EXIT_OK if report.agree else EXIT_PROPERTY
 
 
+@_translating
 def _cmd_roundtrip(args) -> int:
+    from . import comb, rho
     calculus = args.calculus
     term = _parse_term(RECORDS[calculus], args.term)
     checks: list[tuple[str, bool, str]] = []
@@ -263,19 +285,19 @@ def _cmd_roundtrip(args) -> int:
         image = comb.interp(term)
         back = comb.backinterp(image, fuel=args.fuel)
         ok1 = back == rho.canon_process(term)
-        checks.append(("back_translation_alpha_equivalent", ok1, print_rho(back)))
+        checks.append(("back_translation_alpha_equivalent", ok1, rho.print_rho(back)))
         again = comb.interp(back)
         ok2 = comb.backinterp(again, fuel=args.fuel) == back
-        checks.append(("composite_idempotent", ok2, print_comb(again)))
+        checks.append(("composite_idempotent", ok2, comb.print_comb(again)))
     elif calculus == "rho-comb":
         process = comb.backinterp(term, fuel=args.fuel)
         target = comb.interp(process)
         trace = reduce(comb.PRESENTATION, term, "all", args.fuel,
                        rules=comb.NON_COMM_RULES, target=target)
         ok1 = trace.status == "target_reached"
-        checks.append(("reduces_to_composite_without_comm", ok1, print_comb(target)))
+        checks.append(("reduces_to_composite_without_comm", ok1, comb.print_comb(target)))
         ok2 = comb.backinterp(target, fuel=args.fuel) == process
-        checks.append(("composite_idempotent", ok2, print_rho(process)))
+        checks.append(("composite_idempotent", ok2, rho.print_rho(process)))
     else:
         raise CliError("roundtrip expects --calculus rho or rho-comb", EXIT_INPUT)
     payload = {"checks": [{"name": n, "ok": ok, "value": v} for n, ok, v in checks]}
@@ -372,9 +394,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FuelExhausted as err:
         print(str(err), file=sys.stderr)
         return EXIT_FUEL
-    except comb.TranslationError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_PROPERTY
     except RecursionError:
         print("term nested too deeply", file=sys.stderr)
         return EXIT_INPUT

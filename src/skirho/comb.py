@@ -35,6 +35,7 @@ from .core import (
     subterms,
 )
 from .rho import Deref, Input, Output, Par, Process, Quote, Var, ZERO as RHO_ZERO
+from .syntax import Cursor
 
 T = Sort("T")
 
@@ -423,6 +424,17 @@ def par_components(t: Term) -> list[Term]:
     return comps if comps else [group.unit]
 
 
+def barbs(t: Term, names: tuple) -> frozenset:
+    """Subjects ``x`` of the canonical t's components ``((! x) P)`` among `names`."""
+    found = set()
+    for c in par_components(t):
+        if c.head == APP_DECL and c.children[0].head == APP_DECL:
+            send, subject = c.children[0].children
+            if send.head == BANG_DECL and subject in names:
+                found.add(subject)
+    return frozenset(found)
+
+
 def unwrap_context(t: Term) -> Optional[Term]:
     """Remove the single context resource from a wrapped parallel group."""
     comps = par_components(t)
@@ -430,3 +442,38 @@ def unwrap_context(t: Term) -> Optional[Term]:
     if len(rest) == len(comps) - 1:
         return group_join(PRESENTATION.congruence.acu_groups[0], rest)
     return None
+
+
+# ---------------------------------------------------------------------------
+# surface syntax: fully parenthesized binary applications over the atoms
+
+
+_COMB_ATOMS = {decl.name: decl for decl in ATOM_DECLS}
+
+
+def parse_comb(text: str) -> Term:
+    cur = Cursor(text, ("(", ")", "|", "!", "&", "*"))
+    result = _comb_term(cur)
+    cur.done()
+    return result
+
+
+def _comb_term(cur: Cursor) -> Term:
+    tok = cur.peek()
+    if tok.text == "(":
+        cur.next()
+        fun = _comb_term(cur)
+        arg = _comb_term(cur)
+        cur.expect(")")
+        return ap(fun, arg)
+    if tok.text in _COMB_ATOMS:
+        cur.next()
+        return atom(_COMB_ATOMS[tok.text])
+    cur.fail(f"expected a combinator atom or '(', found {tok.text or 'end of input'!r}")
+    raise AssertionError
+
+
+def print_comb(t: Term) -> str:
+    if t.head is APP_DECL:
+        return f"({print_comb(t.children[0])} {print_comb(t.children[1])})"
+    return t.head.name

@@ -298,6 +298,14 @@ class Presentation:
         return {}  # what `_summarize` has made
 
     @cached_property
+    def _spine_caps(self) -> tuple[int, int]:
+        """Where a term's spine key is clipped, past which no rule tells keys
+        apart: one past the longest rule spine, and the most markers a rule
+        asks for (at least one).  The summary table stays finite."""
+        keys = [r.spine for r in self._rule_table if r.spine is not None]
+        return 1 + max((k[1] for k in keys), default=0), max([1] + [k[2] for k in keys])
+
+    @cached_property
     def _selections(self) -> dict:
         return {}  # what `_select` has made, by rule-name tuple
 
@@ -724,6 +732,9 @@ def _summarize(p: Presentation, t: Term, g: Optional[AcuGroup], parts: Sequence[
     s = p._summaries.get(key)
     if s is None:
         spine = None if g is not None else _spine_key(p, t, first and first[1])
+        if spine:
+            n, m = p._spine_caps
+            spine = (spine[0], min(spine[1], n), min(spine[2], m))
         own = _own(p, spine, g) & ~lack
         s = p._summaries[key] = (p, spine, g, own, below | own)
     _set_mark(t, s)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .core import Redex, Trace, drive
+from .syntax import Cursor, ParseError
 
 
 class Zero(NamedTuple):
@@ -320,7 +321,151 @@ def comm_edges(p: Process) -> list[tuple[Redex, Process]]:
     return [(COMM, q) for q in sorted(_reducts(p), key=process_key)]
 
 
+def parse_closed(text: str) -> Process:
+    """A closed process from its surface syntax; ValueError if it is open."""
+    p = parse_rho(text)
+    if not is_closed(p):
+        raise ValueError("process must be closed")
+    return p
+
+
+def barbs(p: Process, names: tuple) -> frozenset:
+    """Subjects of the canonical p's top-level outputs among `names`."""
+    return frozenset(c.subject for c in par_components(p)
+                     if isinstance(c, Output) and c.subject in names)
+
+
 def rho_reduce(p: Process, strategy: str = "first", fuel: int = 1000,
                *, seed: Optional[int] = None) -> Trace:
     """Drive communication steps with the term rewriting strategies."""
     return drive(canon_process(p), comm_edges, strategy, fuel, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# surface syntax: ``&P`` quotes, ``*x`` dereferences, ``for(y <- x)P``
+# receives, ``x!P`` sends, and ``|`` composes in parallel with the lowest
+# precedence (right associated); quotation binds tighter than ``!``
+
+
+_RHO_SYMBOLS = ("<-", "(", ")", "!", "|", "*", "&")
+_RHO_RESERVED = ("for", "0")  # words that are not identifiers
+
+
+def parse_rho(text: str) -> Process:
+    cur = Cursor(text, _RHO_SYMBOLS)
+    result = _rho_proc(cur)
+    cur.done()
+    return result
+
+
+def _rho_proc(cur: Cursor) -> Process:
+    parts = [_rho_prefix(cur)]
+    while cur.peek().text == "|":
+        cur.next()
+        parts.append(_rho_prefix(cur))
+    return par_of(parts)
+
+
+def _rho_prefix(cur: Cursor) -> Process:
+    tok = cur.peek()
+    if tok.text == "&" or (tok.kind == "word" and tok.text not in _RHO_RESERVED):
+        subject = _rho_name(cur)
+        cur.expect("!")
+        return Output(subject, _rho_prefix(cur))
+    return _rho_primary(cur)
+
+
+def _rho_primary(cur: Cursor) -> Process:
+    tok = cur.peek()
+    if tok.text == "0":
+        cur.next()
+        return ZERO
+    if tok.text == "for":
+        cur.next()
+        cur.expect("(")
+        binder = _rho_ident(cur)
+        cur.expect("<-")
+        subject = _rho_name(cur)
+        cur.expect(")")
+        return Input(subject, binder, _rho_prefix(cur))
+    if tok.text == "*":
+        cur.next()
+        return Deref(_rho_name(cur))
+    if tok.text == "(":
+        cur.next()
+        inner = _rho_proc(cur)
+        cur.expect(")")
+        return inner
+    cur.fail(f"expected a process, found {tok.text or 'end of input'!r}")
+    raise AssertionError
+
+
+def _rho_name(cur: Cursor) -> Name:
+    if cur.peek().text == "&":
+        cur.next()
+        return Quote(_rho_primary(cur))
+    return Var(_rho_ident(cur, "a name"))
+
+
+def _rho_ident(cur: Cursor, what: str = "an identifier") -> str:
+    tok = cur.peek()
+    if tok.kind == "word" and tok.text not in _RHO_RESERVED:
+        cur.next()
+        return tok.text
+    cur.fail(f"expected {what}, found {tok.text or 'end of input'!r}")
+    raise AssertionError
+
+
+def print_rho(p: Process) -> str:
+    match p:
+        case Zero():
+            return "0"
+        case Par(l, r):
+            return f"{_print_rho_prefix(l)} | {print_rho(r)}"
+        case _:
+            return _print_rho_prefix(p)
+
+
+def _print_rho_prefix(p: Process) -> str:
+    match p:
+        case Output(x, body):
+            return f"{print_rho_name(x)}!{_print_rho_prefix_arg(body)}"
+        case _:
+            return _print_rho_primary(p)
+
+
+def _print_rho_prefix_arg(p: Process) -> str:
+    if isinstance(p, Par):
+        return f"({print_rho(p)})"
+    return _print_rho_prefix(p)
+
+
+def _print_rho_primary(p: Process) -> str:
+    match p:
+        case Zero():
+            return "0"
+        case Input(x, binder, body):
+            return f"for({binder} <- {print_rho_name(x)}){_print_rho_prefix_arg(body)}"
+        case Deref(x):
+            return f"*{print_rho_name(x)}"
+        case _:
+            return f"({print_rho(p)})"
+
+
+def print_rho_name(n: Name) -> str:
+    match n:
+        case Var(v):
+            return v
+        case Quote(p):
+            if isinstance(p, (Zero, Deref, Input)):
+                return f"&{_print_rho_primary(p)}"
+            return f"&({print_rho(p)})"
+    raise TypeError(f"not a name: {n!r}")
+
+
+def parse_rho_name(text: str) -> Name:
+    """Parse a single name literal such as ``&0`` or ``&(a!0 | 0)``."""
+    wrapped = parse_rho(f"{text}!0")
+    if not isinstance(wrapped, Output) or wrapped.body != ZERO:
+        raise ParseError("expected a name literal", 1, 1)
+    return wrapped.subject

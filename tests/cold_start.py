@@ -1,4 +1,4 @@
-"""Time ``import skirho.cli`` in fresh interpreters, from source and from bytecode.
+"""Time ``import skirho.cli`` and three subcommands in fresh interpreters.
 
 Usage, from the root of a checkout:
 
@@ -13,7 +13,10 @@ which mode goes first, and the median wall time of each mode is printed:
 * ``bytecode``: a bytecode cache under a temporary ``PYTHONPYCACHEPREFIX``,
   filled by one untimed start, so nothing is compiled.
 
-A bare interpreter start (``-c pass``) is timed alongside as the floor.
+A bare interpreter start (``-c pass``) is timed alongside as the floor, and
+so are three whole subcommands from source, each importing only the calculi
+it runs: ``skirho reduce --calculus ski``, ``reduce --calculus rho`` and
+``faithfulness``; the SKI command's distance from the floor is printed last.
 Then the same N rounds run under ``-X importtime`` and each module's median
 self time is printed: every ``skirho`` module and the slowest others.
 Nothing is written under ``src/``; the copy and the cache live in a
@@ -34,6 +37,11 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 IMPORT = ["-c", "import skirho.cli"]
+COMMANDS = {
+    "skirho reduce --calculus ski": ["reduce", "--calculus", "ski", "((K I) S)"],
+    "skirho reduce --calculus rho": ["reduce", "--calculus", "rho", "for(y <- &0)*y | &0!0"],
+    "skirho faithfulness": ["faithfulness", "&0!0", "&0!0 | 0"],
+}
 OTHERS_SHOWN = 8
 
 
@@ -65,20 +73,26 @@ def main(argv: list[str]) -> None:
             "bytecode": dict(base, PYTHONPATH=str(copy), PYTHONPYCACHEPREFIX=str(Path(tmp) / "pycache")),
         }
         run(envs["bytecode"], IMPORT)  # fills the cache
-        walls: dict[str, list[float]] = {mode: [] for mode in ("floor", *envs)}
+        walls: dict[str, list[float]] = {mode: [] for mode in ("floor", *envs, *COMMANDS)}
         selves: dict[str, dict[str, list[int]]] = {mode: {} for mode in envs}
         for i in range(n):
             walls["floor"].append(run(envs["bytecode"], ["-c", "pass"])[0])
             for mode in sorted(envs, reverse=bool(i % 2)):
                 walls[mode].append(run(envs[mode], IMPORT)[0])
+            for label, argv in COMMANDS.items():
+                walls[label].append(run(envs["source"], ["-m", "skirho.cli", *argv])[0])
         for i in range(n):
             for mode in sorted(envs, reverse=bool(i % 2)):
                 for name, us in self_times(run(envs[mode], ["-X", "importtime", *IMPORT])[1]).items():
                     selves[mode].setdefault(name, []).append(us)
     print(f"{n} fresh interpreters per mode, Python {sys.version.split()[0]}")
-    for mode, times in walls.items():
-        label = "python -c pass" if mode == "floor" else f"import skirho.cli ({mode})"
-        print(f"{label:34} median {1e3 * statistics.median(times):7.1f} ms")
+    medians = {mode: 1e3 * statistics.median(times) for mode, times in walls.items()}
+    for mode, ms in medians.items():
+        label = ("python -c pass" if mode == "floor" else f"{mode} (source)" if mode in COMMANDS
+                 else f"import skirho.cli ({mode})")
+        print(f"{label:40} median {ms:7.1f} ms")
+    ski = medians["skirho reduce --calculus ski"] - medians["floor"]
+    print(f"{'SKI reduce over the floor':40} median {ski:7.1f} ms")
     for mode, table in selves.items():
         medians = {name: statistics.median(us) for name, us in table.items()}
         ours = sorted(name for name in medians if name.split(".")[0] == "skirho")

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import skirho
 from skirho import bisim, core
 from skirho.cli import CALCULI, main, replay_trace_json, validate_trace_json
 
@@ -447,3 +450,67 @@ def test_subprocess_runs_byte_identical():
     second = subprocess.run(argv, capture_output=True)
     assert first.returncode == 0
     assert first.stdout == second.stdout
+
+
+# ---------------------------------------------------------------------------
+# fresh processes: a command loads only the calculi it runs
+
+SRC = str(Path(skirho.__file__).resolve().parents[1])
+SKI_SET = {"skirho.core", "skirho.ski", "skirho.syntax", "skirho.calculus", "skirho.cli"}
+_LOADED = """
+import io, sys
+from contextlib import redirect_stdout
+from skirho import cli
+for argv in {argvs!r}:
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(code, "json" in sys.modules, *sorted(m for m in sys.modules if m.startswith("skirho.")))
+"""
+_IMPORT_SETS = [
+    (set(), [[command, "--calculus", calculus, *extra, text]
+             for command in ("reduce", "trace")
+             for calculus, extra, text in (("ski", (), "((K I) S)"), ("ski-whnf", (), "(R ((K I) S))"),
+                                           ("ski-gas", ("--gas", "2"), "((K I) S)"))]),
+    ({"skirho.rho"}, [[command, "--calculus", "rho", "for(y <- &0)*y | &0!0"]
+                      for command in ("reduce", "trace")]),
+    ({"skirho.rho", "skirho.bisim"}, [["barbs", "--calculus", "rho", "&0!0"],
+                                      ["bisim", "--calculus", "rho", "&0!0", "&0!0 | 0"]]),
+    ({"skirho.rho", "skirho.comb"}, [["reduce", "--calculus", "rho-comb", "((| C) 0)"],
+                                     ["trace", "--calculus", "rho-comb", "((| C) 0)"],
+                                     ["translate", "--calculus", "rho", "&0!0"],
+                                     ["translate", "--calculus", "rho-comb", "((for (& 0)) (K 0))"],
+                                     ["sort", "--calculus", "rho-comb", "((! (& 0)) 0)"],
+                                     ["roundtrip", "--calculus", "rho", "&0!0"],
+                                     ["roundtrip", "--calculus", "rho-comb", "((! (& 0)) 0)"]]),
+    ({"skirho.rho", "skirho.comb", "skirho.bisim"}, [["faithfulness", "&0!0", "&0!0 | 0"]]),
+]
+
+
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("extra, argvs", _IMPORT_SETS,
+                         ids=["ski", "rho", "rho-bisim", "rho-comb", "faithfulness"])
+def test_a_command_loads_only_the_calculi_it_runs(extra, argvs):
+    """One interpreter per module set runs each of its commands in turn; after
+    every one the skirho modules loaded are exactly the set, and no text
+    output loads `json`."""
+    done = fresh("-c", _LOADED.format(argvs=argvs))
+    assert done.returncode == 0, done.stderr
+    want = sorted(SKI_SET | extra)
+    assert [line.split() for line in done.stdout.splitlines()] == [["0", "False", *want]] * len(argvs)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["translate", "--calculus", "rho-comb", "(0 0)"], 3, "combinator is not W-sorted"),
+    (["reduce", "--calculus", "rho", "*y"], 1, "process must be closed"),
+    (["barbs", "--calculus", "rho", "--names", "&0,&(", "&0!0"], 1,
+     "bad name literal '&(': 1:3: expected a process, found '!'"),
+], ids=["unsortable-translation", "open-process", "bad-names-literal"])
+def test_error_paths_hold_in_a_fresh_process(capsys, argv, code, message):
+    """The module that raises is imported only by the command that fails."""
+    done = fresh("-m", "skirho.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, "", message + "\n")
+    assert run_cli(capsys, *argv) == (code, "", message + "\n")

@@ -1042,3 +1042,47 @@ def test_deep_terms_do_not_overflow_the_enumerator():
     assert [r.rule for r, _ in trace.steps] == ["iota"] + ["kappa"] * 9
     assert trace.steps[0][0].position == (0,) * 2999
     assert _left_spine(trace.final) == ("K", ["K"] * 2981)
+
+
+# ---------------------------------------------------------------------------
+# the summary table stays bounded
+
+
+def _spine_unclipped(p, t):
+    """The spine key of a marker-float term (no groups), counted to its leaf."""
+    markers = {f.marker for f in p.congruence.marker_floats}
+    n = m = 0
+    while t.children:
+        n, m = n + (t.head not in markers), m + (t.head in markers)
+        t = t.children[0]
+    return (t.head.name, n, m)
+
+
+def test_the_summary_table_stops_growing_on_long_gas_runs():
+    """Spine keys are clipped where no rule tells them apart: the table of a
+    fresh gas presentation stops growing while the runs' spines keep getting
+    longer, and every summary's bits are those of the unclipped key."""
+    gas = dataclasses.replace(ski.ski_presentation("gas"))
+    rng = random.Random(73)
+    sizes = []
+    for rounds in range(3):
+        for _ in range(150):
+            t = random_ski_term(rng.randint(2, 30 + 30 * rounds), rng)
+            start = ski.wrap_markers(t, rng.randint(0, 20 + 20 * rounds))
+            reduce(gas, start, "first", 40)
+        spine = canonicalize(gas, ski.wrap_markers(_left_spine_of(60 * (rounds + 1)), 9 * rounds))
+        sizes.append(len(gas._summaries))
+    assert sizes[0] == sizes[1] == sizes[2] <= 60, sizes
+    todo = [spine]
+    while todo:
+        u = todo.pop()
+        todo += u.children
+        assert u._mark[3] == core._own(gas, _spine_unclipped(gas, u), None)
+
+
+def _left_spine_of(n):
+    """S K K ... K, n applications: every prefix of length 3 on is a sigma spine."""
+    t = S()
+    for _ in range(n):
+        t = ap(t, K())
+    return t
