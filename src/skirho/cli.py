@@ -3,7 +3,9 @@
 One invocation parses one or two terms in the chosen calculus, runs a
 pipeline, and prints text or JSON.  Exit codes: 0 success, 1 input or parse
 error, 2 fuel or search budget exhaustion, 3 property violation (for
-example a sort failure where the process sort was required).
+example a sort failure where the process sort was required).  A subcommand
+imports only the calculi it runs, so an SKI reduction loads neither the
+process calculus nor its combinators.
 """
 
 from __future__ import annotations
