@@ -26,12 +26,12 @@ leftmost path (the constructor it ends in, its length and markers).
 
 A `Term` carries its hash and, once asked, its order key (`term_key`).  A
 canonical term carries its rule summary under the presentation it is
-canonical under: which rules' keys it and its subtree hold, found from its
-children's summaries in the walk that marks it (incremental attribute
-evaluation, Reps, Teitelbaum & Demers 1983).  `canonicalize` returns a
-marked term at once and rebuilds and summarizes only the nodes that change,
-so a successor pays for its redex path and new right-hand side, and redex
-enumeration enters only the subtrees whose summary holds the rule it tries.
+canonical under: which rules' keys it and its subtree hold, a synthesized
+attribute found from its children's summaries (Reps, Teitelbaum & Demers
+1983).  One post-order walk on an explicit stack makes a term canonical and
+summarizes it, entering only the nodes not yet marked, so a successor pays
+for its redex path and new right-hand side, and redex enumeration enters
+only the subtrees whose summary holds the rule it tries.
 """
 
 from __future__ import annotations
@@ -452,22 +452,59 @@ def canonicalize(p: Presentation, t: Term) -> Term:
 
 
 def _canon(p: Presentation, t: Term) -> Term:
-    s = getattr(t, "_mark", None)
-    if s is not None and s[0] is p:
-        return t
-    g = _group_of(p, t)
-    if g is None:
-        kids = tuple([_canon(p, c) for c in t.children])
-        if kids == t.children and not p.congruence.marker_floats:
-            _summarize(p, t, None, kids)  # no float moves, and t is no group
-            return t
-        return _settle(p, t if kids == t.children else Term(t.head, kids))
-    # a maximal group: flatten it once, canonicalize its elements, sort once
-    elems = sorted((x for e in flatten_term(g, t) for x in flatten_term(g, _canon(p, e))), key=term_key)
-    if not _joins(g, t, elems):
-        t = group_join(g, elems)
-    _summarize(p, t, g, elems)
-    return t
+    """The canonical form of t under p, every node marked: one post-order walk
+    on an explicit stack, which enters only the nodes not marked for p and
+    rebuilds only those whose children changed."""
+    groups, floats = p.congruence.acu_groups, p.congruence.marker_floats
+    todo: list = [t]  # terms to enter, and (node, group, parts) to finish
+    done: list[Term] = []  # finished nodes: a node's parts are on top when it finishes
+    wraps: list = []  # the spine below a floating marker, to rebuild around it
+    while todo:
+        u = todo.pop()
+        if u.__class__ is Term:
+            s = getattr(u, "_mark", None)
+            if s is not None and s[0] is p:
+                done.append(u)
+                continue
+            g = _group_of(p, u) if groups else None
+            kids = u.children if g is None else flatten_term(g, u)  # a maximal group is one node
+            if kids:  # enter every part; a marked one comes back at once
+                todo.append((u, g, kids))
+                todo += reversed(kids)
+                continue
+        else:
+            u, g, kids = u
+            new = tuple(done[-len(kids):])
+            del done[-len(kids):]
+            if g is not None:  # an element that changed may have become a group or the unit
+                kids = [x for e, c in zip(kids, new) for x in ((c,) if c is e else flatten_term(g, c))]
+            elif new != kids:
+                u = Term(u.head, new)
+                g = _group_of(p, u) if groups else None
+                kids = u.children if g is None else flatten_term(g, u)
+        while True:
+            for f in floats:  # a marker over an application moves onto its spine's head
+                if u.head == f.marker and u.children[0].head == f.app:
+                    x = u.children[0]
+                    while x.head == f.app:
+                        wraps.append((f.app, x.children[1]))
+                        x = x.children[0]
+                    u = Term(f.marker, (x,))
+                    break
+            else:
+                if g is not None:  # sorted once, kept whole if in order already
+                    kids = sorted(kids, key=term_key)
+                    u = u if _joins(g, u, kids) else group_join(g, kids)
+                    g = g if len(kids) > 1 else None  # else the unit or the one element
+                _summarize(p, u, g, u.children if g is None else kids)
+                if not wraps:
+                    break
+                app, y = wraps.pop()
+                u = Term(app, (u, y))
+                g = _group_of(p, u) if groups else None
+                kids = u.children if g is None else flatten_term(g, u)
+        done.append(u)
+    return done[0]
 
 
 def _joins(g: AcuGroup, t: Term, elems: list[Term]) -> bool:
@@ -477,22 +514,6 @@ def _joins(g: AcuGroup, t: Term, elems: list[Term]) -> bool:
             return False
         t = t.children[1]
     return bool(elems) and t is elems[-1]
-
-
-def _settle(p: Presentation, t: Term) -> Term:
-    """Canonical form of t, whose children are canonical already, marked."""
-    for f in p.congruence.marker_floats:
-        if t.head == f.marker and t.children[0].head == f.app:
-            x, y = t.children[0].children
-            return _settle(p, Term(f.app, (_settle(p, Term(f.marker, (x,))), y)))
-    g = _group_of(p, t)
-    if g is None:
-        _summarize(p, t, None, t.children)
-        return t
-    elems = sorted(flatten_term(g, t), key=term_key)
-    t = group_join(g, elems)
-    _summarize(p, t, g, elems)
-    return t
 
 
 def congruent(p: Presentation, t: Term, u: Term) -> bool:
@@ -711,14 +732,11 @@ def _summarize(p: Presentation, t: Term, g: Optional[AcuGroup], parts: Sequence[
     subtree, found from the summaries of `parts`, its elements if it is a
     g-group node and else its children; a group rule is not tried at a group
     node that lacks one of its required atoms.  Nodes alike share one tuple."""
-    if g is not None and len(parts) < 2:
-        _summary(p, t)  # the join is the unit or the one element
-        return
     below, first = 0, None
     for c in parts:
         s = getattr(c, "_mark", None)
         if s is None or s[0] is not p:
-            s = _summary(p, c)
+            s = _canon(p, c)._mark
         below |= s[4]
         first = first or s
     # a group node by its group's identity (p holds the group) and the rules of
@@ -738,25 +756,6 @@ def _summarize(p: Presentation, t: Term, g: Optional[AcuGroup], parts: Sequence[
         own = _own(p, spine, g) & ~lack
         s = p._summaries[key] = (p, spine, g, own, below | own)
     _set_mark(t, s)
-
-
-def _summary(p: Presentation, t: Term) -> tuple:
-    """The summary of t, canonical under p: its mark, or made with an explicit
-    stack for t and every node below not marked for p (a congruence-free
-    presentation never marks; another presentation may have marked a node)."""
-    todo: list = [(t, None, None)]
-    while todo:
-        u, g, parts = todo.pop()
-        s = getattr(u, "_mark", None)
-        if s is not None and s[0] is p:
-            continue
-        if parts is not None:  # every part is summarized by now
-            _summarize(p, u, g, parts)
-            continue
-        g = _group_of(p, u)
-        parts = u.children if g is None else flatten_term(g, u)
-        todo += [(u, g, parts)] + [(c, None, None) for c in parts]
-    return t._mark
 
 
 def _select(p: Presentation, rules: Optional[Sequence[str]]) -> tuple[_Rule, ...]:
@@ -835,7 +834,7 @@ def _sites(p: Presentation, t: Term, s: tuple, bit: int) -> Iterator[tuple]:
         for step, c in reversed(kids):
             cs = getattr(c, "_mark", None)
             if cs is None or cs[0] is not p:
-                cs = _summary(p, c)
+                cs = _canon(p, c)._mark
             if cs[4] & bit:
                 todo.append((path + step, c, cs))
 
@@ -855,8 +854,8 @@ def iter_redexes(
     lacks raises ValueError.
     """
     table = _select(p, rules)
-    t = canonicalize(p, t)
-    top = _summary(p, t)
+    t = _canon(p, t)
+    top = t._mark
     for r in table:
         for path, node, s, kids in _sites(p, t, top, r.bit) if top[4] & r.bit else ():
             if r.flat is not None:

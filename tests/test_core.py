@@ -1009,9 +1009,10 @@ def _pattern_nodes(pat):
 
 
 def _left_spine(t):
-    """Head name and argument names of a left spine of leaves."""
+    """Head name (a marker's, if one is on the head) and argument names of a
+    left spine of leaves."""
     args = []
-    while t.children:
+    while len(t.children) == 2:
         args.append(t.children[1].head.name)
         t = t.children[0]
     return t.head.name, args
@@ -1042,6 +1043,15 @@ def test_deep_terms_do_not_overflow_the_enumerator():
     assert [r.rule for r, _ in trace.steps] == ["iota"] + ["kappa"] * 9
     assert trace.steps[0][0].position == (0,) * 2999
     assert _left_spine(trace.final) == ("K", ["K"] * 2981)
+    # under a congruence the spine is canonicalized first
+    gas = ski.ski_presentation("gas")
+    for p, start, status, head, left in ((WHNF, ski.R(t), "fuel_exhausted", "R", 2981),
+                                         (gas, ski.wrap_markers(t, 5), "normal_form", "K", 2991),
+                                         (COMB, t, "fuel_exhausted", "K", 2981)):
+        trace = reduce(p, start, "first", 10)
+        assert trace.status == status and _left_spine(trace.final) == (head, ["K"] * left)
+        assert [r.rule for r, _ in trace.steps] == ["iota"] + ["kappa"] * (len(trace.steps) - 1)
+    assert ski.whnf(t, fuel=5000) == ski.whnf_oracle(t, fuel=5000) == ap(K(), K())
 
 
 # ---------------------------------------------------------------------------
