@@ -35,7 +35,7 @@ from .core import (
     subterms,
 )
 from .rho import Deref, Input, Output, Par, Process, Quote, Var, ZERO as RHO_ZERO
-from .syntax import Cursor
+from .syntax import read_applications, write_applications
 
 T = Sort("T")
 
@@ -309,19 +309,51 @@ def _instance(s: SortExpr, fresh: dict[str, _Var]):
     return s
 
 
+def _instantiator(scheme: SortScheme):
+    """A function from the variable counter to a fresh instance of `scheme`,
+    its quantified variables numbered in the order they are listed."""
+    if not scheme.quantified:
+        shared = _instance(scheme.body, {})  # no variables: nothing in it is ever bound
+        return lambda counter: shared
+    return lambda counter: _instance(scheme.body, {q: _Var(next(counter)) for q in scheme.quantified})
+
+
+_INSTANTIATORS = {name: _instantiator(scheme) for name, scheme in SORT_TABLE.items()}
+
+
 def _infer(u: Term, counter) -> object:
-    if is_name_token(u):
-        return N
-    if u.head == APP_DECL:
-        fun = _infer(u.children[0], counter)
-        arg = _infer(u.children[1], counter)
-        res = _Var(next(counter))
-        _unify(fun, (arg, res))
-        return res
-    scheme = SORT_TABLE.get(u.head.name)
-    if scheme is None:
+    """The sort of u.  An application spine is read head first, then each
+    argument with its result variable, the order `_unify(fun, (arg, res))`
+    numbered them in; the result variable is fresh, so it needs no occurs
+    check and is bound to, or from, the function's range as `_unify` would."""
+    args = []
+    while u.head == APP_DECL:
+        args.append(u.children[1])
+        u = u.children[0]
+    instantiate = _INSTANTIATORS.get(u.head.name)
+    if instantiate is not None:
+        s = instantiate(counter)
+    elif is_name_token(u):
+        s = N
+    else:
         raise _UnifyError
-    return _instance(scheme.body, {q: _Var(next(counter)) for q in scheme.quantified})
+    for x in reversed(args):
+        arg = _infer(x, counter)
+        res = _Var(next(counter))
+        fun = _find(s)
+        if fun.__class__ is tuple:
+            _unify(fun[0], arg)
+            rng = _find(fun[1])
+            if rng.__class__ is _Var:
+                rng.ref = res
+            else:
+                res.ref = rng
+        elif fun.__class__ is _Var and not _occurs(fun, arg):
+            fun.ref = (arg, res)
+        else:
+            raise _UnifyError
+        s = res
+    return s
 
 
 def _export(s) -> SortExpr:
@@ -448,32 +480,16 @@ def unwrap_context(t: Term) -> Optional[Term]:
 # surface syntax: fully parenthesized binary applications over the atoms
 
 
-_COMB_ATOMS = {decl.name: decl for decl in ATOM_DECLS}
+_COMB_ATOMS = {decl.name: atom(decl) for decl in ATOM_DECLS}
 
 
 def parse_comb(text: str) -> Term:
-    cur = Cursor(text, ("(", ")", "|", "!", "&", "*"))
-    result = _comb_term(cur)
-    cur.done()
-    return result
+    return read_applications(text, ("(", ")", "|", "!", "&", "*"), _COMB_ATOMS, ap, {}, _not_a_combinator)
 
 
-def _comb_term(cur: Cursor) -> Term:
-    tok = cur.peek()
-    if tok.text == "(":
-        cur.next()
-        fun = _comb_term(cur)
-        arg = _comb_term(cur)
-        cur.expect(")")
-        return ap(fun, arg)
-    if tok.text in _COMB_ATOMS:
-        cur.next()
-        return atom(_COMB_ATOMS[tok.text])
-    cur.fail(f"expected a combinator atom or '(', found {tok.text or 'end of input'!r}")
-    raise AssertionError
+def _not_a_combinator(token: str) -> str:
+    return f"expected a combinator atom or '(', found {token or 'end of input'!r}"
 
 
 def print_comb(t: Term) -> str:
-    if t.head is APP_DECL:
-        return f"({print_comb(t.children[0])} {print_comb(t.children[1])})"
-    return t.head.name
+    return write_applications(t, APP_DECL)

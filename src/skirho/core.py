@@ -64,6 +64,14 @@ class StateBudgetExhausted(FuelExhausted):
     """Raised when a search visits more states than its state budget."""
 
 
+class _TargetFound(Exception):
+    """Ends a breadth-first search for a target when it is discovered."""
+
+    def __init__(self, state: object) -> None:
+        super().__init__()
+        self.state = state
+
+
 class InvalidRedex(RewriteError):
     """Raised when a redex is replayed against a term it was not found in."""
 
@@ -978,7 +986,8 @@ def drive(
     ``successors(state)`` yields ``(redex, successor)`` pairs in a fixed
     order.  ``first`` repeatedly takes the first pair, ``random`` draws
     uniformly using the seed, ``all`` explores breadth-first and returns a
-    shortest trace to a normal form (or to `goal`) within `fuel` steps.
+    shortest trace to a normal form (or to `goal`) within `fuel` steps; it
+    stops at the discovery of `goal`, whose trace ends in the state found.
     Running out of fuel or of the state budget is the status
     ``fuel_exhausted``, not an error.
     """
@@ -988,20 +997,30 @@ def drive(
         parents: dict = {}
         peeked: list = [None, None]  # a state and its edges, begun by the normal-form test
 
-        def edges(state: State) -> Iterable[tuple[Redex, State]]:
-            return peeked[1] if state is peeked[0] else successors(state)
+        if goal is None:
+            def edges(state: State) -> Iterable[tuple[Redex, State]]:
+                return peeked[1] if state is peeked[0] else successors(state)
+        else:
+            def edges(state: State) -> Iterable[tuple[Redex, State]]:
+                for redex, succ in successors(state):
+                    if succ == goal:  # discovered for the first time, as the search ends here
+                        parents[succ] = (state, redex)
+                        raise _TargetFound(succ)
+                    yield redex, succ
 
         try:
             for cur, _ in explore(start, edges, fuel, parents, state_budget):
                 if goal is not None:
-                    if cur == goal:
-                        return Trace(start, _path(parents, cur), TARGET_REACHED)
+                    if cur == goal:  # only the start: another target ends the search when found
+                        return Trace(start, [], TARGET_REACHED)
                     continue
                 rest = iter(successors(cur))
                 first = next(rest, None)
                 if first is None:
                     return Trace(start, _path(parents, cur), NORMAL_FORM)
                 peeked[:] = [cur, itertools.chain((first,), rest)]
+        except _TargetFound as found:
+            return Trace(start, _path(parents, found.state), TARGET_REACHED)
         except StateBudgetExhausted:
             pass
         return Trace(start, [], FUEL_EXHAUSTED)

@@ -348,7 +348,7 @@ def rho_reduce(p: Process, strategy: str = "first", fuel: int = 1000,
 
 
 _RHO_SYMBOLS = ("<-", "(", ")", "!", "|", "*", "&")
-_RHO_RESERVED = ("for", "0")  # words that are not identifiers
+_RHO_NOT_IDENTS = frozenset(_RHO_SYMBOLS + ("for", "0", ""))  # the tokens that are not identifiers
 
 
 def parse_rho(text: str) -> Process:
@@ -360,7 +360,7 @@ def parse_rho(text: str) -> Process:
 
 def _rho_proc(cur: Cursor) -> Process:
     parts = [_rho_prefix(cur)]
-    while cur.peek().text == "|":
+    while cur.peek() == "|":
         cur.next()
         parts.append(_rho_prefix(cur))
     return par_of(parts)
@@ -368,7 +368,7 @@ def _rho_proc(cur: Cursor) -> Process:
 
 def _rho_prefix(cur: Cursor) -> Process:
     tok = cur.peek()
-    if tok.text == "&" or (tok.kind == "word" and tok.text not in _RHO_RESERVED):
+    if tok == "&" or tok not in _RHO_NOT_IDENTS:
         subject = _rho_name(cur)
         cur.expect("!")
         return Output(subject, _rho_prefix(cur))
@@ -377,10 +377,10 @@ def _rho_prefix(cur: Cursor) -> Process:
 
 def _rho_primary(cur: Cursor) -> Process:
     tok = cur.peek()
-    if tok.text == "0":
+    if tok == "0":
         cur.next()
         return ZERO
-    if tok.text == "for":
+    if tok == "for":
         cur.next()
         cur.expect("(")
         binder = _rho_ident(cur)
@@ -388,20 +388,19 @@ def _rho_primary(cur: Cursor) -> Process:
         subject = _rho_name(cur)
         cur.expect(")")
         return Input(subject, binder, _rho_prefix(cur))
-    if tok.text == "*":
+    if tok == "*":
         cur.next()
         return Deref(_rho_name(cur))
-    if tok.text == "(":
+    if tok == "(":
         cur.next()
         inner = _rho_proc(cur)
         cur.expect(")")
         return inner
-    cur.fail(f"expected a process, found {tok.text or 'end of input'!r}")
-    raise AssertionError
+    cur.fail(f"expected a process, found {tok or 'end of input'!r}")
 
 
 def _rho_name(cur: Cursor) -> Name:
-    if cur.peek().text == "&":
+    if cur.peek() == "&":
         cur.next()
         return Quote(_rho_primary(cur))
     return Var(_rho_ident(cur, "a name"))
@@ -409,11 +408,10 @@ def _rho_name(cur: Cursor) -> Name:
 
 def _rho_ident(cur: Cursor, what: str = "an identifier") -> str:
     tok = cur.peek()
-    if tok.kind == "word" and tok.text not in _RHO_RESERVED:
+    if tok not in _RHO_NOT_IDENTS:
         cur.next()
-        return tok.text
-    cur.fail(f"expected {what}, found {tok.text or 'end of input'!r}")
-    raise AssertionError
+        return tok
+    cur.fail(f"expected {what}, found {tok or 'end of input'!r}")
 
 
 def print_rho(p: Process) -> str:

@@ -26,7 +26,7 @@ from .core import (
     reduce,
     subterms,
 )
-from .syntax import Cursor, ParseError
+from .syntax import read_applications, write_applications
 
 T = Sort("T")
 
@@ -208,49 +208,24 @@ def whnf_oracle(t: Term, fuel: int = DEFAULT_FUEL) -> Optional[Term]:
 # surface syntax: fully parenthesized binary applications over S, K and I, and (R t)
 
 
-_ATOMS = {"S": S_DECL, "K": K_DECL, "I": I_DECL}
+_ATOMS = {"S": S(), "K": K(), "I": I()}
+_MARKER = {"R": R}
+
+
+def _not_a_term(token: str, has_marker: bool) -> str:
+    if token == "R":
+        return ("R must be applied, as in (R t)" if has_marker
+                else "R is not a constructor of the plain calculus")
+    if token in (")", ""):
+        return "expected a term"
+    return f"unknown combinator {token!r}"
 
 
 def parse_ski(text: str, variant: str = "plain") -> Term:
-    cur = Cursor(text, ("(", ")"))
-    result = _ski_term(cur, variant != "plain")
-    cur.done()
-    return result
-
-
-def _ski_term(cur: Cursor, has_marker: bool) -> Term:
-    tok = cur.peek()
-    if tok.text == "(":
-        cur.next()
-        head = cur.peek()
-        if head.kind == "word" and head.text == "R":
-            if not has_marker:
-                raise ParseError("R is not a constructor of the plain calculus",
-                                 head.line, head.column)
-            cur.next()
-            inner = _ski_term(cur, has_marker)
-            cur.expect(")")
-            return R(inner)
-        fun = _ski_term(cur, has_marker)
-        arg = _ski_term(cur, has_marker)
-        cur.expect(")")
-        return ap(fun, arg)
-    if tok.kind == "word":
-        cur.next()
-        if tok.text in _ATOMS:
-            return leaf(_ATOMS[tok.text])
-        if tok.text == "R":
-            message = ("R must be applied, as in (R t)" if has_marker
-                       else "R is not a constructor of the plain calculus")
-            raise ParseError(message, tok.line, tok.column)
-        raise ParseError(f"unknown combinator {tok.text!r}", tok.line, tok.column)
-    cur.fail("expected a term")
-    raise AssertionError
+    has_marker = variant != "plain"
+    return read_applications(text, ("(", ")"), _ATOMS, ap, _MARKER if has_marker else {},
+                             lambda token: _not_a_term(token, has_marker))
 
 
 def print_ski(t: Term) -> str:
-    if t.head is APP_DECL:
-        return f"({print_ski(t.children[0])} {print_ski(t.children[1])})"
-    if t.head is R_DECL:
-        return f"(R {print_ski(t.children[0])})"
-    return t.head.name
+    return write_applications(t, APP_DECL, (R_DECL,))

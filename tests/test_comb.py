@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skirho import rho
 from skirho.comb import (
     AMP_DECL,
+    APP_DECL,
+    SORT_TABLE,
     ArrowSort,
     BANG_DECL,
     C_DECL,
@@ -25,6 +29,7 @@ from skirho.comb import (
     TranslationError,
     W,
     ZERO_DECL,
+    SortVar,
     abstract_elim,
     ap,
     aps,
@@ -209,6 +214,95 @@ def test_sort_inference_is_pinned():
     assert sum("'" in repr(s) for s in mixes) == 34
     digest = hashlib.sha256("\n".join(map(repr, sorts)).encode()).hexdigest()
     assert digest == "90a691defcc643e0adcbda2c6ef5c2a121fab5fe168fe0591444dca852495f2c"
+
+
+class _RefVar:
+    """A sort variable of the reference inference; arrows are pairs (BaseSort,
+    a NamedTuple, is a tuple too, so pairs are told apart by exact type)."""
+
+    def __init__(self, n):
+        self.n, self.ref = n, None
+
+
+def _ref_find(s):
+    while isinstance(s, _RefVar) and s.ref is not None:
+        s = s.ref
+    return s
+
+
+def _ref_occurs(v, s):
+    s = _ref_find(s)
+    return s is v or type(s) is tuple and (_ref_occurs(v, s[0]) or _ref_occurs(v, s[1]))
+
+
+def _ref_unify(a, b):
+    a, b = _ref_find(a), _ref_find(b)
+    if a is b:
+        return True
+    if isinstance(a, _RefVar):
+        if _ref_occurs(a, b):
+            return False
+        a.ref = b
+        return True
+    if isinstance(b, _RefVar):
+        return _ref_unify(b, a)
+    if type(a) is tuple and type(b) is tuple:
+        return _ref_unify(a[0], b[0]) and _ref_unify(a[1], b[1])
+    return False
+
+
+def _ref_instance(s, fresh):
+    if isinstance(s, SortVar):
+        return fresh[s.name]
+    if isinstance(s, ArrowSort):
+        return _ref_instance(s.arg, fresh), _ref_instance(s.res, fresh)
+    return s
+
+
+def _ref_infer(u, counter):
+    if is_name_token(u):
+        return N
+    if u.head == APP_DECL:
+        fun = _ref_infer(u.children[0], counter)
+        if fun is None:
+            return None
+        arg = _ref_infer(u.children[1], counter)
+        if arg is None:
+            return None
+        res = _RefVar(next(counter))
+        return res if _ref_unify(fun, (arg, res)) else None
+    scheme = SORT_TABLE.get(u.head.name)
+    if scheme is None:
+        return None
+    return _ref_instance(scheme.body, {q: _RefVar(next(counter)) for q in scheme.quantified})
+
+
+def _ref_export(s):
+    s = _ref_find(s)
+    if type(s) is tuple:
+        return ArrowSort(_ref_export(s[0]), _ref_export(s[1]))
+    return SortVar(f"t{s.n}") if isinstance(s, _RefVar) else s
+
+
+def _ref_sort(t):
+    """Sort inference that unifies ``fun`` with ``(arg, res)`` at every
+    application, res a fresh variable: the reference for `sort_infer`."""
+    s = _ref_infer(t, itertools.count())
+    return None if s is None else _ref_export(s)
+
+
+_SORT_LEAVES = [atom(d) for d in (S_DECL, K_DECL, I_DECL, ZERO_DECL, C_DECL, AMP_DECL, STAR_DECL,
+                                  BANG_DECL, FOR_DECL, PAR_DECL)] + [name_token("x"), name_token("y")]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(st.sampled_from(_SORT_LEAVES), lambda inner: st.tuples(inner, inner).map(lambda p: ap(*p)),
+                    max_leaves=40))
+def test_sort_infer_matches_the_reference_unifier(t):
+    # exactly: the same sort or None, the same variable numbers
+    want = _ref_sort(t)
+    got = sort_infer(t)
+    assert got == want and repr(got) == repr(want)
 
 
 def test_interp_images_are_pinned():

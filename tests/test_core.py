@@ -420,6 +420,27 @@ def test_drive_all_is_shortest():
     assert drive(0, toy, "all", 2).status == "fuel_exhausted"
 
 
+def test_drive_all_stops_when_the_target_is_discovered():
+    # a binary tree 1 -> 2, 3; 2 -> 4, 5; ...: 5 is discovered expanding 2
+    expanded = []
+
+    def tree(n):
+        expanded.append(n)
+        for m in (2 * n, 2 * n + 1):
+            yield Redex(f"{n}>{m}", (), {}), (m,)
+
+    goal = (5,)
+    trace = drive((1,), lambda state: tree(state[0]), "all", 10, goal=goal)
+    assert trace.status == "target_reached"
+    assert labels(trace) == ["1>2", "2>5"]
+    assert expanded == [1, 2]
+    assert trace.final == goal and trace.final is not goal
+    expanded.clear()
+    assert drive((5,), lambda state: tree(state[0]), "all", 10, goal=goal).steps == []
+    assert drive((1,), lambda state: tree(state[0]), "all", 0, goal=goal).status == "fuel_exhausted"
+    assert expanded == []
+
+
 def test_drive_first_follows_first_edges():
     trace = drive(0, toy, "first", 6)
     assert trace.status == "fuel_exhausted"

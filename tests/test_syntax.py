@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -116,7 +117,138 @@ def test_roundtrip_comb_random():
         assert parse_comb(print_comb(q)) == q
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_deep_spines_round_trip(side):
+    # 3,000 applications deep: past the default recursion limit
+    spines = {"ski": (ski.K(), ski.ap, ski.I()), "comb": (comb.atom(comb.ZERO_DECL), comb.ap,
+                                                          comb.atom(comb.STAR_DECL))}
+    for grammar, (t, ap, x) in spines.items():
+        for _ in range(3000):
+            t = ap(t, x) if side == "left" else ap(x, t)
+        parse, show = (parse_ski, print_ski) if grammar == "ski" else (parse_comb, print_comb)
+        text = show(t)
+        assert text.count("(") == 3000 and text.endswith(")" * (3000 if side == "right" else 1))
+        back = parse(text)
+        assert _same_tree(back, t) and show(back) == text
+
+
+def _same_tree(a, b) -> bool:
+    """Term equality on an explicit stack (`Term.__eq__` recurses)."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if a.head != b.head or len(a.children) != len(b.children):
+            return False
+        pairs.extend(zip(a.children, b.children))
+    return True
+
+
 def test_print_parse_whitespace_insensitive():
     text = "for(y    <- &0)   ( *y )  |  &0!0"
     p = parse_rho(text)
     assert parse_rho(print_rho(p)) == p
+
+
+# ---------------------------------------------------------------------------
+# every parse result and every error message and position, pinned
+
+_SPACES = ("", " ", "  ", "\t", "\n", " \n\t", "\xa0", "\u3000")
+_NOISE = tuple("()|!&*<-_ \n\t0") + ("é", "β", "Ω", "²", "#", "$", "R", "S", "x", "for", "<-", "\r",
+                                     "\xa0", "\u2028", "ｘ")
+_IDENTS = ("x", "y0", "u_1", "é", "βeta", "x2", "_", "ｘ")
+
+
+def _ws(rng: random.Random) -> str:
+    return rng.choice(_SPACES)
+
+
+def _ski_text(rng: random.Random, depth: int, marker: bool) -> str:
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice("SKI")
+    if marker and rng.random() < 0.2:
+        return f"({_ws(rng)}R {_ski_text(rng, depth - 1, marker)}{_ws(rng)})"
+    return (f"({_ws(rng)}{_ski_text(rng, depth - 1, marker)} {_ws(rng)}"
+            f"{_ski_text(rng, depth - 1, marker)}{_ws(rng)})")
+
+
+def _comb_text(rng: random.Random, depth: int) -> str:
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice(("C", "0", "|", "for", "!", "&", "*", "S", "K", "I"))
+    return f"({_ws(rng)}{_comb_text(rng, depth - 1)} {_ws(rng)}{_comb_text(rng, depth - 1)}{_ws(rng)})"
+
+
+def _rho_text(rng: random.Random, depth: int) -> str:
+    parts = [_rho_prefix_text(rng, depth) for _ in range(rng.choice((1, 1, 2, 3)))]
+    return f"{_ws(rng)}|{_ws(rng)}".join(parts)
+
+
+def _rho_prefix_text(rng: random.Random, depth: int) -> str:
+    if depth > 0 and rng.random() < 0.3:
+        return f"{_rho_name_text(rng, depth - 1)}{_ws(rng)}!{_ws(rng)}{_rho_prefix_text(rng, depth - 1)}"
+    return _rho_primary_text(rng, depth)
+
+
+def _rho_primary_text(rng: random.Random, depth: int) -> str:
+    kind = rng.choice(("0", "for", "*", "(")) if depth > 0 else "0"
+    if kind == "0":
+        return "0"
+    if kind == "for":
+        return (f"for{_ws(rng)}({_ws(rng)}{rng.choice(_IDENTS)} <-{_ws(rng)}"
+                f"{_rho_name_text(rng, depth - 1)}){_ws(rng)}{_rho_prefix_text(rng, depth - 1)}")
+    if kind == "*":
+        return f"*{_ws(rng)}{_rho_name_text(rng, depth - 1)}"
+    return f"({_ws(rng)}{_rho_text(rng, depth - 1)}{_ws(rng)})"
+
+
+def _rho_name_text(rng: random.Random, depth: int) -> str:
+    if rng.random() < 0.4:
+        return rng.choice(_IDENTS)
+    return f"&{_ws(rng)}{_rho_primary_text(rng, depth)}"
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        op = rng.choice(("delete", "insert", "replace"))
+        if op == "insert" or not text[i:]:
+            text = text[:i] + rng.choice(_NOISE) + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice(_NOISE) + text[i + 1:]
+    return text
+
+
+_GRAMMARS = (
+    ("ski", lambda text: parse_ski(text), lambda rng: _ski_text(rng, 5, False)),
+    ("ski-whnf", lambda text: parse_ski(text, "whnf"), lambda rng: _ski_text(rng, 5, True)),
+    ("comb", parse_comb, lambda rng: _comb_text(rng, 5)),
+    ("rho", parse_rho, lambda rng: _rho_text(rng, 4)),
+    ("rho-name", parse_rho_name, lambda rng: _rho_name_text(rng, 3)),
+)
+
+
+def _parse_records():
+    rng = random.Random(1801)
+    for grammar, parse, draw in _GRAMMARS:
+        for i in range(900):
+            if i % 3 == 0:
+                text = draw(rng)
+            elif i % 3 == 1:
+                text = _mutate(rng, draw(rng))
+            else:
+                text = "".join(rng.choice(_NOISE) for _ in range(rng.randint(0, 10)))
+            try:
+                yield repr((grammar, text, "ok", repr(parse(text))))
+            except ParseError as err:
+                yield repr((grammar, text, "error", err.message, err.line, err.column, str(err)))
+
+
+def test_parse_results_and_errors_are_pinned():
+    # sha256 of 4,500 seeded well-formed, mutated and random inputs over the
+    # five grammars, with each parse tree or (message, line, column), as
+    # computed by the character-at-a-time lexer and the recursive parsers
+    records = list(_parse_records())
+    assert sum("'ok'" in r for r in records) > 1000
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "ae5eaabdad846cbedad53e2a9168d07c1cee35a979b7525d0be5e7dcd5608845"
