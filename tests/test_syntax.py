@@ -130,6 +130,9 @@ def test_deep_spines_round_trip(side):
         assert text.count("(") == 3000 and text.endswith(")" * (3000 if side == "right" else 1))
         back = parse(text)
         assert _same_tree(back, t) and show(back) == text
+    if side == "right":  # and 3,000 nested markers
+        marked = ski.wrap_markers(ski.K(), 3000)
+        assert _same_tree(parse_ski(print_ski(marked), "whnf"), marked)
 
 
 def _same_tree(a, b) -> bool:
