@@ -20,65 +20,112 @@ whose environment maps each identifier to the canonical name it stands for:
 the consumed input's binder to the quoted message, every inner binder to
 its fresh token.  The tokens avoid the reduct's free identifiers, the
 message's among them, so the substitution cannot capture.
+
+A process or name node computes its hash once, at construction, and keeps
+its order key, free identifiers and canonical form once asked, synthesized
+attributes as on a `core.Term` (Reps, Teitelbaum & Demers 1983): a process
+is canonicalized once, and a closed component met again comes straight back.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Optional, Union
 
-from .core import Redex, Trace, drive
+from .core import Record, Redex, Trace, drive
 from .syntax import Cursor, ParseError
 
 
-class Zero(NamedTuple):
-    def __bool__(self) -> bool:  # a tuple with no fields is falsy
-        return True
+class _Node(Record):
+    """A process or name, equal only to a node of its own class with equal
+    fields and hashed as its field tuple.  `_key`, `_free` and `_canon` hold
+    None until asked; a canonical process holds `_CANONICAL`, never itself."""
+
+    __slots__ = ("_args", "_hash", "_key", "_free", "_canon")
+    _rank = 0  # the class's place in the order of `process_key`
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+
+    def __init__(self, *args) -> None:
+        if len(args) != len(self._setters):
+            raise TypeError(f"{type(self).__name__} takes {len(self._setters)} fields, got {len(args)}")
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+        _set_args(self, args)
+        _set_hash(self, hash(args))
+        _set_key(self, None)
+        _set_free(self, None)
+        _set_canon(self, None)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._args == other._args
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+# the slot setters, which bypass Record.__setattr__
+_set_args = _Node._args.__set__  # type: ignore[attr-defined]
+_set_hash = _Node._hash.__set__  # type: ignore[attr-defined]
+_set_key = _Node._key.__set__  # type: ignore[attr-defined]
+_set_free = _Node._free.__set__  # type: ignore[attr-defined]
+_set_canon = _Node._canon.__set__  # type: ignore[attr-defined]
+_CANONICAL = "canonical"
+
+
+class Zero(_Node):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return "0"
 
 
-class Input(NamedTuple):
-    subject: "Name"
-    binder: str
-    body: "Process"
+class Input(_Node):
+    __slots__ = __match_args__ = ("subject", "binder", "body")
+    _rank = 3
 
     def __repr__(self) -> str:
         return f"for({self.binder} <- {self.subject!r}){self.body!r}"
 
 
-class Output(NamedTuple):
-    subject: "Name"
-    body: "Process"
+class Output(_Node):
+    __slots__ = __match_args__ = ("subject", "body")
+    _rank = 2
 
     def __repr__(self) -> str:
         return f"{self.subject!r}!({self.body!r})"
 
 
-class Par(NamedTuple):
-    left: "Process"
-    right: "Process"
+class Par(_Node):
+    __slots__ = __match_args__ = ("left", "right")
+    _rank = 4
 
     def __repr__(self) -> str:
         return f"({self.left!r} | {self.right!r})"
 
 
-class Deref(NamedTuple):
-    name: "Name"
+class Deref(_Node):
+    __slots__ = __match_args__ = ("name",)
+    _rank = 1
 
     def __repr__(self) -> str:
         return f"*{self.name!r}"
 
 
-class Quote(NamedTuple):
-    process: "Process"
+class Quote(_Node):
+    __slots__ = __match_args__ = ("process",)
+    _rank = 1
 
     def __repr__(self) -> str:
         return f"&({self.process!r})"
 
 
-class Var(NamedTuple):
-    ident: str
+class Var(_Node):
+    __slots__ = __match_args__ = ("ident",)
 
     def __repr__(self) -> str:
         return self.ident
@@ -94,28 +141,14 @@ ZERO = Zero()
 # structure helpers
 
 
-def process_key(p: Process):
-    match p:
-        case Zero():
-            return (0,)
-        case Deref(n):
-            return (1, name_key(n))
-        case Output(x, body):
-            return (2, name_key(x), process_key(body))
-        case Input(x, binder, body):
-            return (3, name_key(x), binder, process_key(body))
-        case Par(l, r):
-            return (4, process_key(l), process_key(r))
-    raise TypeError(f"not a process: {p!r}")
-
-
-def name_key(n: Name):
-    match n:
-        case Var(v):
-            return (0, v)
-        case Quote(p):
-            return (1, process_key(p))
-    raise TypeError(f"not a name: {n!r}")
+def process_key(p: Union[Process, Name]):
+    """The fixed order on processes, and on names: the class's rank, then the
+    fields' keys; kept on the node."""
+    key = p._key
+    if key is None:
+        key = (p._rank, *[a if a.__class__ is str else process_key(a) for a in p._args])
+        _set_key(p, key)
+    return key
 
 
 def par_components(p: Process) -> list[Process]:
@@ -151,36 +184,50 @@ def resolve_name(n: Name) -> Name:
     return n
 
 
-def free_idents(p: Process) -> frozenset[str]:
-    """Binder identifiers occurring free at reachable name positions."""
-    # recursion is at module level: nested recursive functions leave cycles
-    return _free_in(p, frozenset())
+def free_idents(x: Union[Process, Name]) -> frozenset[str]:
+    """Binder identifiers occurring free at reachable name positions of a
+    process or a name."""
+    bindable, quoted = _free(x)
+    return bindable | quoted
 
 
-def _free_in(q: Process, bound: frozenset[str]) -> frozenset[str]:
-    match q:
+def _free(x: Union[Process, Name]) -> tuple[frozenset[str], frozenset[str]]:
+    """The free identifiers of x an enclosing input may still bind, and those
+    under a quote, which no outer binder reaches; kept on x once found."""
+    found = x._free
+    if found is not None:
+        return found
+    match x:
         case Zero():
-            return frozenset()
-        case Par(l, r):
-            return _free_in(l, bound) | _free_in(r, bound)
-        case Output(x, body):
-            return _free_in_name(x, bound) | _free_in(body, bound)
-        case Deref(x):
-            return _free_in_name(x, bound)
-        case Input(x, binder, body):
-            return _free_in_name(x, bound) | _free_in(body, bound | {binder})
-    raise TypeError(f"not a process: {q!r}")
+            found = _CLOSED
+        case Par(a, b) | Output(a, b):
+            found = _join(_free(a), _free(b))
+        case Deref(n):
+            found = _free(n)
+        case Input(n, binder, body):
+            bindable, quoted = _free(body)
+            found = _join(_free(n), (bindable - {binder}, quoted))
+        case Var(v):
+            found = (frozenset((v,)), _NONE)
+        case Quote(p):
+            r = resolve_name(x)
+            found = _free(r) if r is not x else (_NONE, free_idents(p))  # a quote opens a fresh scope
+        case _:
+            raise TypeError(f"not a process or name: {x!r}")
+    _set_free(x, found)
+    return found
 
 
-def _free_in_name(n: Name, bound: frozenset[str]) -> frozenset[str]:
-    r = resolve_name(n)
-    if isinstance(r, Var):
-        return frozenset() if r.ident in bound else frozenset((r.ident,))
-    return _free_in(r.process, frozenset())  # a quote opens a fresh scope
+_NONE: frozenset[str] = frozenset()
+_CLOSED = (_NONE, _NONE)
 
 
-def is_closed(p: Process) -> bool:
-    return not free_idents(p)
+def _join(s: tuple, t: tuple) -> tuple:
+    return t if s is _CLOSED else s if t is _CLOSED else (s[0] | t[0], s[1] | t[1])
+
+
+def is_closed(x: Union[Process, Name]) -> bool:
+    return _free(x) == _CLOSED
 
 
 def all_names(p: Process) -> list[Name]:
@@ -191,30 +238,23 @@ def all_names(p: Process) -> list[Name]:
     return out
 
 
-def _names_in(q: Process, bound: frozenset[str], out: list[Name]) -> None:
-    match q:
-        case Zero():
-            pass
-        case Par(l, r):
-            _names_in(l, bound, out)
-            _names_in(r, bound, out)
-        case Output(x, body):
-            _name_and_names_in(x, bound, out)
-            _names_in(body, bound, out)
-        case Deref(x):
-            _name_and_names_in(x, bound, out)
-        case Input(x, binder, body):
-            _name_and_names_in(x, bound, out)
+def _names_in(x: Union[Process, Name], bound: frozenset[str], out: list[Name]) -> None:
+    match x:
+        case Par(a, b) | Output(a, b):
+            _names_in(a, bound, out)
+            _names_in(b, bound, out)
+        case Deref(n):
+            _names_in(n, bound, out)
+        case Input(n, binder, body):
+            _names_in(n, bound, out)
             _names_in(body, bound | {binder}, out)
-
-
-def _name_and_names_in(n: Name, bound: frozenset[str], out: list[Name]) -> None:
-    r = resolve_name(n)
-    if isinstance(r, Quote):
-        out.append(r)
-        _names_in(r.process, frozenset(), out)  # a quote opens a fresh scope
-    elif r.ident not in bound:
-        out.append(r)
+        case Quote() | Var():
+            r = resolve_name(x)
+            if isinstance(r, Quote):
+                out.append(r)
+                _names_in(r.process, frozenset(), out)  # a quote opens a fresh scope
+            elif r.ident not in bound:
+                out.append(r)
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +269,36 @@ def canon_process(p: Process) -> Process:
     any that is a free identifier, quoted processes are canonicalized
     recursively (in their own scope), and quote-of-dereference collapses at
     name positions.  Idempotent; two processes are congruent iff their
-    canonical forms are identical.
+    canonical forms are identical.  Kept on p once computed.
     """
-    return _canon_in(p, {}, 0, free_idents(p))
+    c = p._canon
+    if c is None:
+        c = _canon_in(p, {}, 0, free_idents(p))
+        _set_canon(p, c)
+        _set_canon(c, _CANONICAL)  # after p's: p may be c
+        return c
+    return p if c is _CANONICAL else c
+
+
+def canon_name(n: Name) -> Name:
+    """The resolved name, a quoted process canonical in its own scope."""
+    r = resolve_name(n)
+    return r if isinstance(r, Var) else Quote(canon_process(r.process))
 
 
 def _canon_in(q: Process, env: dict[str, Name], first: int, avoid: frozenset[str]) -> Process:
     """`env` maps an identifier to the canonical name it stands for.  `first`
     is the least index the next binder token may take: each binder takes an
-    index above every enclosing one, so no two tokens collide."""
+    index above every enclosing one, so no two tokens collide.  Where no
+    token is taken and nothing avoided, a closed process is canonical on its
+    own: its kept canonical form serves."""
     match q:
         case Zero():
             return ZERO
         case Par():
-            comps = [_canon_in(c, env, first, avoid) for c in par_components(q)]
-            comps = [c for comp in comps for c in par_components(comp)]
+            own = not first and not avoid
+            comps = [canon_process(c) if own and is_closed(c) else _canon_in(c, env, first, avoid)
+                     for c in par_components(q)]
             comps.sort(key=process_key)
             return par_of(comps)
         case Output(x, body):
@@ -265,12 +320,7 @@ def _canon_name_in(n: Name, env: dict[str, Name], avoid: frozenset[str]) -> Name
     r = resolve_name(n)
     if isinstance(r, Var):
         return env.get(r.ident, r)
-    return Quote(_canon_in(r.process, {}, 0, avoid))
-
-
-def canon_name(n: Name) -> Name:
-    """The resolved name, a quoted process canonical in its own scope."""
-    return _canon_name_in(n, {}, _free_in_name(n, frozenset()))
+    return Quote(_canon_in(r.process, {}, 0, avoid) if avoid else canon_process(r.process))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +358,9 @@ def _reducts(p: Process) -> set[Process]:
             if ci.binder in avoid:
                 avoid = avoid - {ci.binder} | free_idents(cj.body)
                 env[ci.binder] = _canon_name_in(Quote(cj.body), {}, avoid)
-            out.add(_canon_in(reduct, env, 0, avoid))
+            reduct = _canon_in(reduct, env, 0, avoid)
+            _set_canon(reduct, _CANONICAL)
+            out.add(reduct)
     return out
 
 

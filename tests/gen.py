@@ -72,6 +72,13 @@ def random_comm_candidate(rng: _random.Random, depth: int = 3,
     return par_of(comps)
 
 
+def rebuilt(x):
+    """A fresh copy of a process or name, field by field: nothing found out
+    about x (its order key, free identifiers or canonical form) is on it."""
+    return type(x)(*[f if isinstance(f, str) else rebuilt(f)
+                     for f in (getattr(x, name) for name in x.__match_args__)])
+
+
 # ---------------------------------------------------------------------------
 # sorted combinators
 

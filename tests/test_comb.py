@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skirho import rho
+from skirho import comb, rho
 from skirho.comb import (
     AMP_DECL,
     APP_DECL,
@@ -29,7 +29,9 @@ from skirho.comb import (
     TranslationError,
     W,
     ZERO_DECL,
+    SortScheme,
     SortVar,
+    T,
     abstract_elim,
     ap,
     aps,
@@ -43,7 +45,7 @@ from skirho.comb import (
     sort_infer,
     wrap_context,
 )
-from skirho.core import FuelExhausted, instantiate, reduce, step, subterms
+from skirho.core import ConstructorDecl, FuelExhausted, instantiate, leaf, reduce, step, subterms
 from skirho.rho import ZERO, Deref, Input, Output, Par, Quote, Var
 from skirho.syntax import parse_comb, print_comb, print_rho
 
@@ -303,6 +305,23 @@ def test_sort_infer_matches_the_reference_unifier(t):
     want = _ref_sort(t)
     got = sort_infer(t)
     assert got == want and repr(got) == repr(want)
+
+
+def test_sort_infer_unifies_variable_ranges_and_variable_function_sorts(monkeypatch):
+    # no scheme of SORT_TABLE gives a term a bare variable sort; a fixpoint
+    # combinator Y : (X => X) => X does: (Y I) has a variable range, and
+    # ((Y I) K) applies a term whose sort is a variable
+    x = SortVar("X")
+    scheme = SortScheme(("X",), ArrowSort(ArrowSort(x, x), x))
+    monkeypatch.setitem(SORT_TABLE, "Y", scheme)
+    monkeypatch.setitem(comb._INSTANTIATORS, "Y", comb._instantiator(scheme))
+    y = leaf(ConstructorDecl("Y", (), T))
+    sortable = (ap(y, atom(I_DECL)), aps(y, atom(I_DECL), atom(K_DECL)),
+                aps(y, atom(I_DECL), atom(ZERO_DECL), atom(K_DECL)))
+    for t in sortable + (ap(y, atom(K_DECL)), aps(y, atom(K_DECL), atom(I_DECL))):
+        want = _ref_sort(t)
+        assert sort_infer(t) == want and repr(sort_infer(t)) == repr(want), t
+        assert (want is not None) == (t in sortable), t
 
 
 def test_interp_images_are_pinned():

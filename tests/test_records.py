@@ -123,3 +123,7 @@ def test_records_of_different_classes_with_equal_fields_are_unequal():
     assert comb.BaseSort("W") != comb.SortVar("W") and not comb.BaseSort("W") == comb.SortVar("W")
     assert Sort("T") != comb.BaseSort("T") and not Sort("T") == comb.BaseSort("T")
     assert comb.BaseSort("T") != Sort("T")
+    q = rho.Quote(rho.ZERO)
+    for a, b in ((rho.Deref(q), rho.Quote(q)), (rho.Output(q, rho.ZERO), rho.Par(q, rho.ZERO)),
+                 (rho.ZERO, ()), (rho.Var("a"), ("a",))):
+        assert a != b and not a == b and b != a and not b == a, (a, b)

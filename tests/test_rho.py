@@ -23,11 +23,12 @@ from skirho.rho import (
     free_idents,
     is_closed,
     par_of,
+    process_key,
     rho_reduce,
 )
 from skirho.syntax import parse_rho, print_rho
 
-from gen import random_comm_candidate, random_process
+from gen import random_comm_candidate, random_process, rebuilt
 
 N0 = Quote(ZERO)
 
@@ -72,7 +73,7 @@ def test_canon_idempotent_random():
     for _ in range(300):
         p = random_process(rng, 4)
         cp = canon_process(p)
-        assert canon_process(cp) == cp
+        assert canon_process(rebuilt(cp)) == cp  # a fresh copy: cp itself is marked canonical
 
 
 def test_canon_congruence_closed_under_constructors():
@@ -164,7 +165,7 @@ def test_comm_invariant_under_canonicalization():
     rng = random.Random(24)
     for _ in range(120):
         p = random_comm_candidate(rng, 3)
-        assert comm_step(p) == comm_step(canon_process(p))
+        assert comm_step(p) == comm_step(rebuilt(canon_process(p)))
 
 
 def test_comm_substitutes_quoted_deref_chain_subject():
@@ -224,7 +225,7 @@ def _comm_cases():
 def test_comm_reducts_are_canonical():
     for p in _comm_cases():
         for q in comm_step(p):
-            assert canon_process(q) == q, (p, q)
+            assert canon_process(rebuilt(q)) == q, (p, q)
 
 
 def test_comm_reducts_are_pinned():
@@ -237,6 +238,42 @@ def test_comm_reducts_are_pinned():
     assert sum(line.count(" ; ") + 1 for line in lines) == 1238
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "9a44a2ec4b8646e46d6bce2ee0f064e40ad41bb713ea1f464f9ab13cd10b84ba"
+
+
+# ---------------------------------------------------------------------------
+# what a node keeps
+
+
+def _kept_cases():
+    """Seeded closed processes, communication candidates, every second one
+    open in v0 and v1, and the input that reuses each one as its body."""
+    rng = random.Random(1901)
+    cases = [random_process(rng, 4) for _ in range(150)]
+    cases += [random_comm_candidate(rng, 4, ("v0", "v1") if i % 2 else ()) for i in range(150)]
+    return cases + [Input(N0, "v0", p) for p in cases]
+
+
+def test_kept_canonical_forms_keys_free_identifiers_and_reducts_match_a_fresh_copy():
+    for p in _kept_cases():
+        c = canon_process(p)
+        assert c == canon_process(rebuilt(p)), p
+        assert canon_process(p) is c and canon_process(c) is c
+        assert free_idents(p) == free_idents(rebuilt(p)) == free_idents(c)
+        assert is_closed(p) == is_closed(rebuilt(p))
+        assert process_key(p) == process_key(rebuilt(p)) and process_key(c) == process_key(rebuilt(c))
+        reducts = comm_step(p)
+        assert reducts == comm_step(rebuilt(p)), p
+        for q in reducts | {c}:
+            assert canon_process(q) is q and canon_process(rebuilt(q)) == q, (p, q)
+
+
+def test_kept_canonical_names_match_a_fresh_copy():
+    rng = random.Random(1902)
+    for _ in range(200):
+        n = Quote(random_comm_candidate(rng, 3))
+        for m in (n, Quote(Deref(n)), Quote(Par(ZERO, Deref(n)))):
+            assert canon_name(m) == canon_name(rebuilt(m)) == Quote(canon_process(n.process))
+            assert free_idents(m) == free_idents(rebuilt(m)) == frozenset()
 
 
 # ---------------------------------------------------------------------------
