@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Union
 
 from . import rho
 from .calculus import CALCULI, Calculus
-from .core import Record, StateBudgetExhausted, Successors, Term, explore, subterms
+from .core import Record, StateBudgetExhausted, Successors, Term, explore
 
 Agent = Union[rho.Process, Term]
 
@@ -232,8 +232,7 @@ def names_occurring(agent: Agent) -> list:
     name occurring in it but an identifier an enclosing input binds."""
     if isinstance(agent, Term):
         from . import comb
-        found = [u for u in subterms(comb.canon(agent))
-                 if u.head == comb.APP_DECL and u.children[0].head == comb.AMP_DECL]
+        found = comb.all_names(comb.canon(agent))
     else:
         found = rho.all_names(agent)
     names = [calculus_of(agent).canon_name(n) for n in found]

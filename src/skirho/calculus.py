@@ -12,7 +12,8 @@ callers canonicalize once, where a term enters.
 `CALCULI` makes a record on its first lookup, importing its calculus's
 module then, so a process that runs one calculus loads only that one:
 `CALCULI["ski"]` never imports `rho` or `comb`.  Until then the name is not
-among the keys; the command line lists the five names itself.
+among the keys; `NAMES` lists all five, in the order the command line
+offers them.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ def _rho_comb() -> Calculus:
 
 _BUILDERS = {"ski": partial(_ski, "plain"), "ski-whnf": partial(_ski, "whnf"),
              "ski-gas": partial(_ski, "gas", gas=_fuel), "rho": _rho, "rho-comb": _rho_comb}
+NAMES = tuple(_BUILDERS)
 
 
 class _Registry(dict):

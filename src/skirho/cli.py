@@ -15,11 +15,9 @@ import functools
 import sys
 from typing import Optional, Sequence
 
-from .calculus import CALCULI as RECORDS, Calculus
+from .calculus import CALCULI as RECORDS, NAMES as CALCULI, Calculus
 from .core import FuelExhausted, Trace, drive, reduce
 from .syntax import ParseError
-
-CALCULI = ("ski", "ski-whnf", "ski-gas", "rho", "rho-comb")  # a command loads only its own
 
 EXIT_OK = 0
 EXIT_INPUT = 1

@@ -14,7 +14,7 @@ inference unifies by binding mutable sort variables in place.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from . import rho
 from .core import (
@@ -24,6 +24,7 @@ from .core import (
     FuelExhausted,
     MetaVar,
     Presentation,
+    Record,
     RewriteRule,
     Sort,
     Term,
@@ -194,24 +195,23 @@ def _abstract(token: str, c: Term) -> Optional[Term]:
 # sorting
 
 
-class BaseSort(NamedTuple):
-    name: str
+class BaseSort(Record):
+    __slots__ = __match_args__ = ("name",)
 
     def __repr__(self) -> str:
         return self.name
 
 
-class ArrowSort(NamedTuple):
-    arg: "SortExpr"
-    res: "SortExpr"
+class ArrowSort(Record):
+    __slots__ = __match_args__ = ("arg", "res")
 
     def __repr__(self) -> str:
         arg = f"({self.arg!r})" if isinstance(self.arg, ArrowSort) else repr(self.arg)
         return f"{arg} => {self.res!r}"
 
 
-class SortVar(NamedTuple):
-    name: str
+class SortVar(Record):
+    __slots__ = __match_args__ = ("name",)
 
     def __repr__(self) -> str:
         return f"'{self.name}"
@@ -223,14 +223,8 @@ W = BaseSort("W")
 N = BaseSort("N")
 
 
-class SortScheme(NamedTuple):
-    quantified: tuple[str, ...]
-    body: SortExpr
-
-
-for _sort in (BaseSort, ArrowSort, SortVar, SortScheme):  # equal fields of another sort class stay unequal
-    _sort.__eq__ = lambda a, b: tuple.__eq__(a, b) if a.__class__ is b.__class__ else NotImplemented
-    _sort.__ne__ = lambda a, b: tuple.__ne__(a, b) if a.__class__ is b.__class__ else NotImplemented
+class SortScheme(Record):
+    __slots__ = __match_args__ = ("quantified", "body")
 
 
 def _arrows(*sorts: SortExpr) -> SortExpr:
@@ -465,6 +459,12 @@ def barbs(t: Term, names: tuple) -> frozenset:
             if send.head == BANG_DECL and subject in names:
                 found.add(subject)
     return frozenset(found)
+
+
+def all_names(t: Term) -> list[Term]:
+    """Every quote ``(& P)`` in the canonical t, in pre-order: the names t
+    can barb on."""
+    return [u for u in subterms(t) if u.head == APP_DECL and u.children[0].head == AMP_DECL]
 
 
 def unwrap_context(t: Term) -> Optional[Term]:

@@ -40,7 +40,6 @@ import itertools
 import random as _random
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 DEFAULT_STATE_BUDGET = 200_000
@@ -79,37 +78,58 @@ class InvalidRedex(RewriteError):
 class Record:
     """A slotted immutable record whose fields are its `__match_args__`: equal
     only to a record of its own class with equal fields, hashed as its field
-    tuple and printed like a dataclass.  Slots are read faster than a tuple's
-    fields, so records read at every node or rule in the loops below are
-    these; records only built, hashed and compared are `NamedTuple`s."""
+    tuple and printed like a dataclass.  The field tuple `_args` and its hash
+    `_hash` are kept from construction, so equality exits on identity, class
+    or hash before it compares fields, and the slots a class names in
+    `_caches` start as None.  Slots are read faster than a tuple's fields, so
+    records read at every node or rule in the loops below are these; records
+    only built, hashed and compared are `NamedTuple`s."""
 
-    __slots__ = ()
+    __slots__ = ("_args", "_hash")
     __match_args__: tuple[str, ...] = ()
+    _caches: tuple[str, ...] = ()
 
-    def __init__(self, *values) -> None:
-        if len(values) != len(self.__match_args__):
-            raise TypeError(f"{type(self).__name__} takes {len(self.__match_args__)} fields, got {len(values)}")
-        for name, value in zip(self.__match_args__, values):
-            object.__setattr__(self, name, value)
+    def __init_subclass__(cls) -> None:
+        # the slot setters, which bypass Record.__setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+        cls._clearers = tuple(getattr(cls, name).__set__ for name in cls._caches)
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
+    def __init__(self, *args) -> None:
+        setters = self._setters
+        if len(args) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes {len(setters)} fields, got {len(args)}")
+        i = 0  # indexing builds no pair per field, as zip would: rho builds nodes in bulk
+        for set_field in setters:
+            set_field(self, args[i])
+            i += 1
+        for clear in self._clearers:
+            clear(self, None)
+        _set_args(self, args)
+        _set_record_hash(self, hash(args))
 
     def __eq__(self, other: object) -> bool:
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._args == other._args
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return self._hash
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return self.__class__, self._values()
+        return self.__class__, self._args
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__match_args__)})"
+
+
+_set_args = Record._args.__set__  # type: ignore[attr-defined]
+_set_record_hash = Record._hash.__set__  # type: ignore[attr-defined]
 
 
 class Sort(Record):
@@ -123,27 +143,12 @@ class ConstructorDecl(Record):
     """Equal by value: declarations minted apart (comb's name tokens) may meet."""
 
     __match_args__ = ("name", "argument_sorts", "result_sort")
-    __slots__ = __match_args__ + ("_hash", "_leaf")
-
-    def __init__(self, name: str, argument_sorts: tuple[Sort, ...], result_sort: Sort) -> None:
-        Record.__init__(self, name, argument_sorts, result_sort)
-        object.__setattr__(self, "_hash", hash((name, argument_sorts, result_sort)))
+    __slots__ = __match_args__ + ("_leaf",)
+    _caches = ("_leaf",)
 
     @property
     def arity(self) -> int:
         return len(self.argument_sorts)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not ConstructorDecl:
-            return NotImplemented
-        return (self._hash == other._hash and self.name == other.name
-                and self.argument_sorts == other.argument_sorts
-                and self.result_sort == other.result_sort)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"ConstructorDecl({self.name!r}/{self.arity})"
@@ -159,6 +164,10 @@ class Term:
     it is canonical under (unset until then: construction pays nothing).
     A nullary constructor's term is one object, `leaf(decl)`, wherever the
     helpers build it, so its mark and order key are made once and reused.
+
+    Not a `Record`: it is the hot node (some 275k are built per 3,000
+    ski-normalize queries), and its hash combines the head's and children's
+    cached hashes without building a field tuple.
     """
 
     __slots__ = ("head", "children", "_hash", "_key", "_mark")
@@ -225,11 +234,6 @@ class MetaVar(Record):
     head = None
     children = ()
 
-    @property
-    def _hash(self) -> int:
-        """Read by a pattern `Term` hashing its children."""
-        return hash(self)
-
     def __repr__(self) -> str:
         return f"?{self.name}"
 
@@ -240,11 +244,9 @@ Pattern = Union[MetaVar, Term]
 def leaf(decl: ConstructorDecl) -> Term:
     """The one term of the nullary constructor `decl`, made on first use and
     kept on the declaration (a declaration minted apart has its own)."""
-    try:
-        return decl._leaf
-    except AttributeError:
+    if decl._leaf is None:
         object.__setattr__(decl, "_leaf", Term(decl))
-        return decl._leaf
+    return decl._leaf
 
 
 class AcuGroup(Record):
@@ -277,12 +279,34 @@ class RewriteRule(Record):
     rhs: Pattern
 
 
-@dataclass(frozen=True)
-class Presentation:
-    sorts: tuple[Sort, ...]
-    constructors: tuple[ConstructorDecl, ...]
-    congruence: CongruenceSpec = CongruenceSpec()
-    rules: tuple[RewriteRule, ...] = ()
+class Presentation(Record):
+    """Sorts, constructors, a congruence and rules.  Its rule table, spine
+    caps, summaries and rule selections are made on first use and kept."""
+
+    __match_args__ = ("sorts", "constructors", "congruence", "rules")
+    __slots__ = __match_args__ + ("_rule_table", "_spine_caps", "_summaries", "_selections")
+
+    def __init__(self, sorts: tuple[Sort, ...], constructors: tuple[ConstructorDecl, ...],
+                 congruence: CongruenceSpec = CongruenceSpec(), rules: tuple[RewriteRule, ...] = ()) -> None:
+        Record.__init__(self, sorts, constructors, congruence, rules)
+        object.__setattr__(self, "_summaries", {})  # what `_summarize` has made
+        object.__setattr__(self, "_selections", {})  # what `_select` has made, by rule-name tuple
+
+    def __getattr__(self, name: str):
+        """Fills `_rule_table`, each rule with its left-hand side compiled, and
+        `_spine_caps` on their first read.  The caps are where a term's spine
+        key is clipped, past which no rule tells keys apart: one past the
+        longest rule spine, and the most markers a rule asks for (at least
+        one).  The summary table stays finite."""
+        if name == "_rule_table":
+            value = tuple(_compile_rule(self, rule, 1 << i) for i, rule in enumerate(self.rules))
+        elif name == "_spine_caps":
+            keys = [r.spine for r in self._rule_table if r.spine is not None]
+            value = 1 + max((k[1] for k in keys), default=0), max([1] + [k[2] for k in keys])
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     def constructor(self, name: str) -> ConstructorDecl:
         for ctor in self.constructors:
@@ -295,27 +319,6 @@ class Presentation:
             if rule.name == name:
                 return rule
         raise KeyError(name)
-
-    @cached_property
-    def _rule_table(self) -> tuple[_Rule, ...]:
-        """Each rule with its left-hand side compiled, built on first use."""
-        return tuple(_compile_rule(self, rule, 1 << i) for i, rule in enumerate(self.rules))
-
-    @cached_property
-    def _summaries(self) -> dict:
-        return {}  # what `_summarize` has made
-
-    @cached_property
-    def _spine_caps(self) -> tuple[int, int]:
-        """Where a term's spine key is clipped, past which no rule tells keys
-        apart: one past the longest rule spine, and the most markers a rule
-        asks for (at least one).  The summary table stays finite."""
-        keys = [r.spine for r in self._rule_table if r.spine is not None]
-        return 1 + max((k[1] for k in keys), default=0), max([1] + [k[2] for k in keys])
-
-    @cached_property
-    def _selections(self) -> dict:
-        return {}  # what `_select` has made, by rule-name tuple
 
 
 class Redex(NamedTuple):

@@ -36,41 +36,14 @@ from .syntax import Cursor, ParseError
 
 
 class _Node(Record):
-    """A process or name, equal only to a node of its own class with equal
-    fields and hashed as its field tuple.  `_key`, `_free` and `_canon` hold
-    None until asked; a canonical process holds `_CANONICAL`, never itself."""
+    """A process or name.  `_key`, `_free` and `_canon` hold None until
+    asked; a canonical process holds `_CANONICAL`, never itself."""
 
-    __slots__ = ("_args", "_hash", "_key", "_free", "_canon")
+    __slots__ = _caches = ("_key", "_free", "_canon")
     _rank = 0  # the class's place in the order of `process_key`
-
-    def __init_subclass__(cls) -> None:
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
-
-    def __init__(self, *args) -> None:
-        if len(args) != len(self._setters):
-            raise TypeError(f"{type(self).__name__} takes {len(self._setters)} fields, got {len(args)}")
-        for set_field, value in zip(self._setters, args):
-            set_field(self, value)
-        _set_args(self, args)
-        _set_hash(self, hash(args))
-        _set_key(self, None)
-        _set_free(self, None)
-        _set_canon(self, None)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and self._args == other._args
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 # the slot setters, which bypass Record.__setattr__
-_set_args = _Node._args.__set__  # type: ignore[attr-defined]
-_set_hash = _Node._hash.__set__  # type: ignore[attr-defined]
 _set_key = _Node._key.__set__  # type: ignore[attr-defined]
 _set_free = _Node._free.__set__  # type: ignore[attr-defined]
 _set_canon = _Node._canon.__set__  # type: ignore[attr-defined]

@@ -18,7 +18,9 @@ With N seeded inputs per section (default 40), it collects, as text:
 It prints the line count and digest of each section and one digest over all
 of them.  Two checkouts that print the same digest for the same N agree on
 all of these outputs, so a change meant to keep behaviour is checked by
-running this on its parent and on itself.  This prints and does not gate.
+running this on its parent and on itself.  `tests/test_equivalence.py`
+pins the digest at N = 40, so a change of behaviour fails the suite until
+the pin is updated with the outputs that changed.
 """
 
 from __future__ import annotations
@@ -177,15 +179,23 @@ def command_lines(n: int) -> list[str]:
 SECTIONS = (("traces", traces), ("translation", translation), ("bisim", bisimulation), ("cli", command_lines))
 
 
-def main(argv: list[str]) -> int:
-    n = int(argv[0]) if argv else 40
+def digests(n: int) -> tuple[list[tuple[str, int, str]], str]:
+    """Each section's name, line count and digest, and one digest over all of them."""
     total = hashlib.sha256()
+    rows = []
     for name, section in SECTIONS:
         lines = section(n)
         digest = hashlib.sha256("\n".join(lines).encode())
         total.update(digest.digest())
-        print(f"{name:12} {len(lines):7} lines  {digest.hexdigest()}")
-    print(f"{'all':12} {'':13}  {total.hexdigest()}")
+        rows.append((name, len(lines), digest.hexdigest()))
+    return rows, total.hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    rows, total = digests(int(argv[0]) if argv else 40)
+    for name, count, digest in rows:
+        print(f"{name:12} {count:7} lines  {digest}")
+    print(f"{'all':12} {'':13}  {total}")
     return 0
 
 

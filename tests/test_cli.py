@@ -13,7 +13,8 @@ import pytest
 
 import skirho
 from skirho import bisim, core
-from skirho.cli import CALCULI, main, replay_trace_json, validate_trace_json
+from skirho.calculus import NAMES
+from skirho.cli import main, replay_trace_json, validate_trace_json
 
 
 def run_cli(capsys, *argv):
@@ -207,7 +208,7 @@ def test_flag_a_command_does_not_read_exits_1(capsys, command, flag):
 
 @pytest.mark.parametrize("command", ["reduce", "trace"])
 def test_gas_is_read_only_by_ski_gas(capsys, command):
-    for calculus in CALCULI:
+    for calculus in NAMES:
         text = _FUZZ_TEXTS[calculus][0]
         assert run_cli(capsys, command, "--calculus", calculus, text)[0] == 0
         code, out, err = run_cli(capsys, command, "--calculus", calculus, "--gas", "3", text)
@@ -333,7 +334,7 @@ def test_fuzzed_argv_end_in_a_documented_exit(capsys):
     commands = ("reduce", "trace", "translate", "sort", "barbs", "bisim", "faithfulness",
                 "roundtrip")
     for command in commands:
-        for calculus in CALCULI:
+        for calculus in NAMES:
             for _ in range(10):
                 argv = _fuzz_argv(rng, command, calculus)
                 code, _, err = run_cli(capsys, *argv)

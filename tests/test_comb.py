@@ -219,8 +219,8 @@ def test_sort_inference_is_pinned():
 
 
 class _RefVar:
-    """A sort variable of the reference inference; arrows are pairs (BaseSort,
-    a NamedTuple, is a tuple too, so pairs are told apart by exact type)."""
+    """A sort variable of the reference inference; arrows are pairs, told
+    apart from every other sort by exact type."""
 
     def __init__(self, n):
         self.n, self.ref = n, None

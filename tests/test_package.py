@@ -79,11 +79,10 @@ def test_every_public_definition_has_a_reader_besides_the_tests():
     assert unread == []
 
 
-def test_dataclasses_only_where_replace_or_cached_property_needs_them():
+def test_dataclasses_only_where_replace_needs_them():
     """Each `@dataclass` runs generated methods through `exec` at import, a
     cost every fresh interpreter pays: records are `NamedTuple`s or slotted
-    `core.Record`s, except the three that `dataclasses.replace` (and, for a
-    presentation, `cached_property`) needs."""
+    `core.Record`s, except the two that `dataclasses.replace` needs."""
     decorated, importers = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -96,5 +95,38 @@ def test_dataclasses_only_where_replace_or_cached_property_needs_them():
                 modules = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
                 if "dataclasses" in modules:
                     importers.append(path.stem)
-    assert sorted(decorated) == ["BisimVerdict", "Presentation", "Trace"]
+    assert sorted(decorated) == ["BisimVerdict", "Trace"]
     assert importers == ["bisim", "core"]
+
+
+def test_equality_and_hashing_are_defined_once_for_records_and_once_for_terms():
+    """Only `core.Record` and `core.Term` define `__eq__`, `__hash__` or a
+    `_hash` (as a method, a class attribute or a slot); no module assigns
+    `__eq__` or `__ne__` onto a class, and none caches through
+    `cached_property`: every other immutable value is a `Record`."""
+    defined, assigned, cached = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef):
+                        names = {stmt.name}
+                    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                        names = {t.id for t in targets if isinstance(t, ast.Name)}
+                        if "__slots__" in names and stmt.value is not None:
+                            names |= {c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant)}
+                    else:
+                        continue
+                    defined += [f"{path.stem}.{node.name}.{n}" for n in sorted(names & {"__eq__", "__hash__", "_hash"})]
+            elif isinstance(node, ast.Assign):
+                assigned += [f"{path.stem}:{node.lineno}: {ast.unparse(t)}" for t in node.targets
+                             if isinstance(t, ast.Attribute) and t.attr in ("__eq__", "__ne__")]
+            elif isinstance(node, ast.ImportFrom):
+                cached += [f"{path.stem}:{node.lineno}" for a in node.names if a.name == "cached_property"]
+            elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+                cached.append(f"{path.stem}:{node.lineno}")
+    assert sorted(defined) == ["core.Record.__eq__", "core.Record.__hash__", "core.Record._hash",
+                               "core.Term.__eq__", "core.Term.__hash__", "core.Term._hash"]
+    assert assigned == []
+    assert cached == []
