@@ -5,10 +5,11 @@ application.  Parallel composition is curried application of the ``|``
 constructor and forms a commutative monoid with unit ``0``; communication
 and quote evaluation are guarded by a linear context resource ``C``, while
 the S/K/I rules fire in any context.  Translation from the calculus
-eliminates binders by bracket abstraction; translation back normalizes the
-S/K/I spines once, reads the constructors off the normal form, and normalizes
-again only each input continuation applied to its binder's name token.  Sort
-inference unifies by binding mutable sort variables in place.
+eliminates binders by bracket abstraction; translation back inverts it,
+reading the constructors off the image and each input continuation applied to
+its binder's name token, and runs the rewriting engine only where an S/K/I
+redex remains.  Sort inference unifies by binding mutable sort variables in
+place.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional, Union
 
 from . import rho
 from .core import (
+    NORMAL_FORM,
     AcuGroup,
     CongruenceSpec,
     ConstructorDecl,
@@ -31,6 +33,7 @@ from .core import (
     canonicalize,
     flatten_term,
     group_join,
+    is_normal,
     leaf,
     reduce,
     subterms,
@@ -61,6 +64,8 @@ STRUCTURAL_RULES = ("sigma", "kappa", "iota")
 NON_COMM_RULES = ("sigma", "kappa", "iota", "epsilon")
 
 DEFAULT_FUEL = 2000
+
+_OUT_OF_FUEL = "ran out of fuel unwinding S/K/I applications"
 
 
 class TranslationError(Exception):
@@ -98,12 +103,13 @@ def wrap_context(t: Term) -> Term:
 
 _P, _Q, _R = MetaVar("P", T), MetaVar("Q", T), MetaVar("R", T)
 _AMP = atom(AMP_DECL)
+_PAR = AcuGroup(APP_DECL, atom(PAR_DECL), atom(ZERO_DECL))
 
 PRESENTATION = Presentation(
     sorts=(T,),
     constructors=ATOM_DECLS + (APP_DECL,),
     congruence=CongruenceSpec(
-        acu_groups=(AcuGroup(APP_DECL, atom(PAR_DECL), atom(ZERO_DECL)),),
+        acu_groups=(_PAR,),
     ),
     rules=(
         RewriteRule("sigma", aps(atom(S_DECL), _P, _Q, _R), ap(ap(_P, _R), ap(_Q, _R))),
@@ -376,12 +382,14 @@ def sort_infer(t: Term) -> Optional[SortExpr]:
 def backinterp(c: Term, fuel: int = DEFAULT_FUEL) -> Process:
     """Translate a context-free, W-sorted combinator back into a process.
 
-    S/K/I spines are reduced before constructors are read off; each input
-    continuation is applied to the name token of its binder, the inverse of
-    bracket abstraction, and a token at a name position is read as the bound
-    name.  A token under a quote has no process counterpart and raises
-    TranslationError.  Spending more than `fuel` S/K/I steps raises
-    FuelExhausted.
+    The image is read by inverting bracket abstraction: constructors are read
+    off, each input continuation is applied to the name token of its binder,
+    and a token at a name position is read as the bound name.  The rewriting
+    engine runs only where an S/K/I redex remains, and the fuel spent is the
+    count of S/K/I steps the `first` strategy takes, whichever way a
+    subterm is normalized.  A token under a quote has no process counterpart
+    and raises TranslationError.  Spending more than `fuel` S/K/I steps
+    raises FuelExhausted.
     """
     tokens = False
     for u in subterms(c):
@@ -400,11 +408,68 @@ def backinterp(c: Term, fuel: int = DEFAULT_FUEL) -> Process:
 
 
 def _skinormal(c: Term, budget: list[int]) -> Term:
-    trace = reduce(PRESENTATION, c, "first", max(budget[0], 0), rules=STRUCTURAL_RULES)
-    budget[0] -= len(trace.steps)
-    if trace.status != "normal_form" or budget[0] < 0:
-        raise FuelExhausted("ran out of fuel unwinding S/K/I applications")
-    return trace.final
+    """The canonical S/K/I normal form of c, taking from `budget` the steps
+    the `first` strategy takes to it; FuelExhausted when they are more.
+
+    A group is normalized element by element: no S/K/I redex spans two
+    elements, and `first` spends on each element what it would spend on it
+    alone.  An abstraction skeleton applied to a normal argument is read by
+    `_read_skeleton`, before the normality test, which would enumerate the
+    redex it is.  A normal term is returned as it is, and the rewriting
+    engine runs on the rest."""
+    c = canon(c)
+    comps = par_components(c)
+    if len(comps) > 1:
+        if not is_normal(PRESENTATION, c, STRUCTURAL_RULES):
+            c = canon(group_join(_PAR, [_skinormal(e, budget) for e in comps]))
+    elif (read := _read_skeleton(c)) is not None:
+        c = read[0]
+        budget[0] -= read[1]
+    elif not is_normal(PRESENTATION, c, STRUCTURAL_RULES):
+        trace = reduce(PRESENTATION, c, "first", max(budget[0], 0), rules=STRUCTURAL_RULES)
+        if trace.status != NORMAL_FORM:
+            raise FuelExhausted(_OUT_OF_FUEL)
+        c = trace.final
+        budget[0] -= len(trace.steps)
+    if budget[0] < 0:
+        raise FuelExhausted(_OUT_OF_FUEL)
+    return c
+
+
+def _read_skeleton(c: Term) -> Optional[tuple[Term, int]]:
+    """``(M, n)`` when canonical c is ``(k a)`` with k an abstraction skeleton
+    and a normal, and `_unabstract` makes of it a body M that is normal once
+    canonical; else None.  No redex is erased or copied then, so `first`
+    takes n steps from c to M, one per S, K or I node of k."""
+    if c.head != APP_DECL or not is_normal(PRESENTATION, c.children[1], STRUCTURAL_RULES):
+        return None
+    read = _unabstract(*c.children)
+    if read is None:
+        return None
+    body = canon(read[0])
+    return (body, read[1]) if is_normal(PRESENTATION, body, STRUCTURAL_RULES) else None
+
+
+def _unabstract(k: Term, a: Term) -> Optional[tuple[Term, int]]:
+    """``(M, n)`` when k is an abstraction skeleton, as `_abstract` builds:
+    ``I``, ``(K d)``, or ``((S f) g)`` with f and g skeletons.  M is ``(k a)``
+    with its n S, K and I nodes consumed: ``(I a)`` is a, ``((K d) a)`` is d,
+    and ``(((S f) g) a)`` is ``((f a) (g a))``.  None for any other k.  It
+    recurses only into arguments, as `sort_infer` does."""
+    if k.head == I_DECL:
+        return a, 1
+    if k.head != APP_DECL:
+        return None
+    f, g = k.children
+    if f.head == K_DECL:
+        return g, 1
+    if f.head != APP_DECL or f.children[0].head != S_DECL:
+        return None
+    left = _unabstract(f.children[1], a)
+    right = None if left is None else _unabstract(g, a)
+    if right is None:
+        return None
+    return ap(left[0], right[0]), left[1] + right[1] + 1
 
 
 def _backinterp(c: Term, budget: list[int], depth: int) -> Process:
@@ -443,11 +508,10 @@ def _name(t: Term, budget: list[int], depth: int) -> rho.Name:
 
 def par_components(t: Term) -> list[Term]:
     """The components of a parallel group; the unit alone is one component."""
-    group = PRESENTATION.congruence.acu_groups[0]
-    if t == group.unit:
+    if t == _PAR.unit:
         return [t]
-    comps = flatten_term(group, t)
-    return comps if comps else [group.unit]
+    comps = flatten_term(_PAR, t)
+    return comps if comps else [_PAR.unit]
 
 
 def barbs(t: Term, names: tuple) -> frozenset:
@@ -472,7 +536,7 @@ def unwrap_context(t: Term) -> Optional[Term]:
     comps = par_components(t)
     rest = [c for c in comps if c.head != C_DECL]
     if len(rest) == len(comps) - 1:
-        return group_join(PRESENTATION.congruence.acu_groups[0], rest)
+        return group_join(_PAR, rest)
     return None
 
 

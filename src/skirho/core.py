@@ -539,9 +539,16 @@ Matcher = Callable[[Term, dict], Iterable[dict]]  # (t, b) -> bindings extending
 
 class _Flat(Record):
     """A group-shaped pattern node, flattened: the atoms it requires, the
-    matchers of its other element patterns, and its collectors."""
+    matchers of its other element patterns, and its collectors.  `rest` is
+    the metavariable REST_VAR of the group's sort, which collects what a
+    match at a redex site leaves over."""
 
-    __slots__ = __match_args__ = ("group", "needs", "elems", "collectors")
+    __match_args__ = ("group", "needs", "elems", "collectors")
+    __slots__ = __match_args__ + ("rest",)
+
+    def __init__(self, group: AcuGroup, needs: tuple, elems: tuple, collectors: tuple) -> None:
+        Record.__init__(self, group, needs, elems, collectors)
+        object.__setattr__(self, "rest", MetaVar(REST_VAR, group.unit.sort))
 
 
 def _flat(p: Presentation, g: AcuGroup, pat: Term) -> _Flat:
@@ -628,7 +635,7 @@ def _match_group(
     Repeated metavariables must bind canonically equal terms."""
     g, pvars = pat.group, pat.collectors
     if rest:
-        pvars = pvars + (MetaVar(REST_VAR, g.unit.sort),)
+        pvars = pvars + (pat.rest,)
     # bound collector metavariables contribute a fixed sub-multiset
     pending: list[MetaVar] = []
     for mv in pvars:
@@ -914,7 +921,12 @@ def step(p: Presentation, t: Term, rules: Optional[Sequence[str]] = None) -> set
 
 
 def is_normal(p: Presentation, t: Term, rules: Optional[Sequence[str]] = None) -> bool:
-    return next(iter_redexes(p, t, rules), None) is None
+    """Whether t's canonical form has no redex of the named rules.  A term
+    whose rule summary holds none of their bits is normal at once; only
+    otherwise are its redexes enumerated."""
+    bits = sum(r.bit for r in _select(p, rules))
+    t = _canon(p, t)
+    return not t._mark[4] & bits or next(iter_redexes(p, t, rules), None) is None
 
 
 def reduce(

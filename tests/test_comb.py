@@ -478,6 +478,95 @@ def test_backinterp_fuel_boundary_is_pinned(text, fuel):
         backinterp(c, fuel - 1)
 
 
+# The back translation reads S/K/I spines without the rewriting engine where
+# it can (`comb._skinormal`).  What it reads must be what a `first` run gives:
+# the same normal form, the same steps charged, and FuelExhausted below them.
+
+
+def _reads_like_first(c):
+    """The `first` step count of c's S/K/I normal form, checked against
+    `_skinormal` at every fuel up to one past it."""
+    trace = reduce(PRES, c, "first", 10_000, rules=STRUCTURAL_RULES)
+    assert trace.status == "normal_form"
+    steps = len(trace.steps)
+    for fuel in range(steps + 2):
+        budget = [fuel]
+        if fuel < steps:
+            with pytest.raises(FuelExhausted):
+                comb._skinormal(c, budget)
+        else:
+            assert comb._skinormal(c, budget) == trace.final
+            assert budget == [fuel - steps]
+    return steps
+
+
+def _applied_continuations(c):
+    """Each input continuation in c applied to a name token, as the back
+    translation applies it, and to a quote, as a xi step applies it."""
+    for u in subterms(c):
+        fun = u.children[0] if u.head == APP_DECL else u
+        if fun.head == APP_DECL and fun.children[0].head == FOR_DECL:
+            yield ap(u.children[1], name_token("y0"))
+            yield ap(u.children[1], quote(z()))
+
+
+def test_skinormal_reads_like_first_over_sorted_combinators():
+    rng = random.Random(36)
+    total = 0
+    for _ in range(120):
+        q = random_sorted_comb(rng)
+        total += _reads_like_first(q)
+        for c in _applied_continuations(q):
+            total += _reads_like_first(c)
+    assert total > 0
+
+
+def test_skinormal_reads_like_first_on_xi_successors():
+    rng = random.Random(37)
+    for _ in range(40):
+        wrapped = canon(wrap_context(interp(random_comm_candidate(rng, 3))))
+        for x in step(PRES, wrapped, rules=("xi",)):
+            assert _reads_like_first(comb.unwrap_context(x)) > 0
+
+
+@pytest.mark.parametrize("text, steps", [
+    # K erases an argument that holds a redex: the redex is still contracted first
+    ("((K 0) (((S K) K) 0))", 2),
+    # S copies an argument that holds a redex: each copy is contracted
+    ("(((S ((S (K |)) I)) I) (I 0))", 7),
+    # the argument is normal, but the body the skeleton builds holds a redex,
+    # which erases the I node's step: three steps, not the four nodes and redex
+    ("(((S (K (K 0))) I) 0)", 3),
+    # elements of a group, each an abstraction skeleton applied
+    ("((| ((K 0) (& 0))) (((S (K (! (& 0)))) I) 0))", 4),
+])
+def test_skinormal_reads_like_first_where_a_redex_is_erased_copied_or_made(text, steps):
+    c = parse_comb(text)
+    assert sort_infer(c) == W
+    assert _reads_like_first(c) == steps
+    assert backinterp(c, steps) == backinterp(c)
+    with pytest.raises(FuelExhausted):
+        backinterp(c, steps - 1)
+
+
+def test_backinterp_of_an_image_or_a_xi_successor_runs_no_engine(monkeypatch):
+    # both are read by inverting bracket abstraction alone
+    def engine(*args, **kwargs):
+        raise AssertionError("the rewriting engine ran")
+
+    rng = random.Random(38)
+    procs = [random_process(rng, 4) for _ in range(60)]
+    images = [interp(p) for p in procs]
+    comms = [random_comm_candidate(rng, 3) for _ in range(30)]
+    inners = [comb.unwrap_context(x) for p in comms
+              for x in step(PRES, canon(wrap_context(interp(p))), rules=("xi",))]
+    reducts = {q for p in comms for q in rho.comm_step(p)}
+    monkeypatch.setattr(comb, "reduce", engine)
+    for p, c in zip(procs, images):
+        assert backinterp(c) == rho.canon_process(p)
+    assert inners and all(backinterp(c) in reducts for c in inners)
+
+
 # ---------------------------------------------------------------------------
 # round trips
 
@@ -486,6 +575,16 @@ def test_roundtrip_alpha_small():
     rng = random.Random(32)
     for _ in range(120):
         p = random_process(rng, 4)
+        assert backinterp(interp(p)) == rho.canon_process(p)
+
+
+def test_roundtrip_is_the_canonical_form():
+    # names are syntactic sugar: translating a closed process there and back
+    # gives its canonical form itself, not merely a congruent process
+    rng = random.Random(3)
+    procs = [random_process(rng, 4) for _ in range(600)]
+    procs += [random_comm_candidate(rng, 3) for _ in range(600)]
+    for p in procs:
         assert backinterp(interp(p)) == rho.canon_process(p)
 
 

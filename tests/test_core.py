@@ -308,6 +308,19 @@ def test_is_normal():
     assert not is_normal(PLAIN, ap(ap(K(), S()), I()))
 
 
+def test_is_normal_reads_the_rule_summary(monkeypatch):
+    # a term whose summary holds no bit of the named rules is normal without
+    # an enumeration of its redexes; one whose summary holds a bit is enumerated
+    def enumerate_redexes(*args):
+        raise AssertionError("redexes enumerated")
+
+    monkeypatch.setattr(core, "iter_redexes", enumerate_redexes)
+    assert is_normal(PLAIN, ap(ap(S(), K()), K()))
+    assert is_normal(PLAIN, ap(I(), K()), rules=("sigma", "kappa"))
+    with pytest.raises(AssertionError, match="enumerated"):
+        is_normal(PLAIN, ap(I(), K()))
+
+
 def test_unknown_rule_names_are_rejected():
     t = ap(I(), K())
     calls = [
