@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from . import rho
 from .calculus import CALCULI, Calculus
@@ -23,8 +23,7 @@ Agent = Union[rho.Process, Term]
 DEFAULT_PAIR_BUDGET = 50_000
 
 
-class BudgetExhausted(Exception):
-    """The pair budget ran out before the bound was decided."""
+BudgetExhausted = StateBudgetExhausted  # callers catch the one budget exception under this name too
 
 
 def calculus_of(agent: Agent) -> Calculus:
@@ -52,12 +51,6 @@ class WeakBarbs(Record):
     __slots__ = __match_args__ = ("names", "truncated")
     names: frozenset
     truncated: bool
-
-    def __contains__(self, item) -> bool:
-        return item in self.names
-
-    def __iter__(self):
-        return iter(self.names)
 
 
 def weak_barbs(agent: Agent, names, bound: int) -> WeakBarbs:
@@ -120,32 +113,29 @@ def bounded_bisim(a: Agent, b: Agent, names, depth: int) -> BisimVerdict:
     other within the remaining depth, and every immediate barb by an
     eventual barb; the check is symmetric and memoized on canonical pairs.
     Exhausting the pair budget (`DEFAULT_PAIR_BUDGET`, read at each call) or
-    the state budget of an exploration raises BudgetExhausted.
+    the state budget of an exploration raises StateBudgetExhausted.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     calc = calculus_of(a)
     if calculus_of(b) is not calc:
         raise TypeError("agents must belong to the same calculus")
-    run = _Run(calc, tuple(calc.canon_name(n) for n in names), _moves(calc), {})
-    try:
-        witness = _check(run, calc.canon(a), calc.canon(b), depth)
-    except StateBudgetExhausted as err:
-        raise BudgetExhausted(str(err)) from err
-    if witness is None:
-        return BisimVerdict(True, depth)
-    return BisimVerdict(False, depth, witness)
+    run = _Run(calc, tuple(calc.canon_name(n) for n in names), _moves(calc), {}, {})
+    witness = _check(run, calc.canon(a), calc.canon(b), depth)
+    return BisimVerdict(witness is None, depth, witness)
 
 
 class _Run(NamedTuple):
-    """One `bounded_bisim` call: what every pair check reads and the memo it
-    fills.  The recursion is at module level: a nested function calling
-    itself would leave a reference cycle behind every check."""
+    """One `bounded_bisim` call: what every pair check reads, the memo it
+    fills, and each ``(agent, bound)`` search, run once.  The recursion is at
+    module level: a nested function calling itself would leave a reference
+    cycle behind every check."""
 
     calc: Calculus
     names: tuple
     successors: Successors
     memo: dict
+    reach: dict
 
 
 def _check(run: _Run, x: Agent, y: Agent, d: int) -> Optional[Witness]:
@@ -153,48 +143,45 @@ def _check(run: _Run, x: Agent, y: Agent, d: int) -> Optional[Witness]:
     if key in run.memo:
         return run.memo[key]
     if len(run.memo) >= DEFAULT_PAIR_BUDGET:  # one entry per pair checked
-        raise BudgetExhausted(f"pair budget {DEFAULT_PAIR_BUDGET} exhausted")
+        raise StateBudgetExhausted(f"pair budget {DEFAULT_PAIR_BUDGET} exhausted")
     run.memo[key] = None  # assume matched while exploring this pair
-    calc, reach = run.calc, {}
-    result: Optional[Witness] = None
+    run.memo[key] = witness = next(_witnesses(run, x, y, d), None)
+    return witness
+
+
+def _witnesses(run: _Run, x: Agent, y: Agent, d: int) -> Iterator[Witness]:
+    """Why x and y differ at bound d: the unmatched barbs, left side then
+    right in `repr` order, then the unanswered moves, each with its first
+    failing reply as `inner`."""
+    calc = run.calc
     for p, q, side in ((x, y, "left"), (y, x, "right")):
         mine = calc.barbs(p, run.names)
         if mine:
             theirs: set = set()
-            for s in _reachable(run, reach, q, d):
+            for s in _reachable(run, q, d):
                 theirs |= calc.barbs(s, run.names)
-            for name in sorted(mine, key=repr):
-                if name not in theirs:
-                    result = Witness("barb", side, p, q, d, name=name)
+            for name in sorted(mine - theirs, key=repr):
+                yield Witness("barb", side, p, q, d, name=name)
+    if d == 0:
+        return
+    for p, q, side in ((x, y, "left"), (y, x, "right")):
+        for _, succ in run.successors(p):
+            inner: Optional[Witness] = None
+            for q2 in _reachable(run, q, d):
+                w = _check(run, succ, q2, d - 1) if side == "left" else _check(run, q2, succ, d - 1)
+                if w is None:
                     break
-        if result is not None:
-            break
-    if result is None and d > 0:
-        for p, q, side in ((x, y, "left"), (y, x, "right")):
-            for _, succ in run.successors(p):
-                inner_best: Optional[Witness] = None
-                matched = False
-                for q2 in _reachable(run, reach, q, d):
-                    w = _check(run, succ, q2, d - 1) if side == "left" else _check(run, q2, succ, d - 1)
-                    if w is None:
-                        matched = True
-                        break
-                    if inner_best is None:
-                        inner_best = w
-                if not matched:
-                    result = Witness("move", side, p, q, d, successor=succ, inner=inner_best)
-                    break
-            if result is not None:
-                break
-    run.memo[key] = result
-    return result
+                inner = inner or w
+            else:
+                yield Witness("move", side, p, q, d, successor=succ, inner=inner)
 
 
-def _reachable(run: _Run, reach: dict, q: Agent, d: int) -> list[Agent]:
-    """Every agent within d steps of q, explored once per pair check."""
-    if q not in reach:
-        reach[q] = [s for s, _ in explore(q, run.successors, d)]
-    return reach[q]
+def _reachable(run: _Run, q: Agent, d: int) -> list[Agent]:
+    """Every agent within d steps of q, explored once per `bounded_bisim` call."""
+    key = (q, d)
+    if key not in run.reach:
+        run.reach[key] = [s for s, _ in explore(q, run.successors, d)]
+    return run.reach[key]
 
 
 class FaithfulnessReport(NamedTuple):
@@ -211,13 +198,13 @@ def faithfulness_check(p: rho.Process, q: rho.Process, names, depth: int) -> Fai
     comb_names = [comb.interp_name(rho.canon_name(n)) for n in names]
     try:
         calc = bounded_bisim(p, q, names, depth)
-    except BudgetExhausted:
+    except StateBudgetExhausted:
         return FaithfulnessReport(False, True, None, None)
     wrapped_p = comb.wrap_context(comb.interp(p))
     wrapped_q = comb.wrap_context(comb.interp(q))
     try:
         comb_verdict = bounded_bisim(wrapped_p, wrapped_q, comb_names, depth)
-    except BudgetExhausted:
+    except StateBudgetExhausted:
         return FaithfulnessReport(False, True, calc, None)
     return FaithfulnessReport(
         agree=calc.bisimilar == comb_verdict.bisimilar,

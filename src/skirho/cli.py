@@ -234,10 +234,7 @@ def _cmd_bisim(args) -> int:
     left = _agent(args, args.left)
     right = _agent(args, args.right)
     names = _agent_names(args, [left, right])
-    try:
-        verdict = bisim.bounded_bisim(left, right, names, args.depth)
-    except bisim.BudgetExhausted as err:
-        raise CliError(str(err), EXIT_FUEL) from err
+    verdict = bisim.bounded_bisim(left, right, names, args.depth)
     if verdict.bisimilar:
         payload = {"verdict": "bisimilar_up_to", "depth": verdict.depth}
         text = f"bisimilar up to depth {verdict.depth}"

@@ -60,15 +60,8 @@ class FuelExhausted(RewriteError):
 
 
 class StateBudgetExhausted(FuelExhausted):
-    """Raised when a search visits more states than its state budget."""
-
-
-class _TargetFound(Exception):
-    """Ends a breadth-first search for a target when it is discovered."""
-
-    def __init__(self, state: object) -> None:
-        super().__init__()
-        self.state = state
+    """Raised when a search visits more states than its state budget, or a
+    bisimulation check more pairs than its pair budget."""
 
 
 class InvalidRedex(RewriteError):
@@ -357,13 +350,21 @@ class ValidationReport(NamedTuple):
 
 
 def term_key(t: Term):
-    """Fixed total order on terms: name, then arity, then children."""
+    """Fixed total order on terms: name, then arity, then children.  Each node
+    caches its key; missing ones are made in post-order on an explicit stack."""
     try:
         return t._key
     except AttributeError:  # not asked for yet
-        key = (t.head.name, len(t.children), tuple(term_key(c) for c in t.children))
-        _set_key(t, key)
-        return key
+        todo = [t]
+    while todo:
+        u = todo.pop()
+        if u is None:  # the node under this marker has its children's keys now
+            u = todo.pop()
+            _set_key(u, (u.head.name, len(u.children), tuple([c._key for c in u.children])))
+        else:
+            todo += (u, None)
+            todo += [c for c in u.children if not hasattr(c, "_key")]
+    return t._key
 
 
 def replace_at(t: Term, position: Sequence[int], replacement: Term) -> Term:
@@ -958,6 +959,7 @@ def explore(
     fuel: int,
     parents: Optional[dict] = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
+    goal: Optional[State] = None,
 ) -> Iterator[tuple[State, int]]:
     """Breadth-first traversal yielding each state reachable within `fuel`
     steps once, with its depth, in discovery order.
@@ -965,7 +967,9 @@ def explore(
     A yielded state is expanded when the consumer resumes, unless it lies at
     depth `fuel`.  `parents`, when given, receives ``succ -> (state, redex)``
     for every discovered state, a shortest path back to `start`.  Visiting
-    more than `state_budget` states raises StateBudgetExhausted.
+    more than `state_budget` states raises StateBudgetExhausted.  A `goal`
+    other than `start` is yielded as soon as it is discovered, and the
+    search ends there; it does not count against the state budget.
     """
     seen = {start}
     queue: deque[tuple[State, int]] = deque([(start, 0)])
@@ -983,6 +987,9 @@ def explore(
                 seen.add(succ)
                 if parents is not None:
                     parents[succ] = (cur, redex)
+                if goal is not None and succ == goal:
+                    yield succ, depth + 1
+                    return
                 queue.append((succ, depth + 1))
 
 
@@ -1012,30 +1019,20 @@ def drive(
         parents: dict = {}
         peeked: list = [None, None]  # a state and its edges, begun by the normal-form test
 
-        if goal is None:
-            def edges(state: State) -> Iterable[tuple[Redex, State]]:
-                return peeked[1] if state is peeked[0] else successors(state)
-        else:
-            def edges(state: State) -> Iterable[tuple[Redex, State]]:
-                for redex, succ in successors(state):
-                    if succ == goal:  # discovered for the first time, as the search ends here
-                        parents[succ] = (state, redex)
-                        raise _TargetFound(succ)
-                    yield redex, succ
+        def edges(state: State) -> Iterable[tuple[Redex, State]]:
+            return peeked[1] if state is peeked[0] else successors(state)
 
         try:
-            for cur, _ in explore(start, edges, fuel, parents, state_budget):
+            for cur, _ in explore(start, edges, fuel, parents, state_budget, goal):
                 if goal is not None:
-                    if cur == goal:  # only the start: another target ends the search when found
-                        return Trace(start, [], TARGET_REACHED)
+                    if cur == goal:  # the start, or the target as it is discovered
+                        return Trace(start, _path(parents, cur), TARGET_REACHED)
                     continue
                 rest = iter(successors(cur))
                 first = next(rest, None)
                 if first is None:
                     return Trace(start, _path(parents, cur), NORMAL_FORM)
                 peeked[:] = [cur, itertools.chain((first,), rest)]
-        except _TargetFound as found:
-            return Trace(start, _path(parents, found.state), TARGET_REACHED)
         except StateBudgetExhausted:
             pass
         return Trace(start, [], FUEL_EXHAUSTED)

@@ -186,6 +186,32 @@ def test_bisim_state_budget_is_inconclusive(monkeypatch):
         bounded_bisim(relay(), relay(), [N0], 3)
 
 
+def test_pair_budget_overrun_is_a_state_budget_overrun(monkeypatch):
+    assert BudgetExhausted is core.StateBudgetExhausted
+    monkeypatch.setattr(bisim, "DEFAULT_PAIR_BUDGET", 1)
+    with pytest.raises(core.FuelExhausted, match="^pair budget 1 exhausted$"):
+        bounded_bisim(relay(), relay(), [N0], 3)
+
+
+@pytest.mark.parametrize("comb_side", [False, True])
+def test_one_check_explores_each_agent_and_bound_once(monkeypatch, comb_side):
+    searches = Counter()
+
+    def counted(start, successors, fuel, *rest):
+        searches[start, fuel] += 1
+        return core.explore(start, successors, fuel, *rest)
+
+    monkeypatch.setattr(bisim, "explore", counted)
+    p = parse_rho("for(y <- &0)(y!0) | &0!(&0!0)")
+    q = Par(p, ZERO)
+    names = bisim.names_occurring(p)
+    if comb_side:
+        p, q = wrap_context(interp(p)), wrap_context(interp(q))
+        names = [comb.interp_name(n) for n in names]
+    assert bounded_bisim(p, q, names, 3).bisimilar
+    assert len(searches) > 1 and max(searches.values()) == 1
+
+
 def test_faithfulness_budget_on_either_side_is_inconclusive(monkeypatch):
     p = parse_rho("for(y <- &0)(y!0) | &0!(&0!0)")
     q = Par(p, ZERO)

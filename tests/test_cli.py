@@ -143,6 +143,13 @@ def test_deep_term_exits_1(capsys):
     assert err == "term nested too deeply\n"
 
 
+def test_deep_combinator_group_reduces(capsys):
+    # sorting the | group asks for the order key of the whole spine
+    spine = "((| C) " + "(I " * 3000 + "K" + ")" * 3000 + ")"
+    code, out, err = run_cli(capsys, "reduce", "--calculus", "rho-comb", "--fuel", "5000", spine)
+    assert (code, out.splitlines(), err) == (0, ["((| C) K)", "steps: 3000", "status: normal_form"], "")
+
+
 def test_gas_run_cli(capsys):
     code, out, _ = run_cli(capsys, "reduce", "--calculus", "ski-gas", "--gas", "2", "(I K)")
     assert code == 0
@@ -248,6 +255,13 @@ def test_faithfulness_state_budget_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "faithfulness",
                              "for(y <- &0)0 | &0!0", "&0!0 | for(z <- &0)0 | 0")
     assert (code, out, err) == (2, "", "state budget exhausted; verdict inconclusive\n")
+
+
+def test_bisim_pair_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(bisim, "DEFAULT_PAIR_BUDGET", 1)
+    relay = "for(y <- &0)(y!0) | &0!0"
+    code, out, err = run_cli(capsys, "bisim", "--calculus", "rho", "--depth", "3", relay, relay)
+    assert (code, out, err) == (2, "", "pair budget 1 exhausted\n")
 
 
 def test_faithfulness_accepts_a_name_quoting_an_open_process(capsys):

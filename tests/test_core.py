@@ -422,6 +422,19 @@ def test_explore_cycle_inside_bound_leaves_nothing_beyond():
     assert max(d for _, d in explore(0, succ, 1 + 1)) == 2
 
 
+def test_explore_ends_at_the_goal_it_discovers():
+    parents = {}
+    assert list(explore(0, toy, 10, parents, goal=3)) == [(0, 0), (1, 1), (3, 2)]
+    assert parents[3][0] == 1 and parents[3][1].rule == "1>3"
+    assert list(explore(0, toy, 10, goal=4))[-1] == (4, 3)
+    assert [s for s, _ in explore(0, toy, 1, goal=3)] == [0, 1, 2]  # beyond the fuel
+    # the goal is yielded without being visited: the budget counts what it would without a goal
+    assert list(explore(0, toy, 10, state_budget=1, goal=2)) == [(0, 0), (2, 1)]
+    assert list(explore(0, toy, 10, state_budget=2, goal=3)) == [(0, 0), (1, 1), (3, 2)]
+    with pytest.raises(StateBudgetExhausted):
+        list(explore(0, toy, 10, state_budget=1, goal=3))
+
+
 def test_drive_all_is_shortest():
     trace = drive(0, toy, "all", 10)
     assert trace.status == "normal_form"

@@ -71,8 +71,8 @@ RECORDS = [
      False),
     (bisim.BisimVerdict(True, 2), ("bisimilar", "depth", "witness"),
      "BisimVerdict(bisimilar=True, depth=2, witness=None)", False),
-    (bisim._Run("calc", ("n",), "moves", {}), ("calc", "names", "successors", "memo"),
-     "_Run(calc='calc', names=('n',), successors='moves', memo={})", False),
+    (bisim._Run("calc", ("n",), "moves", {}, {}), ("calc", "names", "successors", "memo", "reach"),
+     "_Run(calc='calc', names=('n',), successors='moves', memo={}, reach={})", False),
     (bisim.FaithfulnessReport(True, False, None, None), ("agree", "inconclusive", "calculus", "combinator"),
      "FaithfulnessReport(agree=True, inconclusive=False, calculus=None, combinator=None)", False),
     (calculus.Calculus("parse", "print", "canon", "edges", "key"),
