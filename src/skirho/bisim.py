@@ -214,13 +214,8 @@ def faithfulness_check(p: rho.Process, q: rho.Process, names, depth: int) -> Fai
     )
 
 
-def names_occurring(agent: Agent) -> list:
-    """The names an agent can barb on, canonical and deduplicated: every
-    name occurring in it but an identifier an enclosing input binds."""
-    if isinstance(agent, Term):
-        from . import comb
-        found = comb.all_names(comb.canon(agent))
-    else:
-        found = rho.all_names(agent)
-    names = [calculus_of(agent).canon_name(n) for n in found]
-    return [n for i, n in enumerate(names) if n not in names[:i]]
+def names_occurring(*agents: Agent) -> list:
+    """The names the agents can barb on, canonical, each once in first-seen
+    order: every name occurring in one but an identifier an enclosing input binds."""
+    calc = calculus_of(agents[0])
+    return list(dict.fromkeys(calc.canon_name(n) for agent in agents for n in calc.names(agent)))

@@ -5,9 +5,10 @@ and the one-step reduction edges between them.  A `Calculus` record holds
 what running a calculus needs and nothing else: parse, print and
 canonicalize a term, the labelled edges out of a canonical term in the order
 the strategies of `core.drive` take them, and the fixed order on canonical
-terms.  The two agent calculi also carry their names and immediate barbs,
-which is all bisimulation reads.  `edges` and `barbs` take canonical terms:
-callers canonicalize once, where a term enters.
+terms.  The two agent calculi also carry their names, the names a term
+holds and its immediate barbs, which is all bisimulation reads.  `edges`
+and `barbs` take canonical terms: callers canonicalize once, where a term
+enters.
 
 `CALCULI` makes a record on its first lookup, importing its calculus's
 module then, so a process that runs one calculus loads only that one:
@@ -29,6 +30,7 @@ class Calculus(NamedTuple):
     """Terms, their one-step edges and, for agent calculi, names and barbs.
 
     `parse` raises ValueError (a `syntax.ParseError` for bad syntax).
+    `names(agent)` lists the names the agent can barb on, repeats included.
     `barbs(agent, names)` gives the subjects of the agent's top-level
     outputs among `names`, all canonical.  `gas`, for the fueled SKI
     presentation only, turns an R-free term and a marker count into the
@@ -43,6 +45,7 @@ class Calculus(NamedTuple):
     parse_name: Optional[Callable[[str], Any]] = None
     print_name: Optional[Callable[[Any], str]] = None
     canon_name: Optional[Callable[[Any], Any]] = None
+    names: Optional[Callable[[Any], list]] = None
     barbs: Optional[Callable[[Any, tuple], frozenset]] = None
     gas: Optional[Callable[[Term, int], Term]] = None
 
@@ -63,7 +66,7 @@ def _rho() -> Calculus:
     from . import rho
     return Calculus(rho.parse_closed, rho.print_rho, rho.canon_process, rho.comm_edges,
                     rho.process_key, parse_name=rho.parse_rho_name, print_name=rho.print_rho_name,
-                    canon_name=rho.canon_name, barbs=rho.barbs)
+                    canon_name=rho.canon_name, names=rho.all_names, barbs=rho.barbs)
 
 
 def _rho_comb() -> Calculus:
@@ -71,7 +74,8 @@ def _rho_comb() -> Calculus:
     return Calculus(comb.parse_comb, comb.print_comb, comb.canon,
                     partial(iter_redexes, comb.PRESENTATION), term_key,
                     parse_name=comb.parse_comb, print_name=comb.print_comb,
-                    canon_name=comb.canon, barbs=comb.barbs)
+                    canon_name=comb.canon, names=lambda t: comb.all_names(comb.canon(t)),
+                    barbs=comb.barbs)
 
 
 _BUILDERS = {"ski": partial(_ski, "plain"), "ski-whnf": partial(_ski, "whnf"),

@@ -16,7 +16,7 @@ import sys
 from typing import Optional, Sequence
 
 from .calculus import CALCULI as RECORDS, NAMES as CALCULI, Calculus
-from .core import FuelExhausted, Trace, drive, reduce
+from .core import FUEL_EXHAUSTED, NORMAL_FORM, TARGET_REACHED, FuelExhausted, Trace, drive, reduce
 from .syntax import ParseError
 
 EXIT_OK = 0
@@ -74,7 +74,7 @@ def validate_trace_json(obj: dict) -> None:
         raise ValueError(f"unknown calculus {obj['calculus']!r}")
     if not isinstance(obj["initial"], str):
         raise ValueError("initial must be a string")
-    if obj["status"] not in ("normal_form", "fuel_exhausted", "target_reached"):
+    if obj["status"] not in (NORMAL_FORM, FUEL_EXHAUSTED, TARGET_REACHED):
         raise ValueError(f"unknown status {obj['status']!r}")
     if not isinstance(obj["steps"], list):
         raise ValueError("steps must be a list")
@@ -147,39 +147,32 @@ def _cmd_reduce(args, verbose: bool) -> int:
         except ValueError as err:
             raise CliError(str(err), EXIT_INPUT) from err
     trace = drive(calc.canon(term), calc.edges, args.strategy, args.fuel, seed=args.seed)
-    payload = trace_to_json(args.calculus, trace)
-    lines = []
-    if verbose:
-        lines.append(f"initial: {payload['initial']}")
-        for i, entry in enumerate(payload["steps"], start=1):
-            pos = ",".join(str(j) for j in entry["position"])
-            lines.append(f"{i}. {entry['rule']}@[{pos}] -> {entry['result']}")
-    lines.append(calc.print(trace.final))
-    lines.append(f"steps: {len(trace.steps)}")
-    lines.append(f"status: {trace.status}")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_FUEL if trace.status == "fuel_exhausted" else EXIT_OK
+    if args.format == "json":  # built only to be printed: a deep trace's payload is most of the run
+        _emit(args, trace_to_json(args.calculus, trace), "")
+    else:
+        lines = []
+        if verbose:
+            lines.append(f"initial: {calc.print(trace.initial)}")
+            lines += [f"{i}. {redex.rule}@[{','.join(map(str, redex.position))}] -> {calc.print(result)}"
+                      for i, (redex, result) in enumerate(trace.steps, start=1)]
+        lines += [calc.print(trace.final), f"steps: {len(trace.steps)}", f"status: {trace.status}"]
+        print("\n".join(lines))
+    return EXIT_FUEL if trace.status == FUEL_EXHAUSTED else EXIT_OK
 
 
 @_translating
 def _cmd_translate(args) -> int:
     from . import comb, rho
-    calculus = args.calculus
-    term = _parse_term(RECORDS[calculus], args.term)
-    if calculus == "rho":
-        rendered = comb.print_comb(comb.interp(term))
-        _emit(args, {"calculus": "rho-comb", "term": rendered}, rendered)
-        return EXIT_OK
-    if calculus == "rho-comb":
-        rendered = rho.print_rho(comb.backinterp(term, fuel=args.fuel))
-        _emit(args, {"calculus": "rho", "term": rendered}, rendered)
-        return EXIT_OK
-    raise CliError("translate expects --calculus rho or rho-comb", EXIT_INPUT)
+    term = _parse_term(RECORDS[args.calculus], args.term)
+    if args.calculus == "rho":
+        rendered, target = comb.print_comb(comb.interp(term)), "rho-comb"
+    else:
+        rendered, target = rho.print_rho(comb.backinterp(term, fuel=args.fuel)), "rho"
+    _emit(args, {"calculus": target, "term": rendered}, rendered)
+    return EXIT_OK
 
 
 def _cmd_sort(args) -> int:
-    if args.calculus != "rho-comb":
-        raise CliError("sort expects --calculus rho-comb", EXIT_INPUT)
     from . import comb
     term = _parse_term(RECORDS[args.calculus], args.term)
     inferred = comb.sort_infer(term)
@@ -190,29 +183,18 @@ def _cmd_sort(args) -> int:
     return EXIT_OK
 
 
-def _agent(args, text: str):
+def _agents(args, *texts: str) -> tuple[list, list]:
+    """The parsed agents, and the `--names` given or else the names occurring in them."""
+    from . import bisim
     calc = RECORDS[args.calculus]
-    if calc.barbs is None:
-        raise CliError("this command expects --calculus rho or rho-comb", EXIT_INPUT)
-    return _parse_term(calc, text)
-
-
-def _agent_names(args, agents) -> list:
-    names = _parse_names(RECORDS[args.calculus], args.names)
-    if names is None:
-        from . import bisim
-        names = []
-        for agent in agents:
-            for n in bisim.names_occurring(agent):
-                if n not in names:
-                    names.append(n)
-    return names
+    agents = [_parse_term(calc, text) for text in texts]
+    names = _parse_names(calc, args.names)
+    return agents, bisim.names_occurring(*agents) if names is None else names
 
 
 def _cmd_barbs(args) -> int:
     from . import bisim
-    agent = _agent(args, args.term)
-    names = _agent_names(args, [agent])
+    (agent,), names = _agents(args, args.term)
     show = RECORDS[args.calculus].print_name
     if args.depth is not None:
         observed = bisim.weak_barbs(agent, names, args.depth)
@@ -231,9 +213,7 @@ def _cmd_barbs(args) -> int:
 
 def _cmd_bisim(args) -> int:
     from . import bisim
-    left = _agent(args, args.left)
-    right = _agent(args, args.right)
-    names = _agent_names(args, [left, right])
+    (left, right), names = _agents(args, args.left, args.right)
     verdict = bisim.bounded_bisim(left, right, names, args.depth)
     if verdict.bisimilar:
         payload = {"verdict": "bisimilar_up_to", "depth": verdict.depth}
@@ -252,9 +232,7 @@ def _cmd_bisim(args) -> int:
 @_translating
 def _cmd_faithfulness(args) -> int:
     from . import bisim
-    left = _agent(args, args.left)
-    right = _agent(args, args.right)
-    names = _agent_names(args, [left, right])
+    (left, right), names = _agents(args, args.left, args.right)
     report = bisim.faithfulness_check(left, right, names, args.depth)
     if report.inconclusive:
         raise CliError("state budget exhausted; verdict inconclusive", EXIT_FUEL)
@@ -275,10 +253,9 @@ def _cmd_faithfulness(args) -> int:
 @_translating
 def _cmd_roundtrip(args) -> int:
     from . import comb, rho
-    calculus = args.calculus
-    term = _parse_term(RECORDS[calculus], args.term)
+    term = _parse_term(RECORDS[args.calculus], args.term)
     checks: list[tuple[str, bool, str]] = []
-    if calculus == "rho":
+    if args.calculus == "rho":
         image = comb.interp(term)
         back = comb.backinterp(image, fuel=args.fuel)
         ok1 = back == rho.canon_process(term)
@@ -286,17 +263,15 @@ def _cmd_roundtrip(args) -> int:
         again = comb.interp(back)
         ok2 = comb.backinterp(again, fuel=args.fuel) == back
         checks.append(("composite_idempotent", ok2, comb.print_comb(again)))
-    elif calculus == "rho-comb":
+    else:
         process = comb.backinterp(term, fuel=args.fuel)
         target = comb.interp(process)
         trace = reduce(comb.PRESENTATION, term, "all", args.fuel,
                        rules=comb.NON_COMM_RULES, target=target)
-        ok1 = trace.status == "target_reached"
+        ok1 = trace.status == TARGET_REACHED
         checks.append(("reduces_to_composite_without_comm", ok1, comb.print_comb(target)))
         ok2 = comb.backinterp(target, fuel=args.fuel) == process
         checks.append(("composite_idempotent", ok2, rho.print_rho(process)))
-    else:
-        raise CliError("roundtrip expects --calculus rho or rho-comb", EXIT_INPUT)
     payload = {"checks": [{"name": n, "ok": ok, "value": v} for n, ok, v in checks]}
     text = "\n".join(f"{'ok ' if ok else 'FAIL'} {n}: {v}" for n, ok, v in checks)
     _emit(args, payload, text)
@@ -326,13 +301,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--names": {"type": str, "default": None, "help": "comma separated name literals"},
     }
 
-    def command(name: str, run, about: str, *flags: str,
-                calculus: bool = True) -> argparse.ArgumentParser:
-        """A subcommand accepting `--format` and only the shared `flags` it reads."""
+    def command(name: str, run, about: str, *flags: str, calculi: Sequence[str] = CALCULI,
+                default: Optional[str] = None) -> argparse.ArgumentParser:
+        """A subcommand taking `--calculus` among the `calculi` it runs (required
+        unless it has a default), `--format` and only the shared `flags` it reads."""
         p = sub.add_parser(name, help=about)
         p.set_defaults(run=run)
-        if calculus:
-            p.add_argument("--calculus", choices=CALCULI, required=True)
+        p.add_argument("--calculus", choices=calculi, required=default is None, default=default)
         p.add_argument("--format", choices=("text", "json"), default="text")
         for flag in flags:
             p.add_argument(flag, **shared[flag])
@@ -346,32 +321,32 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gas", type=int, default=None, help="marker count (ski-gas only)")
         p.add_argument("term")
 
+    agents = ("rho", "rho-comb")
     p = command("translate", _cmd_translate,
-                "translate between the process calculus and combinators", "--fuel")
+                "translate between the process calculus and combinators", "--fuel", calculi=agents)
     p.add_argument("term")
 
-    p = command("sort", _cmd_sort, "infer the sort of a combinator")
+    p = command("sort", _cmd_sort, "infer the sort of a combinator", calculi=("rho-comb",))
     p.add_argument("term")
 
-    p = command("barbs", _cmd_barbs, "observable output subjects", "--names")
+    p = command("barbs", _cmd_barbs, "observable output subjects", "--names", calculi=agents)
     p.add_argument("--depth", type=int, default=None,
                    help="bound for eventual barbs; omit for immediate barbs")
     p.add_argument("term")
 
-    p = command("bisim", _cmd_bisim, "bounded barbed bisimulation check", "--names")
+    p = command("bisim", _cmd_bisim, "bounded barbed bisimulation check", "--names", calculi=agents)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("left")
     p.add_argument("right")
 
     p = command("faithfulness", _cmd_faithfulness, "compare verdicts across the translation",
-                "--names", calculus=False)
-    p.add_argument("--calculus", choices=("rho",), default="rho")
+                "--names", calculi=("rho",), default="rho")
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("left")
     p.add_argument("right")
 
     p = command("roundtrip", _cmd_roundtrip,
-                "check both translation round trips for one input", "--fuel")
+                "check both translation round trips for one input", "--fuel", calculi=agents)
     p.add_argument("term")
 
     return parser

@@ -192,8 +192,12 @@ class Term:
             return True
         if other.__class__ is not Term:
             return NotImplemented
-        return (self._hash == other._hash and self.head == other.head
-                and self.children == other.children)
+        if self._hash == other._hash and self.head == other.head:
+            try:
+                return self.children == other.children
+            except RecursionError:  # a pair nested past the recursion limit
+                return _equal_deep(self, other)
+        return False
 
     def __hash__(self) -> int:
         return self._hash
@@ -218,6 +222,21 @@ _set_children = Term.children.__set__  # type: ignore[attr-defined]
 _set_hash = Term._hash.__set__  # type: ignore[attr-defined]
 _set_key = Term._key.__set__  # type: ignore[attr-defined]
 _set_mark = Term._mark.__set__  # type: ignore[attr-defined]
+
+
+def _equal_deep(a: Term, b: Term) -> bool:
+    """`Term.__eq__` on an explicit stack, for a pair too deep to recurse on."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a.__class__ is not Term or b.__class__ is not Term:  # a pattern's metavariable
+            if a != b:
+                return False
+        elif a is not b:
+            if a._hash != b._hash or a.head != b.head:
+                return False
+            todo.extend(zip(a.children, b.children))
+    return True
 
 
 class MetaVar(Record):
@@ -715,8 +734,9 @@ def _compile_rule(p: Presentation, rule: RewriteRule, bit: int) -> _Rule:
     g = _group_of(p, rule.lhs)
     if g is not None:
         return _Rule(rule, bit, _flat(p, g, rule.lhs), None, None, ())
-    floats = tuple((f, c) for f in p.congruence.marker_floats
-                   if (c := _pattern_spine_marker(f, rule.lhs)) is not None)
+    # each float with the pattern's spine-head marker count, unless a metavariable leaves it open
+    floats = tuple((f, walk[1]) for f in p.congruence.marker_floats
+                   if not isinstance((walk := _spine(f, rule.lhs))[0], MetaVar))
     spine, path = None, [rule.lhs]  # the leftmost path, to a leaf, a metavariable or a group
     while path[-1].children and _group_of(p, path[-1]) is None:
         path.append(path[-1].children[0])
@@ -792,27 +812,19 @@ def _select(p: Presentation, rules: Optional[Sequence[str]]) -> tuple[_Rule, ...
     return table
 
 
-def _spine(app: ConstructorDecl, t: Term) -> tuple[Term, list[Term]]:
-    args: list[Term] = []
-    while t.head == app:
+def _spine(f: MarkerFloat, t: Pattern) -> tuple[Pattern, int, list[Pattern]]:
+    """The head of t's spine under f, below its markers; the marker count;
+    and the spine's arguments, outermost last."""
+    args: list[Pattern] = []
+    while t.head == f.app:
         args.append(t.children[1])
         t = t.children[0]
     args.reverse()
-    return t, args
-
-
-def _unwrap_marker(marker: ConstructorDecl, t: Term) -> tuple[Term, int]:
     k = 0
-    while t.head == marker:
+    while t.head == f.marker:
         t = t.children[0]
         k += 1
-    return t, k
-
-
-def _pattern_spine_marker(f: MarkerFloat, pat: Pattern) -> Optional[int]:
-    """Marker count on the pattern's spine head; None if indeterminate."""
-    head, c = _unwrap_marker(f.marker, _spine(f.app, pat)[0])
-    return None if isinstance(head, MetaVar) else c
+    return t, k, args
 
 
 def _peel(floats: Sequence[tuple[MarkerFloat, int]], node: Term) -> tuple[int, Optional[ConstructorDecl], Term]:
@@ -821,13 +833,12 @@ def _peel(floats: Sequence[tuple[MarkerFloat, int]], node: Term) -> tuple[int, O
     for f, c in floats:
         if node.head != f.app:
             continue
-        core, k = _unwrap_marker(f.marker, _spine(f.app, node)[0])
+        peeled, k, args = _spine(f, node)
         if k == 0 or c >= k:
             continue
-        peeled = core
         for _ in range(c):
             peeled = Term(f.marker, (peeled,))
-        for a in _spine(f.app, node)[1]:
+        for a in args:
             peeled = Term(f.app, (peeled, a))
         return k - c, f.marker, peeled
     return 0, None, node

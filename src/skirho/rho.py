@@ -29,9 +29,9 @@ is canonicalized once, and a closed component met again comes straight back.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
-from .core import Record, Redex, Trace, drive
+from .core import Record, Redex
 from .syntax import Cursor, ParseError
 
 
@@ -358,12 +358,6 @@ def barbs(p: Process, names: tuple) -> frozenset:
     """Subjects of the canonical p's top-level outputs among `names`."""
     return frozenset(c.subject for c in par_components(p)
                      if isinstance(c, Output) and c.subject in names)
-
-
-def rho_reduce(p: Process, strategy: str = "first", fuel: int = 1000,
-               *, seed: Optional[int] = None) -> Trace:
-    """Drive communication steps with the term rewriting strategies."""
-    return drive(canon_process(p), comm_edges, strategy, fuel, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import (
+    NORMAL_FORM,
     CongruenceSpec,
     ConstructorDecl,
     MarkerFloat,
@@ -145,23 +146,9 @@ def whnf_run(t: Term, fuel: int = DEFAULT_FUEL) -> Trace:
 def whnf(t: Term, fuel: int = DEFAULT_FUEL) -> Optional[Term]:
     """Weak head normal form of an R-free term, or None when fuel runs out."""
     trace = whnf_run(t, fuel)
-    if trace.status != "normal_form":
+    if trace.status != NORMAL_FORM:
         return None
     return strip_marker(trace.final)
-
-
-def gas_run(t: Term, n: int) -> tuple[Term, int]:
-    """Reduce R^n t with the gas presentation; returns (final term, steps used).
-
-    Every step consumes exactly one R, so at most n steps can happen and the
-    run always halts.
-    """
-    if contains_marker(t):
-        raise ValueError("term must be R-free")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    trace = gas_trace(t, n)
-    return trace.final, len(trace.steps)
 
 
 def gas_trace(t: Term, n: int) -> Trace:

@@ -75,6 +75,17 @@ def test_names_occurring_leaves_out_bound_identifiers():
     assert names_occurring(Par(Output(Var("x"), ZERO), Input(Var("x"), "x", out0()))) == [Var("x"), N0]
 
 
+def test_names_occurring_merges_its_agents_in_first_seen_order():
+    rng = random.Random(61)
+    for _ in range(60):
+        p, q = random_comm_candidate(rng, 3), random_comm_candidate(rng, 3)
+        for a, b in ((p, q), (wrap_context(interp(p)), wrap_context(interp(q)))):
+            merged = names_occurring(a)
+            merged += [n for n in names_occurring(b) if n not in merged]
+            assert names_occurring(a, b) == merged
+            assert names_occurring(a, a) == names_occurring(a)
+
+
 def test_bound_identifiers_never_decide_a_verdict():
     rng = random.Random(58)
     bound = [Var(f"u{i}") for i in range(3)]  # every binder the generator writes

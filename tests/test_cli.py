@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import skirho
-from skirho import bisim, core
+from skirho import bisim, cli, core
 from skirho.calculus import NAMES
 from skirho.cli import main, replay_trace_json, validate_trace_json
 
@@ -118,6 +118,51 @@ def test_usage_error_exits_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, calculus, allowed, terms", [
+    ("translate", "ski", "'rho', 'rho-comb'", ("I",)),
+    ("roundtrip", "ski", "'rho', 'rho-comb'", ("I",)),
+    ("barbs", "ski", "'rho', 'rho-comb'", ("I",)),
+    ("bisim", "ski", "'rho', 'rho-comb'", ("I", "I")),
+    ("sort", "rho", "'rho-comb'", ("0",)),
+])
+def test_a_calculus_the_command_does_not_take_exits_1(capsys, command, calculus, allowed, terms):
+    code, out, err = run_cli(capsys, command, "--calculus", calculus, *terms)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert f"--calculus: invalid choice: {calculus!r}" in err and allowed in err
+
+
+_TEXT_RUNS = [
+    (("trace", "--calculus", "ski", "((K (I S)) (I K))"), 0,
+     "initial: ((K (I S)) (I K))\n1. kappa@[] -> (I S)\n2. iota@[] -> S\nS\nsteps: 2\nstatus: normal_form\n"),
+    (("trace", "--calculus", "ski", "(S (K (I S)))"), 0,
+     "initial: (S (K (I S)))\n1. iota@[1,1] -> (S (K S))\n(S (K S))\nsteps: 1\nstatus: normal_form\n"),
+    (("trace", "--calculus", "ski-whnf", "--fuel", "1", "(R (((S K) K) S))"), 2,
+     "initial: ((((R S) K) K) S)\n1. sigma@[] -> (((R K) S) (K S))\n(((R K) S) (K S))\nsteps: 1\n"
+     "status: fuel_exhausted\n"),
+    (("trace", "--calculus", "rho", "for(y <- &0)(*y) | &0!(&0!0)"), 0,
+     "initial: &0!&0!0 | for(v0 <- &0)*v0\n1. comm@[] -> *&(&0!0)\n*&(&0!0)\nsteps: 1\nstatus: normal_form\n"),
+    (("trace", "--calculus", "rho-comb", "--fuel", "3", "((| C) ((K (I (& 0))) (I 0)))"), 0,
+     "initial: ((| C) ((K (I (& 0))) (I 0)))\n1. kappa@[1] -> ((| C) (I (& 0)))\n"
+     "2. iota@[1] -> ((| C) (& 0))\n((| C) (& 0))\nsteps: 2\nstatus: normal_form\n"),
+    (("reduce", "--calculus", "ski", "--fuel", "1", "(((S K) K) S)"), 2,
+     "((K S) (K S))\nsteps: 1\nstatus: fuel_exhausted\n"),
+    (("reduce", "--calculus", "ski-gas", "--gas", "2", "(((S K) K) S)"), 0, "S\nsteps: 2\nstatus: normal_form\n"),
+    (("reduce", "--calculus", "rho", "for(y <- &0)(*y) | &0!(&0!0)"), 0, "*&(&0!0)\nsteps: 1\nstatus: normal_form\n"),
+    (("reduce", "--calculus", "ski", "--fuel", "5000", "(I " * 3000 + "K" + ")" * 3000), 0,
+     "K\nsteps: 3000\nstatus: normal_form\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, text", _TEXT_RUNS, ids=[" ".join(a[:3]) for a, _, _ in _TEXT_RUNS])
+def test_text_output_builds_no_json_payload(capsys, monkeypatch, argv, code, text):
+    def refuse(*_):
+        raise AssertionError("trace_to_json called in text mode")
+
+    monkeypatch.setattr(cli, "trace_to_json", refuse)
+    assert run_cli(capsys, *argv) == (code, text, "")
 
 
 def test_help_exits_0(capsys):

@@ -1101,6 +1101,17 @@ def test_deep_terms_do_not_overflow_the_enumerator():
     assert ski.whnf(t, fuel=5000) == ski.whnf_oracle(t, fuel=5000) == ap(K(), K())
 
 
+def test_deep_terms_compare_without_recursing():
+    spine = "(I " * 3000 + "{}" + ")" * 3000
+    a, b, c = (ski.parse_ski(spine.format(leaf)) for leaf in "KKS")
+    assert a is not b and a == b and not a != b
+    assert a != c and not a == c
+    assert core._equal_deep(a, b) and not core._equal_deep(a, c)
+    # reducing any I gives the same term: 1,500 equal successors meet in the seen set
+    t = ski.parse_ski("(I " * 1500 + "K" + ")" * 1500)
+    assert reduce(PLAIN, t, "all", 1).status == "fuel_exhausted"
+
+
 # ---------------------------------------------------------------------------
 # the summary table stays bounded
 

@@ -76,9 +76,9 @@ RECORDS = [
     (bisim.FaithfulnessReport(True, False, None, None), ("agree", "inconclusive", "calculus", "combinator"),
      "FaithfulnessReport(agree=True, inconclusive=False, calculus=None, combinator=None)", False),
     (calculus.Calculus("parse", "print", "canon", "edges", "key"),
-     ("parse", "print", "canon", "edges", "key", "parse_name", "print_name", "canon_name", "barbs", "gas"),
+     ("parse", "print", "canon", "edges", "key", "parse_name", "print_name", "canon_name", "names", "barbs", "gas"),
      "Calculus(parse='parse', print='print', canon='canon', edges='edges', key='key', parse_name=None, "
-     "print_name=None, canon_name=None, barbs=None, gas=None)", True),
+     "print_name=None, canon_name=None, names=None, barbs=None, gas=None)", True),
 ]
 
 # the records that stay mutable dataclasses

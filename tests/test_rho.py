@@ -7,8 +7,9 @@ import hashlib
 import random
 
 from skirho import comb, rho
+from skirho.calculus import CALCULI
 from skirho.cli import trace_to_json
-from skirho.core import Trace
+from skirho.core import Trace, drive
 from skirho.rho import (
     ZERO,
     Deref,
@@ -24,7 +25,6 @@ from skirho.rho import (
     is_closed,
     par_of,
     process_key,
-    rho_reduce,
 )
 from skirho.syntax import parse_rho, print_rho
 
@@ -280,36 +280,41 @@ def test_kept_canonical_names_match_a_fresh_copy():
 # reduction driver
 
 
+def rho_drive(p, strategy, fuel, seed=None):
+    calc = CALCULI["rho"]
+    return drive(calc.canon(p), calc.edges, strategy, fuel, seed=seed)
+
+
 def test_rho_reduce_normal_form():
-    trace = rho_reduce(out0(), "first", 5)
+    trace = rho_drive(out0(), "first", 5)
     assert trace.status == "normal_form"
     assert trace.steps == []
 
 
 def test_rho_reduce_single_step():
     p = Par(Input(N0, "y", Output(Var("y"), ZERO)), out0())
-    trace = rho_reduce(p, "first", 5)
+    trace = rho_drive(p, "first", 5)
     assert trace.status == "normal_form"
     assert [s for _, s in trace.steps] == [out0()]
 
 
 def test_rho_reduce_all_finds_shortest():
     p = par_of([Input(N0, "y", ZERO), out0(), out0()])
-    trace = rho_reduce(p, "all", 5)
+    trace = rho_drive(p, "all", 5)
     assert trace.status == "normal_form"
     assert len(trace.steps) == 1
 
 
 def test_rho_reduce_zero_fuel():
     p = Par(Input(N0, "y", ZERO), out0())
-    trace = rho_reduce(p, "first", 0)
+    trace = rho_drive(p, "first", 0)
     assert trace.status == "fuel_exhausted"
 
 
 def test_rho_trace_is_core_trace():
     p = Par(Input(N0, "y", Output(Var("y"), ZERO)), out0())
     for strategy in ("first", "all", "random"):
-        trace = rho_reduce(p, strategy, 5, seed=1)
+        trace = rho_drive(p, strategy, 5, seed=1)
         assert isinstance(trace, Trace)
         assert trace_to_json("rho", trace)["steps"] == [
             {"rule": "comm", "position": [], "result": "&0!0"}]

@@ -17,7 +17,6 @@ from skirho.ski import (
     S,
     ap,
     contains_marker,
-    gas_run,
     gas_trace,
     marker_count,
     ski_presentation,
@@ -168,29 +167,27 @@ def test_marker_scans_return_on_a_deep_spine():
 
 
 def test_gas_single_step():
-    final, steps = gas_run(ap(I(), K()), 2)
-    assert steps == 1
-    assert final == canonicalize(GAS, R(K()))
+    trace = gas_trace(ap(I(), K()), 2)
+    assert len(trace.steps) == 1
+    assert trace.final == canonicalize(GAS, R(K()))
 
 
 def test_gas_no_redex_keeps_markers():
-    final, steps = gas_run(K(), 5)
-    assert steps == 0
-    assert final == wrap_markers(K(), 5)
+    trace = gas_trace(K(), 5)
+    assert len(trace.steps) == 0
+    assert trace.final == wrap_markers(K(), 5)
 
 
 def test_gas_exact_budget():
     m = len(whnf_run(skk_s()).steps)
     assert m == 2
-    final, steps = gas_run(skk_s(), m)
-    assert (final, steps) == (S(), 2)
+    trace = gas_trace(skk_s(), m)
+    assert (trace.final, len(trace.steps)) == (S(), 2)
 
 
 def test_gas_validates_input():
     with pytest.raises(ValueError):
-        gas_run(R(K()), 1)
-    with pytest.raises(ValueError):
-        gas_run(K(), -1)
+        gas_trace(K(), -1)
 
 
 # ---------------------------------------------------------------------------
