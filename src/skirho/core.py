@@ -29,9 +29,15 @@ canonical term carries its rule summary under the presentation it is
 canonical under: which rules' keys it and its subtree hold, a synthesized
 attribute found from its children's summaries (Reps, Teitelbaum & Demers
 1983).  One post-order walk on an explicit stack makes a term canonical and
-summarizes it, entering only the nodes not yet marked, so a successor pays
-for its redex path and new right-hand side, and redex enumeration enters
-only the subtrees whose summary holds the rule it tries.
+summarizes it, entering only the nodes not yet marked; a chain of floating
+markers is entered as one node and goes onto its spine's head in one
+rebuild.  A successor is built canonical along its redex path once, as a
+zipper copies its path (Huet 1997): the instantiated right-hand side is
+canonicalized, and each ancestor on the path is rebuilt over canonical
+children and settled by the step that finishes a node in that walk (its
+summary, the marker float, a group sorted and joined once at its top).  So
+a successor pays for its redex path and new right-hand side, and redex
+enumeration enters only the subtrees whose summary holds the rule it tries.
 """
 
 from __future__ import annotations
@@ -158,7 +164,7 @@ class Term:
     A nullary constructor's term is one object, `leaf(decl)`, wherever the
     helpers build it, so its mark and order key are made once and reused.
 
-    Not a `Record`: it is the hot node (some 275k are built per 3,000
+    Not a `Record`: it is the hot node (some 210k are built per 3,000
     ski-normalize queries), and its hash combines the head's and children's
     cached hashes without building a field tuple.
     """
@@ -210,10 +216,23 @@ class Term:
         return self.head.result_sort
 
     def __repr__(self) -> str:
-        if not self.children:
-            return self.head.name
-        inner = " ".join(repr(c) for c in self.children)
-        return f"({self.head.name} {inner})"
+        """``(name child ...)``, a leaf by its name, written on an explicit stack."""
+        out: list[str] = []
+        todo: list = [self]  # terms and metavariables to write, and text to emit
+        while todo:
+            u = todo.pop()
+            if u.__class__ is str:
+                out.append(u)
+            elif u.__class__ is not Term:  # a pattern's metavariable
+                out.append(repr(u))
+            elif not u.children:
+                out.append(u.head.name)
+            else:
+                out += ("(", u.head.name)
+                todo.append(")")
+                for c in reversed(u.children):
+                    todo += (c, " ")
+        return "".join(out)
 
 
 # the slot setters, which bypass Term.__setattr__
@@ -386,20 +405,6 @@ def term_key(t: Term):
     return t._key
 
 
-def replace_at(t: Term, position: Sequence[int], replacement: Term) -> Term:
-    ancestors = []
-    for i in position:
-        if i >= len(t.children):
-            raise InvalidRedex(f"position {tuple(position)} is not in the term")
-        ancestors.append(t)
-        t = t.children[i]
-    for t, i in zip(reversed(ancestors), reversed(position)):
-        children = list(t.children)
-        children[i] = replacement
-        replacement = Term(t.head, tuple(children))
-    return replacement
-
-
 def subterms(t: Pattern) -> Iterator[Pattern]:
     """Every subterm of t, t itself first, in pre-order, on an explicit stack."""
     todo = [t]
@@ -485,11 +490,14 @@ def canonicalize(p: Presentation, t: Term) -> Term:
 def _canon(p: Presentation, t: Term) -> Term:
     """The canonical form of t under p, every node marked: one post-order walk
     on an explicit stack, which enters only the nodes not marked for p and
-    rebuilds only those whose children changed."""
+    rebuilds only those whose children changed.  A chain of floating markers
+    is entered as one node."""
+    s = getattr(t, "_mark", None)
+    if s is not None and s[0] is p:
+        return t
     groups, floats = p.congruence.acu_groups, p.congruence.marker_floats
-    todo: list = [t]  # terms to enter, and (node, group, parts) to finish
+    todo: list = [t]  # terms to enter, (node, group, parts) to finish, and marker chains
     done: list[Term] = []  # finished nodes: a node's parts are on top when it finishes
-    wraps: list = []  # the spine below a floating marker, to rebuild around it
     while todo:
         u = todo.pop()
         if u.__class__ is Term:
@@ -497,12 +505,28 @@ def _canon(p: Presentation, t: Term) -> Term:
             if s is not None and s[0] is p:
                 done.append(u)
                 continue
+            if floats and len(u.children) == 1 and _is_marker(floats, u):
+                chain = [u]  # down to the first node that is marked or no marker
+                u = u.children[0]
+                while _is_marker(floats, u) and ((s := getattr(u, "_mark", None)) is None or s[0] is not p):
+                    chain.append(u)
+                    u = u.children[0]
+                todo += (chain, u)
+                continue
             g = _group_of(p, u) if groups else None
             kids = u.children if g is None else flatten_term(g, u)  # a maximal group is one node
-            if kids:  # enter every part; a marked one comes back at once
-                todo.append((u, g, kids))
-                todo += reversed(kids)
-                continue
+            for c in kids:  # with a part not marked, enter every part; a marked one comes back at once
+                s = getattr(c, "_mark", None)
+                if s is None or s[0] is not p:
+                    todo.append((u, g, kids))
+                    todo += reversed(kids)
+                    break
+            else:
+                done.append(_settle(p, u, g, kids))
+            continue
+        elif u.__class__ is list:
+            done.append(_float_chain(p, u, done.pop()))
+            continue
         else:
             u, g, kids = u
             new = tuple(done[-len(kids):])
@@ -513,29 +537,61 @@ def _canon(p: Presentation, t: Term) -> Term:
                 u = Term(u.head, new)
                 g = _group_of(p, u) if groups else None
                 kids = u.children if g is None else flatten_term(g, u)
-        while True:
-            for f in floats:  # a marker over an application moves onto its spine's head
-                if u.head == f.marker and u.children[0].head == f.app:
-                    x = u.children[0]
-                    while x.head == f.app:
-                        wraps.append((f.app, x.children[1]))
-                        x = x.children[0]
-                    u = Term(f.marker, (x,))
-                    break
-            else:
-                if g is not None:  # sorted once, kept whole if in order already
-                    kids = sorted(kids, key=term_key)
-                    u = u if _joins(g, u, kids) else group_join(g, kids)
-                    g = g if len(kids) > 1 else None  # else the unit or the one element
-                _summarize(p, u, g, u.children if g is None else kids)
-                if not wraps:
-                    break
-                app, y = wraps.pop()
-                u = Term(app, (u, y))
-                g = _group_of(p, u) if groups else None
-                kids = u.children if g is None else flatten_term(g, u)
-        done.append(u)
+        done.append(_settle(p, u, g, kids))
     return done[0]
+
+
+def _is_marker(floats: tuple[MarkerFloat, ...], u: Term) -> bool:
+    if len(u.children) == 1:
+        h = u.head
+        for f in floats:
+            if h is f.marker or h == f.marker:
+                return True
+    return False
+
+
+def _settle(p: Presentation, u: Term, g: Optional[AcuGroup], kids: Sequence[Term]) -> Term:
+    """The canonical form of u, whose parts are canonical and marked (`kids`:
+    its elements if it is a g-group node, else its children), marked: the
+    one step that finishes a node.  A group is sorted and joined once, kept
+    whole if in order already; a floating marker over an application moves
+    onto the head of its spine, rebuilt around it by `_float_chain`."""
+    if g is not None:
+        kids = sorted(kids, key=term_key)
+        u = u if _joins(g, u, kids) else group_join(g, kids)
+        g = g if len(kids) > 1 else None  # else the unit or the one element
+    elif len(u.children) == 1 and _floats_over(p.congruence.marker_floats, u.head, u.children[0].head):
+        return _float_chain(p, [u], u.children[0])
+    _summarize(p, u, g, u.children if g is None else kids)
+    return u
+
+
+def _floats_over(floats: tuple[MarkerFloat, ...], marker: ConstructorDecl, app: ConstructorDecl) -> bool:
+    for f in floats:
+        if (marker is f.marker or marker == f.marker) and (app is f.app or app == f.app):
+            return True
+    return False
+
+
+def _float_chain(p: Presentation, chain: list[Term], c: Term) -> Term:
+    """The canonical form of the marker chain `chain` (outermost first) over
+    its canonical innermost child c, marked.  When every marker floats over
+    the application c is, all of them go onto the head of c's spine, which is
+    rebuilt once around them; else each settles in turn.  A chain node over
+    an unchanged child is kept."""
+    floats, app, args = p.congruence.marker_floats, c.head, []
+    if all(_floats_over(floats, m.head, app) for m in chain):
+        while c.head is app or c.head == app:
+            args.append(c.children[1])
+            c = c.children[0]
+    for m in reversed(chain):
+        c = _settle(p, m if m.children[0] is c else Term(m.head, (c,)), None, ())
+    groups = p.congruence.acu_groups
+    for y in reversed(args):
+        c = Term(app, (c, y))
+        g = _group_of(p, c) if groups else None
+        c = _settle(p, c, g, () if g is None else flatten_term(g, c))
+    return c
 
 
 def _joins(g: AcuGroup, t: Term, elems: list[Term]) -> bool:
@@ -869,22 +925,11 @@ def _sites(p: Presentation, t: Term, s: tuple, bit: int) -> Iterator[tuple]:
                 todo.append((path + step, c, cs))
 
 
-def iter_redexes(
-    p: Presentation, t: Term, rules: Optional[Sequence[str]] = None
-) -> Iterator[tuple[Redex, Term]]:
-    """Yield (redex, canonical successor) pairs of t's canonical form in
-    deterministic order, one at a time: `first` stops at the first.
-
-    Order is rule-major: presentation rule order first, then leftmost-outermost
-    position, then multiset decomposition order.  A rule is tried only at the
-    positions whose summary holds it, in subtrees whose summary holds it
-    below.  A successor is the term with the redex replaced, put through
-    `canonicalize`, which walks only the new right-hand-side nodes, the
-    wrappers around them and the redex path.  Naming a rule the presentation
-    lacks raises ValueError.
-    """
-    table = _select(p, rules)
-    t = _canon(p, t)
+def _matches(p: Presentation, t: Term, table: Sequence[_Rule]
+             ) -> Iterator[tuple[Redex, _Rule, Optional[ConstructorDecl]]]:
+    """Each redex of canonical, marked t under the compiled rules `table`, in
+    `iter_redexes` order, with its rule and the marker a peel wraps its
+    right-hand side in; no successor is built."""
     top = t._mark
     for r in table:
         for path, node, s, kids in _sites(p, t, top, r.bit) if top[4] & r.bit else ():
@@ -897,22 +942,83 @@ def iter_redexes(
                     continue
                 for b in _match_group(flat, left, {}, not flat.collectors):
                     rest = b.pop(REST_VAR, None)
-                    inst = instantiate(r.rule.rhs, b)
-                    if rest is not None and rest != g.unit:
-                        inst = Term(g.app, (Term(g.app, (g.operator, inst)), rest))
-                    yield (Redex(r.rule.name, path, b, 0, rest),
-                           canonicalize(p, replace_at(t, path, inst)))
+                    yield Redex(r.rule.name, path, b, 0, rest), r, None
                 continue
             if r.floats and (s[1] is None or s[1][2]):
                 peel, marker, target = _peel(r.floats, node)
             else:
                 peel, marker, target = 0, None, node
             for b in r.match(target, {}):
-                inst = instantiate(r.rule.rhs, b)
-                for _ in range(peel):
-                    inst = Term(marker, (inst,))
-                yield (Redex(r.rule.name, path, b, peel),
-                       canonicalize(p, replace_at(t, path, inst)))
+                yield Redex(r.rule.name, path, b, peel), r, marker
+
+
+def _graft(p: Presentation, t: Term, path: tuple[int, ...], inst: Term) -> Term:
+    """The canonical form of canonical, marked t with the node at `path`
+    replaced by inst, built bottom-up along the path once: inst is
+    canonicalized, then each ancestor is rebuilt over its canonical children
+    and settled.  The nodes inside a group's spine are rebuilt but not
+    settled; the group's top sorts and joins its elements once.  An
+    ancestor outside groups whose new child has the old child's summary
+    keeps its old summary, so from the first summary the step leaves
+    unchanged up to the root no summary is recomputed."""
+    groups = p.congruence.acu_groups
+    ancestors = []  # (node, child index, whether it is settled), root first
+    g, op = None, False  # the group whose spine the walk is in; at its ``(operator x)`` node
+    for i in path:
+        ancestors.append((t, i, g is None))
+        if g is None and groups:
+            g = _group_of(p, t)
+        t = t.children[i]
+        if g is not None:
+            if op:  # the element below an (operator x) node
+                g, op = None, False
+            elif i == 0:
+                op = True
+            elif not _shaped(g, t):  # the group's last element
+                g = None
+    u = _canon(p, inst)
+    for a, i, settled in reversed(ancestors):
+        c, kids = u, a.children
+        if len(kids) == 2:  # the common case, built without slicing
+            kids = (c, kids[1]) if i == 0 else (kids[0], c)
+        else:
+            kids = kids[:i] + (c,) + kids[i + 1:]
+        u = Term(a.head, kids)
+        if settled:
+            g = _group_of(p, u) if groups else None
+            s = a._mark
+            # outside a group a summary is a function of the head and the
+            # children's summaries; a marker, which may float, has one child
+            if g is None and s[0] is p and len(kids) > 1 and c._mark is a.children[i]._mark:
+                _set_mark(u, s)
+            else:
+                u = _settle(p, u, g, () if g is None else flatten_term(g, u))
+    return u
+
+
+def iter_redexes(
+    p: Presentation, t: Term, rules: Optional[Sequence[str]] = None
+) -> Iterator[tuple[Redex, Term]]:
+    """Yield (redex, canonical successor) pairs of t's canonical form in
+    deterministic order, one at a time: `first` stops at the first.
+
+    Order is rule-major: presentation rule order first, then leftmost-outermost
+    position, then multiset decomposition order.  A rule is tried only at the
+    positions whose summary holds it, in subtrees whose summary holds it
+    below.  A successor is built canonical along its redex path once, by
+    `_graft`: it arrives marked, and every node off the path is t's own.
+    Naming a rule the presentation lacks raises ValueError.
+    """
+    table = _select(p, rules)
+    t = _canon(p, t)
+    for redex, r, marker in _matches(p, t, table):
+        inst = instantiate(r.rule.rhs, redex.binding)
+        if redex.rest is not None and redex.rest != r.flat.group.unit:
+            g = r.flat.group
+            inst = Term(g.app, (Term(g.app, (g.operator, inst)), redex.rest))
+        for _ in range(redex.peel):
+            inst = Term(marker, (inst,))
+        yield redex, _graft(p, t, redex.position, inst)
 
 
 def find_redexes(p: Presentation, t: Term, rules: Optional[Sequence[str]] = None) -> list[Redex]:
@@ -935,10 +1041,11 @@ def step(p: Presentation, t: Term, rules: Optional[Sequence[str]] = None) -> set
 def is_normal(p: Presentation, t: Term, rules: Optional[Sequence[str]] = None) -> bool:
     """Whether t's canonical form has no redex of the named rules.  A term
     whose rule summary holds none of their bits is normal at once; only
-    otherwise are its redexes enumerated."""
-    bits = sum(r.bit for r in _select(p, rules))
+    otherwise are its redexes matched, up to the first, and no successor
+    is built."""
+    table = _select(p, rules)
     t = _canon(p, t)
-    return not t._mark[4] & bits or next(iter_redexes(p, t, rules), None) is None
+    return not t._mark[4] & sum(r.bit for r in table) or next(_matches(p, t, table), None) is None
 
 
 def reduce(

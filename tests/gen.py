@@ -10,8 +10,10 @@ from typing import Sequence
 
 from skirho import ski
 from skirho.comb import AMP_DECL, APP_DECL, I_DECL, K_DECL, S_DECL, ap, aps, atom, interp
-from skirho.core import InvalidRedex, Term, replace_at
+from skirho.core import InvalidRedex, Term
 from skirho.rho import ZERO, Deref, Input, Name, Output, Par, Process, Quote, Var, par_components, par_of
+
+from naive import replace_at
 
 # ---------------------------------------------------------------------------
 # processes

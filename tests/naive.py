@@ -14,16 +14,31 @@ from collections import deque
 
 from skirho.core import (
     REST_VAR,
+    InvalidRedex,
     MetaVar,
     Redex,
     Term,
     flatten_term,
     group_join,
     instantiate,
-    replace_at,
     term_key,
 )
 from skirho.ski import APP_DECL, I_DECL, K_DECL, S_DECL, I, K, S, ap
+
+
+def replace_at(t, position, replacement):
+    """t with the node at `position` replaced, its ancestors rebuilt."""
+    ancestors = []
+    for i in position:
+        if i >= len(t.children):
+            raise InvalidRedex(f"position {tuple(position)} is not in the term")
+        ancestors.append(t)
+        t = t.children[i]
+    for t, i in zip(reversed(ancestors), reversed(position)):
+        children = list(t.children)
+        children[i] = replacement
+        replacement = Term(t.head, tuple(children))
+    return replacement
 
 
 def naive_ski_step(t):

@@ -34,7 +34,6 @@ from skirho.core import (
     iter_redexes,
     match_pattern,
     reduce,
-    replace_at,
     step,
     subterms,
     term_key,
@@ -46,7 +45,7 @@ from skirho.ski import I, K, S, ap
 
 from gen import random_comm_candidate, random_process, random_ski_term, random_sorted_comb
 from naive import (bfs_distance_to_normal, close_under_monoid_laws, iter_naive_redexes, naive_canonicalize,
-                   naive_redexes, naive_ski_step)
+                   naive_redexes, naive_ski_step, replace_at)
 
 PLAIN = ski.ski_presentation("plain")
 WHNF = ski.ski_presentation("whnf")
@@ -314,11 +313,36 @@ def test_is_normal_reads_the_rule_summary(monkeypatch):
     def enumerate_redexes(*args):
         raise AssertionError("redexes enumerated")
 
-    monkeypatch.setattr(core, "iter_redexes", enumerate_redexes)
+    monkeypatch.setattr(core, "_matches", enumerate_redexes)
     assert is_normal(PLAIN, ap(ap(S(), K()), K()))
     assert is_normal(PLAIN, ap(I(), K()), rules=("sigma", "kappa"))
     with pytest.raises(AssertionError, match="enumerated"):
         is_normal(PLAIN, ap(I(), K()))
+
+
+def test_is_normal_agrees_with_step_and_builds_no_successor(monkeypatch):
+    rng = random.Random(71)
+    gas = ski.ski_presentation("gas")
+    cases = []
+    for _ in range(60):
+        t = random_ski_term(rng.randint(1, 12), rng)
+        cases += [(PLAIN, t, None), (WHNF, ski.R(t), None), (gas, ski.wrap_markers(t, rng.randint(0, 3)), None)]
+        u = comb.wrap_context(random_sorted_comb(rng, depth=2, expansions=rng.randint(0, 2)))
+        cases += [(COMB, u, None), (COMB, u, ("sigma", "kappa", "iota"))]
+    for _ in range(20):  # criterion 8 shapes: communicating groups
+        cases.append((COMB, comb.wrap_context(comb.interp(random_comm_candidate(rng, 3))), None))
+    normal = [not step(p, t, rules) for p, t, rules in cases]
+    assert [is_normal(p, t, rules) for p, t, rules in cases] == normal
+    assert 50 < sum(normal) < len(cases) - 50
+
+    # the answer comes from the first match: no successor is built
+    def build(*args):
+        raise AssertionError("successor built")
+
+    monkeypatch.setattr(core, "_graft", build)
+    assert [is_normal(p, t, rules) for p, t, rules in cases] == normal
+    with pytest.raises(AssertionError, match="successor built"):
+        step(PLAIN, ap(I(), K()))
 
 
 def test_unknown_rule_names_are_rejected():
@@ -770,6 +794,7 @@ TOY_SKI = Presentation(
                     MetaVar("x", T)),
         RewriteRule("wild", ap(MetaVar("x", T), ski.R(MetaVar("y", T))),
                     ap(MetaVar("y", T), MetaVar("x", T))),
+        RewriteRule("grow", S(), ap(K(), S())),  # the markers over a leaf float onto the new spine
     ),
 )
 
@@ -830,6 +855,7 @@ def test_indexed_enumeration_matches_the_naive_enumerator():
         for rules in (None, names[:1], names[1:], names[::2]):
             got = list(iter_redexes(p, t, rules))
             assert got == naive_redexes(p, t, rules), (t, rules)
+            assert all(canonicalize(p, succ) is succ for _, succ in got)
             if rules is None:
                 counts["redexes"] += len(got)
                 counts["peeled"] += sum(r.peel > 0 for r, _ in got)
@@ -846,7 +872,7 @@ def test_toy_rules_fire_on_every_generic_path():
         if p in (TOY_COMB, TOY_SKI):
             for r in find_redexes(p, t):
                 fired[r.rule] = fired.get(r.rule, 0) + 1
-    assert set(fired) == {"solo", "two", "pair", "nest", "wild", "iota0", "kappa2"}, fired
+    assert set(fired) == {"solo", "two", "pair", "nest", "wild", "iota0", "kappa2", "grow"}, fired
     # the one-element group pattern matches an atom outside any group
     assert [(r.rule, r.binding) for r in find_redexes(TOY_COMB, _CA(K_DECL))] == [("solo", {"X": c0()})]
 
@@ -1023,11 +1049,25 @@ def _unsummarized(p, t):
     return n
 
 
+def _stale_summaries(p, t):
+    """How many nodes of t carry a summary under p other than the one the
+    same node gets when a copy of t built from new, unmarked nodes is made
+    canonical."""
+    def copy(u):
+        return Term(u.head, tuple(copy(c) for c in u.children))
+
+    n, todo = 0, [(t, core._canon(p, copy(t)))]
+    while todo:
+        u, v = todo.pop()
+        s, fresh = getattr(u, "_mark", None), getattr(v, "_mark", None)
+        n += s is not None and s[0] is p and fresh is not None and s != fresh
+        todo += zip(u.children, v.children)
+    return n
+
+
 def test_a_step_pays_for_its_redex_path_only():
     from skirho.syntax import parse_ski
 
-    new_nodes = {r.name: sum(1 for _ in _pattern_nodes(r.rhs)) for r in PLAIN.rules}
-    assert new_nodes == {"sigma": 3, "kappa": 0, "iota": 0}
     start = parse_ski(GROWING, variant="plain")
     fresh = []  # before each enumeration, how many nodes lack a summary
 
@@ -1038,21 +1078,30 @@ def test_a_step_pays_for_its_redex_path_only():
     trace = drive(start, edges, "first", 300)
     assert len(trace.steps) == 300 and fresh[0] == 33  # the whole start term
     naive = start
-    for (r, succ), before_next in zip(trace.steps, fresh[1:]):
+    for r, succ in trace.steps:
         assert (r, succ) == next(iter_naive_redexes(PLAIN, naive))
         naive = succ
-        # the successor is new only along the redex path and in the right-hand side
-        assert before_next <= len(r.position) + new_nodes[r.rule]
     assert max(len(r.position) for r, _ in trace.steps) > 10
-
-
-def _pattern_nodes(pat):
-    todo = [pat]
-    while todo:
-        q = todo.pop()
-        if not isinstance(q, MetaVar):
-            yield q
-            todo += q.children
+    # a successor is new only along its redex path and in its right-hand
+    # side, and those nodes are settled as they are built: every successor,
+    # taken or not, arrives summarized under each presentation, and a taken
+    # one's nodes hold the summaries a walk over the whole term gives them
+    assert fresh[1:] == [0] * 300
+    rng = random.Random(29)
+    runs = {"plain": [(PLAIN, start)], "whnf": [(WHNF, ski.R(start))],
+            "gas": [(ski.ski_presentation("gas"), ski.wrap_markers(start, 60))],
+            "comb": [(COMB, start)] + [(COMB, comb.wrap_context(comb.interp(random_comm_candidate(rng, 3))))
+                                       for _ in range(10)]}
+    for name, cases in runs.items():
+        successors = 0
+        for p, t in cases:
+            taken = [u for _, u in reduce(p, t, "first", 60).steps]
+            assert all(_stale_summaries(p, u) == 0 for u in taken), name
+            for u in [t] + taken:
+                for r, succ in iter_redexes(p, u):
+                    assert _unsummarized(p, succ) == 0, (name, r)
+                    successors += 1
+        assert successors > 50, name
 
 
 def _left_spine(t):
@@ -1099,6 +1148,36 @@ def test_deep_terms_do_not_overflow_the_enumerator():
         assert trace.status == status and _left_spine(trace.final) == (head, ["K"] * left)
         assert [r.rule for r, _ in trace.steps] == ["iota"] + ["kappa"] * (len(trace.steps) - 1)
     assert ski.whnf(t, fuel=5000) == ski.whnf_oracle(t, fuel=5000) == ap(K(), K())
+
+
+def test_a_marker_chain_floats_in_one_rebuild(monkeypatch):
+    spine = K()
+    for _ in range(50):  # K K ... K: a left spine of 50 applications
+        spine = ap(spine, K())
+    t = ski.wrap_markers(spine, 50)
+    init, built = Term.__init__, []
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Term, "__init__", counted)
+    got = canonicalize(WHNF, t)
+    monkeypatch.undo()
+    # the 50 markers go onto the spine's head, which is rebuilt around them once
+    assert len(built) <= 50 + 50 + 2
+    assert got == naive_canonicalize(WHNF, t) and _left_spine(got) == ("R", ["K"] * 50)
+    # a canonical chain, marked or not, comes back as itself
+    chain = ski.R(ski.R(S()))
+    assert canonicalize(WHNF, chain) is chain and canonicalize(WHNF, chain) is chain
+
+
+def test_repr_writes_deep_terms_without_recursing():
+    x = MetaVar("x", T)
+    assert [repr(u) for u in (K(), ap(S(), K()), ski.R(ap(I(), K())), ap(ap(S(), x), ap(K(), I())), out00())] == [
+        "K", "(app S K)", "(R (app I K))", "(app (app S ?x) (app K I))", "(app (app ! (app & 0)) 0)"]
+    deep = ski.parse_ski("(I " * 3000 + "K" + ")" * 3000)
+    assert repr(deep) == "(app I " * 3000 + "K" + ")" * 3000
 
 
 def test_deep_terms_compare_without_recursing():
