@@ -157,10 +157,11 @@ class Term:
     """A constructor applied to children; a pattern when some leaves are MetaVars.
 
     Immutable.  The hash is computed once, from the head's and the children's
-    cached hashes; `term_key` caches the order key on the node when first
-    asked (a term with MetaVar leaves never needs one), and `_mark` holds the
-    rule summary of a canonical node, whose first entry is the presentation
-    it is canonical under (unset until then: construction pays nothing).
+    cached hashes.  `_key` and `_mark` start as None, like a `Record`'s
+    caches: `term_key` keeps the order key on the node when first asked (a
+    term with MetaVar leaves never needs one), and `_mark` holds the rule
+    summary of a canonical node, whose first entry is the presentation it is
+    canonical under.
     A nullary constructor's term is one object, `leaf(decl)`, wherever the
     helpers build it, so its mark and order key are made once and reused.
 
@@ -186,6 +187,8 @@ class Term:
         for c in children:
             h = hash((h, c._hash))
         _set_hash(self, h)
+        _set_key(self, None)
+        _set_mark(self, None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Term is immutable: cannot assign {name!r}")
@@ -390,10 +393,9 @@ class ValidationReport(NamedTuple):
 def term_key(t: Term):
     """Fixed total order on terms: name, then arity, then children.  Each node
     caches its key; missing ones are made in post-order on an explicit stack."""
-    try:
+    if t._key is not None:
         return t._key
-    except AttributeError:  # not asked for yet
-        todo = [t]
+    todo = [t]
     while todo:
         u = todo.pop()
         if u is None:  # the node under this marker has its children's keys now
@@ -401,7 +403,7 @@ def term_key(t: Term):
             _set_key(u, (u.head.name, len(u.children), tuple([c._key for c in u.children])))
         else:
             todo += (u, None)
-            todo += [c for c in u.children if not hasattr(c, "_key")]
+            todo += [c for c in u.children if c._key is None]
     return t._key
 
 
@@ -492,7 +494,7 @@ def _canon(p: Presentation, t: Term) -> Term:
     on an explicit stack, which enters only the nodes not marked for p and
     rebuilds only those whose children changed.  A chain of floating markers
     is entered as one node."""
-    s = getattr(t, "_mark", None)
+    s = t._mark
     if s is not None and s[0] is p:
         return t
     groups, floats = p.congruence.acu_groups, p.congruence.marker_floats
@@ -501,29 +503,24 @@ def _canon(p: Presentation, t: Term) -> Term:
     while todo:
         u = todo.pop()
         if u.__class__ is Term:
-            s = getattr(u, "_mark", None)
+            s = u._mark
             if s is not None and s[0] is p:
                 done.append(u)
                 continue
             if floats and len(u.children) == 1 and _is_marker(floats, u):
                 chain = [u]  # down to the first node that is marked or no marker
                 u = u.children[0]
-                while _is_marker(floats, u) and ((s := getattr(u, "_mark", None)) is None or s[0] is not p):
+                while _is_marker(floats, u) and ((s := u._mark) is None or s[0] is not p):
                     chain.append(u)
                     u = u.children[0]
                 todo += (chain, u)
                 continue
             g = _group_of(p, u) if groups else None
             kids = u.children if g is None else flatten_term(g, u)  # a maximal group is one node
-            for c in kids:  # with a part not marked, enter every part; a marked one comes back at once
-                s = getattr(c, "_mark", None)
-                if s is None or s[0] is not p:
-                    todo.append((u, g, kids))
-                    todo += reversed(kids)
-                    break
-            else:
-                done.append(_settle(p, u, g, kids))
-            continue
+            if kids:  # enter every part; a marked one comes back at once
+                todo.append((u, g, kids))
+                todo += reversed(kids)
+                continue
         elif u.__class__ is list:
             done.append(_float_chain(p, u, done.pop()))
             continue
@@ -829,7 +826,7 @@ def _summarize(p: Presentation, t: Term, g: Optional[AcuGroup], parts: Sequence[
     node that lacks one of its required atoms.  Nodes alike share one tuple."""
     below, first = 0, None
     for c in parts:
-        s = getattr(c, "_mark", None)
+        s = c._mark
         if s is None or s[0] is not p:
             s = _canon(p, c)._mark
         below |= s[4]
@@ -918,7 +915,7 @@ def _sites(p: Presentation, t: Term, s: tuple, bit: int) -> Iterator[tuple]:
         if s[3] & bit:
             yield path, node, s, kids
         for step, c in reversed(kids):
-            cs = getattr(c, "_mark", None)
+            cs = c._mark
             if cs is None or cs[0] is not p:
                 cs = _canon(p, c)._mark
             if cs[4] & bit:
@@ -1057,14 +1054,13 @@ def reduce(
     seed: Optional[int] = None,
     rules: Optional[Sequence[str]] = None,
     target: Optional[Term] = None,
-    state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> Trace:
     """Drive rewriting of t's canonical form with one of the strategies of `drive`."""
     _select(p, rules)  # an unknown rule name fails here, not at the first step
     t0 = canonicalize(p, t)
     goal = canonicalize(p, target) if target is not None else None
     return drive(t0, lambda u: iter_redexes(p, u, rules), strategy, fuel,
-                 seed=seed, goal=goal, state_budget=state_budget)
+                 seed=seed, goal=goal)
 
 
 # ---------------------------------------------------------------------------

@@ -255,8 +255,7 @@ def canon_process(p: Process) -> Process:
 
 def canon_name(n: Name) -> Name:
     """The resolved name, a quoted process canonical in its own scope."""
-    r = resolve_name(n)
-    return r if isinstance(r, Var) else Quote(canon_process(r.process))
+    return _canon_name_in(n, {}, frozenset())
 
 
 def _canon_in(q: Process, env: dict[str, Name], first: int, avoid: frozenset[str]) -> Process:

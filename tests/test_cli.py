@@ -174,7 +174,8 @@ def test_help_exits_0(capsys):
 
 def test_deep_term_exits_1(capsys):
     # the SKI reader and printer keep their stacks off the Python stack, so a
-    # 3,000-deep spine runs; the process parser still recurses
+    # 3,000-deep spine runs; the process parser still recurses, and rho
+    # recurses along the right spine of a wide parallel composition
     spine = "(I " * 3000 + "K" + ")" * 3000
     code, out, err = run_cli(capsys, "reduce", "--calculus", "ski", "--fuel", "5000", spine)
     assert (code, out.splitlines(), err) == (0, ["K", "steps: 3000", "status: normal_form"], "")
@@ -182,10 +183,12 @@ def test_deep_term_exits_1(capsys):
     assert code == 2 and err == ""
     assert out.splitlines() == ["(I " * 2000 + "K" + ")" * 2000, "steps: 1000", "status: fuel_exhausted"]
     deep = "(" * 3000 + "0" + ")" * 3000
-    code, out, err = run_cli(capsys, "reduce", "--calculus", "rho", deep)
-    assert code == 1
-    assert out == ""
-    assert err == "term nested too deeply\n"
+    wide = " | ".join(["&0!0"] * 1200)
+    for process in (deep, wide):
+        code, out, err = run_cli(capsys, "reduce", "--calculus", "rho", process)
+        assert code == 1
+        assert out == ""
+        assert err == "term nested too deeply\n"
 
 
 def test_deep_combinator_group_reduces(capsys):

@@ -720,6 +720,15 @@ def test_terms_are_immutable():
         Term(ski.APP_DECL, (S(),))
 
 
+def test_a_new_term_starts_with_its_kept_values_none():
+    t = ap(S(), K())
+    assert t._key is None and t._mark is None
+    assert term_key(t) == t._key == ("app", 2, (term_key(S()), term_key(K())))
+    assert t._mark is None
+    canonicalize(WHNF, t)
+    assert t._mark[0] is WHNF
+
+
 def _old_successor(p, t, r, marker):
     """The successor by its definition: instantiate, wrap, replace, and
     canonicalize every node again."""
@@ -781,6 +790,10 @@ TOY_COMB = Presentation(  # generic paths no built-in presentation takes
         RewriteRule("nest", comb.ap(_CA(BANG_DECL), par(_CA(comb.C_DECL), _X)), _X),
         # a metavariable at the spine head: no spine key
         RewriteRule("wild", comb.ap(_P, comb.ap(_CA(AMP_DECL), _Q)), comb.ap(_Q, _P)),
+        # a collector bound outside its group: the group holds a copy of its elements
+        RewriteRule("bound", comb.ap(comb.ap(_CA(BANG_DECL), _X), par(_CA(comb.C_DECL), _X)), _X),
+        # one collector twice in a group: the leftover splits into two equal halves
+        RewriteRule("twice", par(_CA(K_DECL), par(_X, _X)), _X),
     ),
 )
 
@@ -844,6 +857,20 @@ def _index_cases():
         cases.append((COMB, comb.wrap_context(comb.interp(group))))
         cases.append((COMB, random_sorted_comb(rng, depth=3, expansions=3)))
     cases += [(TOY_COMB, _toy_comb_term(rng)) for _ in range(150)]
+    # the bound collector's and the repeated collector's groups, met and missed
+    k, i, c, amp0 = _CA(K_DECL), _CA(comb.I_DECL), _CA(comb.C_DECL), comb.ap(_CA(AMP_DECL), c0())
+    bang = comb.ap(_CA(BANG_DECL), par(k, amp0))
+    cases += [(TOY_COMB, t) for t in (
+        comb.ap(comb.ap(_CA(BANG_DECL), k), par(c, k)),
+        comb.ap(comb.ap(_CA(BANG_DECL), c0()), par(c, c0())),
+        comb.ap(bang, par(c, par(amp0, k))),
+        comb.ap(bang, par(c, par(amp0, par(k, i)))),
+        comb.ap(bang, par(c, amp0)),
+        par(k, par(amp0, amp0)),
+        par(k, par(i, par(amp0, par(i, amp0)))),
+        par(k, par(i, par(amp0, i))),
+        comb.ap(_CA(BANG_DECL), par(c, par(k, par(i, i)))),
+    )]
     return cases
 
 
@@ -872,9 +899,11 @@ def test_toy_rules_fire_on_every_generic_path():
         if p in (TOY_COMB, TOY_SKI):
             for r in find_redexes(p, t):
                 fired[r.rule] = fired.get(r.rule, 0) + 1
-    assert set(fired) == {"solo", "two", "pair", "nest", "wild", "iota0", "kappa2", "grow"}, fired
-    # the one-element group pattern matches an atom outside any group
-    assert [(r.rule, r.binding) for r in find_redexes(TOY_COMB, _CA(K_DECL))] == [("solo", {"X": c0()})]
+    assert set(fired) == {"solo", "two", "pair", "nest", "wild", "bound", "twice",
+                          "iota0", "kappa2", "grow"}, fired
+    # the one-element group patterns match an atom outside any group
+    assert [(r.rule, r.binding) for r in find_redexes(TOY_COMB, _CA(K_DECL))] == [
+        ("solo", {"X": c0()}), ("twice", {"X": c0()})]
 
 
 # ---------------------------------------------------------------------------
@@ -1042,7 +1071,7 @@ def _unsummarized(p, t):
     n, todo = 0, [t]
     while todo:
         u = todo.pop()
-        s = getattr(u, "_mark", None)
+        s = u._mark
         if s is None or s[0] is not p:
             n += 1
             todo += u.children
@@ -1059,7 +1088,7 @@ def _stale_summaries(p, t):
     n, todo = 0, [(t, core._canon(p, copy(t)))]
     while todo:
         u, v = todo.pop()
-        s, fresh = getattr(u, "_mark", None), getattr(v, "_mark", None)
+        s, fresh = u._mark, v._mark
         n += s is not None and s[0] is p and fresh is not None and s != fresh
         todo += zip(u.children, v.children)
     return n

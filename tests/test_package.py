@@ -1,5 +1,6 @@
 """Package layout: no module reads another module's private names, no
-closure refers to itself, and no public name is there for the tests alone."""
+closure refers to itself, no public name is there for the tests alone, and
+no value kept on a node is probed for."""
 
 from __future__ import annotations
 
@@ -129,3 +130,24 @@ def test_equality_and_hashing_are_defined_once_for_records_and_once_for_terms():
                                "core.Term.__eq__", "core.Term.__hash__", "core.Term._hash"]
     assert assigned == []
     assert cached == []
+
+
+def kept_value_probes(path: Path) -> list[str]:
+    """Every ``getattr(x, "_name", default)``, ``hasattr(x, "_name")`` and
+    ``except AttributeError`` in a file: a value kept on a node starts as
+    None and is read as a plain attribute."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and (node.func.id, len(node.args)) in (("getattr", 3), ("hasattr", 2))
+                and isinstance(name := node.args[1], ast.Constant)
+                and isinstance(name.value, str) and name.value.startswith("_")):
+            hits.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None and "AttributeError" in {
+                n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}:
+            hits.append(f"{path.name}:{node.lineno}: except {ast.unparse(node.type)}")
+    return hits
+
+
+def test_kept_values_are_read_as_plain_attributes():
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in kept_value_probes(path)] == []
