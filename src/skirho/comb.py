@@ -1,15 +1,15 @@
 """Combinators for the reflective process calculus, and both translations.
 
-The combinator signature has eleven nullary constructors and binary
-application.  Parallel composition is curried application of the ``|``
-constructor and forms a commutative monoid with unit ``0``; communication
-and quote evaluation are guarded by a linear context resource ``C``, while
-the S/K/I rules fire in any context.  Translation from the calculus
-eliminates binders by bracket abstraction; translation back inverts it,
-reading the constructors off the image and each input continuation applied to
-its binder's name token, and runs the rewriting engine only where an S/K/I
-redex remains.  Sort inference unifies by binding mutable sort variables in
-place.
+The combinator signature is `ski`'s sort, S, K, I and binary application,
+with seven more nullary constructors.  Parallel composition is curried
+application of the ``|`` constructor and forms a commutative monoid with
+unit ``0``; communication and quote evaluation are guarded by a linear
+context resource ``C``, while the S/K/I rules fire in any context.
+Translation from the calculus eliminates binders by bracket abstraction;
+translation back inverts it, reading the constructors off the image and
+each input continuation applied to its binder's name token, and runs the
+rewriting engine only where an S/K/I redex remains.  Sort inference unifies
+by binding mutable sort variables in place.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .core import (
     Presentation,
     Record,
     RewriteRule,
-    Sort,
     Term,
     canonicalize,
     flatten_term,
@@ -39,9 +38,8 @@ from .core import (
     subterms,
 )
 from .rho import Deref, Input, Output, Par, Process, Quote, Var, ZERO as RHO_ZERO
+from .ski import APP_DECL, I_DECL, K_DECL, S_DECL, T, ap
 from .syntax import read_applications, write_applications
-
-T = Sort("T")
 
 C_DECL = ConstructorDecl("C", (), T)
 ZERO_DECL = ConstructorDecl("0", (), T)
@@ -50,10 +48,6 @@ FOR_DECL = ConstructorDecl("for", (), T)
 BANG_DECL = ConstructorDecl("!", (), T)
 AMP_DECL = ConstructorDecl("&", (), T)
 STAR_DECL = ConstructorDecl("*", (), T)
-S_DECL = ConstructorDecl("S", (), T)
-K_DECL = ConstructorDecl("K", (), T)
-I_DECL = ConstructorDecl("I", (), T)
-APP_DECL = ConstructorDecl("app", (T, T), T)
 
 ATOM_DECLS = (C_DECL, ZERO_DECL, PAR_DECL, FOR_DECL, BANG_DECL, AMP_DECL,
               STAR_DECL, S_DECL, K_DECL, I_DECL)
@@ -75,10 +69,6 @@ class TranslationError(Exception):
 def atom(decl: ConstructorDecl) -> Term:
     """The one term of the atom `decl`, shared by every combinator built here."""
     return leaf(decl)
-
-
-def ap(f: Term, x: Term) -> Term:
-    return Term(APP_DECL, (f, x))
 
 
 def aps(*terms: Term) -> Term:

@@ -314,8 +314,12 @@ class RewriteRule(Record):
 
 
 class Presentation(Record):
-    """Sorts, constructors, a congruence and rules.  Its rule table, spine
-    caps, summaries and rule selections are made on first use and kept."""
+    """Sorts, constructors, a congruence and rules.  Its rule table, each rule
+    with its left-hand side compiled, and its spine caps are made when it is
+    built; its summaries and rule selections are made on first use and kept.
+    The caps are where a term's spine key is clipped, past which no rule
+    tells keys apart: one past the longest rule spine, and the most markers a
+    rule asks for (at least one).  The summary table stays finite."""
 
     __match_args__ = ("sorts", "constructors", "congruence", "rules")
     __slots__ = __match_args__ + ("_rule_table", "_spine_caps", "_summaries", "_selections")
@@ -323,24 +327,13 @@ class Presentation(Record):
     def __init__(self, sorts: tuple[Sort, ...], constructors: tuple[ConstructorDecl, ...],
                  congruence: CongruenceSpec = CongruenceSpec(), rules: tuple[RewriteRule, ...] = ()) -> None:
         Record.__init__(self, sorts, constructors, congruence, rules)
+        table = tuple(_compile_rule(self, rule, 1 << i) for i, rule in enumerate(rules))
+        keys = [r.spine for r in table if r.spine is not None]
+        object.__setattr__(self, "_rule_table", table)
+        object.__setattr__(self, "_spine_caps", (1 + max((k[1] for k in keys), default=0),
+                                                 max([1] + [k[2] for k in keys])))
         object.__setattr__(self, "_summaries", {})  # what `_summarize` has made
         object.__setattr__(self, "_selections", {})  # what `_select` has made, by rule-name tuple
-
-    def __getattr__(self, name: str):
-        """Fills `_rule_table`, each rule with its left-hand side compiled, and
-        `_spine_caps` on their first read.  The caps are where a term's spine
-        key is clipped, past which no rule tells keys apart: one past the
-        longest rule spine, and the most markers a rule asks for (at least
-        one).  The summary table stays finite."""
-        if name == "_rule_table":
-            value = tuple(_compile_rule(self, rule, 1 << i) for i, rule in enumerate(self.rules))
-        elif name == "_spine_caps":
-            keys = [r.spine for r in self._rule_table if r.spine is not None]
-            value = 1 + max((k[1] for k in keys), default=0), max([1] + [k[2] for k in keys])
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
 
     def constructor(self, name: str) -> ConstructorDecl:
         for ctor in self.constructors:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Iterable, Union
 
 from .core import Record, Redex
-from .syntax import Cursor, ParseError
+from .syntax import Cursor
 
 
 class _Node(Record):
@@ -371,30 +371,25 @@ _RHO_NOT_IDENTS = frozenset(_RHO_SYMBOLS + ("for", "0", ""))  # the tokens that 
 
 def parse_rho(text: str) -> Process:
     cur = Cursor(text, _RHO_SYMBOLS)
-    result = _rho_proc(cur)
+    result = _read(cur, 0)
     cur.done()
     return result
 
 
-def _rho_proc(cur: Cursor) -> Process:
-    parts = [_rho_prefix(cur)]
-    while cur.peek() == "|":
-        cur.next()
-        parts.append(_rho_prefix(cur))
-    return par_of(parts)
-
-
-def _rho_prefix(cur: Cursor) -> Process:
+def _read(cur: Cursor, level: int) -> Process:
+    """A process at precedence `level`: 0 a ``|`` composition, 1 an output
+    ``x!P``, 2 a primary: ``0``, ``for(y <- x)P``, ``*x`` or ``(P)``."""
+    if level == 0:
+        parts = [_read(cur, 1)]
+        while cur.peek() == "|":
+            cur.next()
+            parts.append(_read(cur, 1))
+        return par_of(parts)
     tok = cur.peek()
-    if tok == "&" or tok not in _RHO_NOT_IDENTS:
+    if level == 1 and (tok == "&" or tok not in _RHO_NOT_IDENTS):
         subject = _rho_name(cur)
         cur.expect("!")
-        return Output(subject, _rho_prefix(cur))
-    return _rho_primary(cur)
-
-
-def _rho_primary(cur: Cursor) -> Process:
-    tok = cur.peek()
+        return Output(subject, _read(cur, 1))
     if tok == "0":
         cur.next()
         return ZERO
@@ -405,13 +400,13 @@ def _rho_primary(cur: Cursor) -> Process:
         cur.expect("<-")
         subject = _rho_name(cur)
         cur.expect(")")
-        return Input(subject, binder, _rho_prefix(cur))
+        return Input(subject, binder, _read(cur, 1))
     if tok == "*":
         cur.next()
         return Deref(_rho_name(cur))
     if tok == "(":
         cur.next()
-        inner = _rho_proc(cur)
+        inner = _read(cur, 0)
         cur.expect(")")
         return inner
     cur.fail(f"expected a process, found {tok or 'end of input'!r}")
@@ -420,7 +415,7 @@ def _rho_primary(cur: Cursor) -> Process:
 def _rho_name(cur: Cursor) -> Name:
     if cur.peek() == "&":
         cur.next()
-        return Quote(_rho_primary(cur))
+        return Quote(_read(cur, 2))
     return Var(_rho_ident(cur, "a name"))
 
 
@@ -433,39 +428,26 @@ def _rho_ident(cur: Cursor, what: str = "an identifier") -> str:
 
 
 def print_rho(p: Process) -> str:
+    return _write(p, 0)
+
+
+def _write(p: Process, level: int) -> str:
+    """The text of p at precedence `level`, the levels `_read` reads:
+    parenthesized where p's own level is lower."""
     match p:
         case Zero():
             return "0"
         case Par(l, r):
-            return f"{_print_rho_prefix(l)} | {print_rho(r)}"
-        case _:
-            return _print_rho_prefix(p)
-
-
-def _print_rho_prefix(p: Process) -> str:
-    match p:
+            text, own = f"{_write(l, 1)} | {_write(r, 0)}", 0
         case Output(x, body):
-            return f"{print_rho_name(x)}!{_print_rho_prefix_arg(body)}"
-        case _:
-            return _print_rho_primary(p)
-
-
-def _print_rho_prefix_arg(p: Process) -> str:
-    if isinstance(p, Par):
-        return f"({print_rho(p)})"
-    return _print_rho_prefix(p)
-
-
-def _print_rho_primary(p: Process) -> str:
-    match p:
-        case Zero():
-            return "0"
+            text, own = f"{print_rho_name(x)}!{_write(body, 1)}", 1
         case Input(x, binder, body):
-            return f"for({binder} <- {print_rho_name(x)}){_print_rho_prefix_arg(body)}"
+            return f"for({binder} <- {print_rho_name(x)}){_write(body, 1)}"
         case Deref(x):
             return f"*{print_rho_name(x)}"
         case _:
-            return f"({print_rho(p)})"
+            raise TypeError(f"not a process: {p!r}")
+    return text if level <= own else f"({text})"
 
 
 def print_rho_name(n: Name) -> str:
@@ -473,15 +455,13 @@ def print_rho_name(n: Name) -> str:
         case Var(v):
             return v
         case Quote(p):
-            if isinstance(p, (Zero, Deref, Input)):
-                return f"&{_print_rho_primary(p)}"
-            return f"&({print_rho(p)})"
+            return f"&{_write(p, 2)}"
     raise TypeError(f"not a name: {n!r}")
 
 
 def parse_rho_name(text: str) -> Name:
     """Parse a single name literal such as ``&0`` or ``&(a!0 | 0)``."""
-    wrapped = parse_rho(f"{text}!0")
-    if not isinstance(wrapped, Output) or wrapped.body != ZERO:
-        raise ParseError("expected a name literal", 1, 1)
-    return wrapped.subject
+    cur = Cursor(text, _RHO_SYMBOLS)
+    name = _rho_name(cur)
+    cur.done()
+    return name

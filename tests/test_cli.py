@@ -578,7 +578,7 @@ def test_a_command_loads_only_the_calculi_it_runs(extra, argvs):
     (["translate", "--calculus", "rho-comb", "(0 0)"], 3, "combinator is not W-sorted"),
     (["reduce", "--calculus", "rho", "*y"], 1, "process must be closed"),
     (["barbs", "--calculus", "rho", "--names", "&0,&(", "&0!0"], 1,
-     "bad name literal '&(': 1:3: expected a process, found '!'"),
+     "bad name literal '&(': 1:3: expected a process, found 'end of input'"),
 ], ids=["unsortable-translation", "open-process", "bad-names-literal"])
 def test_error_paths_hold_in_a_fresh_process(capsys, argv, code, message):
     """The module that raises is imported only by the command that fails."""

@@ -14,6 +14,7 @@ import random
 
 from skirho import comb, ski
 from skirho.core import (
+    ConstructorDecl,
     MetaVar,
     Presentation,
     RewriteRule,
@@ -59,8 +60,18 @@ def test_a_nullary_constructor_has_one_term():
     for make, decl in ((ski.S, ski.S_DECL), (ski.K, ski.K_DECL), (ski.I, ski.I_DECL)):
         assert make() is make() is leaf(decl) and make().head is decl
     # a declaration minted apart has its own leaf, and name tokens stay fresh
-    assert ski.S() is not comb.atom(comb.S_DECL) and ski.S() == comb.atom(comb.S_DECL)
+    apart = ConstructorDecl("S", (), ski.T)
+    assert leaf(apart) is not ski.S() and leaf(apart) == ski.S()
     assert comb.name_token("x") is not comb.name_token("x")
+
+
+def test_comb_and_ski_share_one_signature():
+    assert comb.T is ski.T
+    for name in ("S_DECL", "K_DECL", "I_DECL", "APP_DECL"):
+        assert getattr(comb, name) is getattr(ski, name), name
+    assert comb.atom(comb.S_DECL) is ski.S()
+    # so a term built by either module prints the same in both
+    assert comb.print_comb(ski.ap(ski.S(), ski.K())) == "(S K)" == ski.print_ski(comb.ap(ski.S(), ski.K()))
 
 
 def test_parsed_leaves_are_the_shared_objects():
@@ -143,7 +154,9 @@ def test_leaves_shared_by_the_ski_presentations_carry_no_stale_mark():
 
 
 def test_leaves_shared_by_two_combinator_presentations_carry_no_stale_mark():
+    # S, K and I are also the leaves of the three SKI presentations
     rng = random.Random(77)
+    plain = ski.PRESENTATIONS["plain"]
     for i in range(15):
         images = [comb.wrap_context(comb.interp(random_comm_candidate(rng, 3))),
                   random_sorted_comb(rng, depth=2, expansions=2),
@@ -151,3 +164,6 @@ def test_leaves_shared_by_two_combinator_presentations_carry_no_stale_mark():
         for t in images:
             _runs_agree(COMB, TOY, t, i)
             _runs_agree(TOY, COMB, t, i)
+        t = random_ski_term(rng.randint(1, 12), rng)
+        _runs_agree(plain, COMB, t, i)
+        _runs_agree(COMB, plain, t, i)

@@ -151,3 +151,26 @@ def kept_value_probes(path: Path) -> list[str]:
 
 def test_kept_values_are_read_as_plain_attributes():
     assert [hit for path in sorted(SRC.glob("*.py")) for hit in kept_value_probes(path)] == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Every name a module imports and never reads, but `from __future__`
+    features and the package's re-exports in `__init__`."""
+    if path.stem == "__init__":
+        return []
+    tree = ast.parse(path.read_text())
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    hits.append(f"{path.name}:{node.lineno}: {name}")
+    return hits
+
+
+def test_every_imported_name_is_read():
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in unused_imports(path)] == []
