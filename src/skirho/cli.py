@@ -2,10 +2,10 @@
 
 One invocation parses one or two terms in the chosen calculus, runs a
 pipeline, and prints text or JSON.  Exit codes: 0 success, 1 input or parse
-error, 2 fuel or search budget exhaustion, 3 property violation (for
-example a sort failure where the process sort was required).  A subcommand
-imports only the calculi it runs, so an SKI reduction loads neither the
-process calculus nor its combinators.
+error, 2 fuel or search budget exhaustion, 3 property violation (a sort or
+translation failure); `main` maps every exception raised to one of them and
+one stderr line.  A subcommand imports only the calculi it runs, so an SKI
+reduction loads neither the process calculus nor its combinators.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import functools
 import sys
 from typing import Optional, Sequence
 
-from .calculus import CALCULI as RECORDS, NAMES as CALCULI, Calculus
-from .core import FUEL_EXHAUSTED, NORMAL_FORM, TARGET_REACHED, FuelExhausted, Trace, drive, reduce
+from .calculus import CALCULI, NAMES, Calculus
+from .core import (FUEL_EXHAUSTED, NORMAL_FORM, TARGET_REACHED, FuelExhausted, Trace,
+                   TranslationError, drive, reduce)
 from .syntax import ParseError
 
 EXIT_OK = 0
@@ -29,15 +30,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int) -> None:
         super().__init__(message)
         self.code = code
-
-
-def _parse_term(calc: Calculus, text: str):
-    try:
-        return calc.parse(text)
-    except ParseError as err:
-        raise CliError(f"parse error: {err}", EXIT_INPUT) from err
-    except ValueError as err:  # an open process
-        raise CliError(str(err), EXIT_INPUT) from err
 
 
 def _parse_names(calc: Calculus, spec: Optional[str]):
@@ -56,7 +48,7 @@ def _parse_names(calc: Calculus, spec: Optional[str]):
 
 
 def trace_to_json(calculus: str, trace: Trace) -> dict:
-    show = RECORDS[calculus].print
+    show = CALCULI[calculus].print
     return {
         "calculus": calculus,
         "initial": show(trace.initial),
@@ -70,7 +62,7 @@ def validate_trace_json(obj: dict) -> None:
     """Raise ValueError unless obj matches the published trace layout."""
     if not isinstance(obj, dict) or set(obj) != {"calculus", "initial", "steps", "status"}:
         raise ValueError("trace object must have exactly calculus/initial/steps/status")
-    if not isinstance(obj["calculus"], str) or obj["calculus"] not in CALCULI:
+    if not isinstance(obj["calculus"], str) or obj["calculus"] not in NAMES:
         raise ValueError(f"unknown calculus {obj['calculus']!r}")
     if not isinstance(obj["initial"], str):
         raise ValueError("initial must be a string")
@@ -97,7 +89,7 @@ def replay_trace_json(obj: dict):
     calculus).  A trace that does not parse or replay raises ValueError.
     """
     validate_trace_json(obj)
-    calc = RECORDS[obj["calculus"]]
+    calc = CALCULI[obj["calculus"]]
     current = calc.canon(calc.parse(obj["initial"]))
     out = []
     for entry in obj["steps"]:
@@ -122,30 +114,14 @@ def _emit(args, payload: dict, text: str) -> None:
 # subcommands: each imports the calculi it runs, and no other
 
 
-def _translating(run):
-    """A command that translates: a `comb.TranslationError` exits 3 with its message."""
-
-    def checked(args) -> int:
-        from . import comb
-        try:
-            return run(args)
-        except comb.TranslationError as err:
-            raise CliError(str(err), EXIT_PROPERTY) from err
-
-    return checked
-
-
 def _cmd_reduce(args, verbose: bool) -> int:
-    calc = RECORDS[args.calculus]
+    calc = CALCULI[args.calculus]
     if calc.gas is None and args.gas is not None:
         raise CliError(f"skirho {args.command}: unrecognized arguments: --gas "
                        "(read only with --calculus ski-gas)", EXIT_INPUT)
-    term = _parse_term(calc, args.term)
+    term = calc.parse(args.term)
     if calc.gas is not None:
-        try:
-            term = calc.gas(term, args.gas or 0)
-        except ValueError as err:
-            raise CliError(str(err), EXIT_INPUT) from err
+        term = calc.gas(term, args.gas or 0)
     trace = drive(calc.canon(term), calc.edges, args.strategy, args.fuel, seed=args.seed)
     if args.format == "json":  # built only to be printed: a deep trace's payload is most of the run
         _emit(args, trace_to_json(args.calculus, trace), "")
@@ -160,10 +136,9 @@ def _cmd_reduce(args, verbose: bool) -> int:
     return EXIT_FUEL if trace.status == FUEL_EXHAUSTED else EXIT_OK
 
 
-@_translating
 def _cmd_translate(args) -> int:
     from . import comb, rho
-    term = _parse_term(RECORDS[args.calculus], args.term)
+    term = CALCULI[args.calculus].parse(args.term)
     if args.calculus == "rho":
         rendered, target = comb.print_comb(comb.interp(term)), "rho-comb"
     else:
@@ -174,7 +149,7 @@ def _cmd_translate(args) -> int:
 
 def _cmd_sort(args) -> int:
     from . import comb
-    term = _parse_term(RECORDS[args.calculus], args.term)
+    term = CALCULI[args.calculus].parse(args.term)
     inferred = comb.sort_infer(term)
     if inferred is None:
         _emit(args, {"sort": None}, "not sortable")
@@ -186,8 +161,8 @@ def _cmd_sort(args) -> int:
 def _agents(args, *texts: str) -> tuple[list, list]:
     """The parsed agents, and the `--names` given or else the names occurring in them."""
     from . import bisim
-    calc = RECORDS[args.calculus]
-    agents = [_parse_term(calc, text) for text in texts]
+    calc = CALCULI[args.calculus]
+    agents = [calc.parse(text) for text in texts]
     names = _parse_names(calc, args.names)
     return agents, bisim.names_occurring(*agents) if names is None else names
 
@@ -195,7 +170,7 @@ def _agents(args, *texts: str) -> tuple[list, list]:
 def _cmd_barbs(args) -> int:
     from . import bisim
     (agent,), names = _agents(args, args.term)
-    show = RECORDS[args.calculus].print_name
+    show = CALCULI[args.calculus].print_name
     if args.depth is not None:
         observed = bisim.weak_barbs(agent, names, args.depth)
         found = sorted(show(n) for n in observed.names)
@@ -229,7 +204,6 @@ def _cmd_bisim(args) -> int:
     return EXIT_OK
 
 
-@_translating
 def _cmd_faithfulness(args) -> int:
     from . import bisim
     (left, right), names = _agents(args, args.left, args.right)
@@ -250,10 +224,9 @@ def _cmd_faithfulness(args) -> int:
     return EXIT_OK if report.agree else EXIT_PROPERTY
 
 
-@_translating
 def _cmd_roundtrip(args) -> int:
     from . import comb, rho
-    term = _parse_term(RECORDS[args.calculus], args.term)
+    term = CALCULI[args.calculus].parse(args.term)
     checks: list[tuple[str, bool, str]] = []
     if args.calculus == "rho":
         image = comb.interp(term)
@@ -301,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--names": {"type": str, "default": None, "help": "comma separated name literals"},
     }
 
-    def command(name: str, run, about: str, *flags: str, calculi: Sequence[str] = CALCULI,
+    def command(name: str, run, about: str, *flags: str, calculi: Sequence[str] = NAMES,
                 default: Optional[str] = None) -> argparse.ArgumentParser:
         """A subcommand taking `--calculus` among the `calculi` it runs (required
         unless it has a default), `--format` and only the shared `flags` it reads."""
@@ -361,14 +334,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise CliError(f"--{flag} must be >= 0", EXIT_INPUT)
         return args.run(args)
     except CliError as err:
-        print(str(err), file=sys.stderr)
-        return err.code
-    except FuelExhausted as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_FUEL
+        message, code = str(err), err.code
+    except ParseError as err:
+        message, code = f"parse error: {err}", EXIT_INPUT
+    except ValueError as err:  # an open process, or an R-marked term given --gas
+        message, code = str(err), EXIT_INPUT
+    except FuelExhausted as err:  # a state budget too
+        message, code = str(err), EXIT_FUEL
+    except TranslationError as err:
+        message, code = str(err), EXIT_PROPERTY
     except RecursionError:
-        print("term nested too deeply", file=sys.stderr)
-        return EXIT_INPUT
+        message, code = "term nested too deeply", EXIT_INPUT
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from .core import (
     Record,
     RewriteRule,
     Term,
+    TranslationError,
     canonicalize,
     flatten_term,
     group_join,
@@ -60,10 +61,6 @@ NON_COMM_RULES = ("sigma", "kappa", "iota", "epsilon")
 DEFAULT_FUEL = 2000
 
 _OUT_OF_FUEL = "ran out of fuel unwinding S/K/I applications"
-
-
-class TranslationError(Exception):
-    pass
 
 
 def atom(decl: ConstructorDecl) -> Term:

@@ -70,6 +70,11 @@ class StateBudgetExhausted(FuelExhausted):
     bisimulation check more pairs than its pair budget."""
 
 
+class TranslationError(Exception):
+    """Raised when a term lies outside the domain of the translation between
+    the process calculus and its combinators."""
+
+
 class InvalidRedex(RewriteError):
     """Raised when a redex is replayed against a term it was not found in."""
 

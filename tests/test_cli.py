@@ -189,6 +189,11 @@ def test_deep_term_exits_1(capsys):
         assert code == 1
         assert out == ""
         assert err == "term nested too deeply\n"
+    # sorting a | group compares the order keys of its elements, and comparing
+    # two deep keys recurses: a group with one deep element runs, with two it does not
+    group = "((| " + "(I " * 3000 + "K" + ")" * 3000 + ") " + "(I " * 3000 + "S" + ")" * 3000 + ")"
+    code, out, err = run_cli(capsys, "reduce", "--calculus", "rho-comb", "--fuel", "7000", group)
+    assert (code, out, err) == (1, "", "term nested too deeply\n")
 
 
 def test_deep_combinator_group_reduces(capsys):
@@ -579,9 +584,19 @@ def test_a_command_loads_only_the_calculi_it_runs(extra, argvs):
     (["reduce", "--calculus", "rho", "*y"], 1, "process must be closed"),
     (["barbs", "--calculus", "rho", "--names", "&0,&(", "&0!0"], 1,
      "bad name literal '&(': 1:3: expected a process, found 'end of input'"),
-], ids=["unsortable-translation", "open-process", "bad-names-literal"])
+    (["reduce", "--calculus", "ski-gas", "--gas", "1", "(R S)"], 1,
+     "supply an R-free term and use --gas"),
+    (["roundtrip", "--calculus", "rho-comb", "C"], 3,
+     "combinator must not mention the context resource"),
+], ids=["unsortable-translation", "open-process", "bad-names-literal", "marked-term-with-gas",
+        "roundtrip-context-resource"])
 def test_error_paths_hold_in_a_fresh_process(capsys, argv, code, message):
     """The module that raises is imported only by the command that fails."""
     done = fresh("-m", "skirho.cli", *argv)
     assert (done.returncode, done.stdout, done.stderr) == (code, "", message + "\n")
     assert run_cli(capsys, *argv) == (code, "", message + "\n")
+
+
+def test_translation_error_is_defined_once_in_core():
+    from skirho import comb
+    assert comb.TranslationError is core.TranslationError

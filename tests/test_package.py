@@ -1,6 +1,7 @@
 """Package layout: no module reads another module's private names, no
-closure refers to itself, no public name is there for the tests alone, and
-no value kept on a node is probed for."""
+closure refers to itself, no public name is there for the tests alone, no
+value kept on a node is probed for, and the command line maps failures to
+exit codes in one place."""
 
 from __future__ import annotations
 
@@ -174,3 +175,13 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_every_imported_name_is_read():
     assert [hit for path in sorted(SRC.glob("*.py")) for hit in unused_imports(path)] == []
+
+
+def test_exit_codes_are_mapped_in_one_place():
+    """In the command line only `main` catches, turning each failure into its
+    exit code, and `_parse_names`, whose message names the literal typed."""
+    tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    catching = [getattr(stmt, "name", f"line {stmt.lineno}")
+                for stmt in ast.parse((SRC / "cli.py").read_text()).body
+                if any(isinstance(n, tries) for n in ast.walk(stmt))]
+    assert sorted(catching) == ["_parse_names", "main"]
