@@ -151,8 +151,8 @@ def _check(run: _Run, x: Agent, y: Agent, d: int) -> Optional[Witness]:
 
 def _witnesses(run: _Run, x: Agent, y: Agent, d: int) -> Iterator[Witness]:
     """Why x and y differ at bound d: the unmatched barbs, left side then
-    right in `repr` order, then the unanswered moves, each with its first
-    failing reply as `inner`."""
+    right in the calculus's order, then the unanswered moves, each with its
+    first failing reply as `inner`."""
     calc = run.calc
     for p, q, side in ((x, y, "left"), (y, x, "right")):
         mine = calc.barbs(p, run.names)
@@ -160,7 +160,7 @@ def _witnesses(run: _Run, x: Agent, y: Agent, d: int) -> Iterator[Witness]:
             theirs: set = set()
             for s in _reachable(run, q, d):
                 theirs |= calc.barbs(s, run.names)
-            for name in sorted(mine - theirs, key=repr):
+            for name in sorted(mine - theirs, key=calc.key):
                 yield Witness("barb", side, p, q, d, name=name)
     if d == 0:
         return

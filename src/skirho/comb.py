@@ -28,6 +28,7 @@ from .core import (
     Presentation,
     Record,
     RewriteRule,
+    Sort,
     Term,
     TranslationError,
     canonicalize,
@@ -188,13 +189,6 @@ def _abstract(token: str, c: Term) -> Optional[Term]:
 # sorting
 
 
-class BaseSort(Record):
-    __slots__ = __match_args__ = ("name",)
-
-    def __repr__(self) -> str:
-        return self.name
-
-
 class ArrowSort(Record):
     __slots__ = __match_args__ = ("arg", "res")
 
@@ -210,10 +204,10 @@ class SortVar(Record):
         return f"'{self.name}"
 
 
-SortExpr = Union[BaseSort, ArrowSort, SortVar]
+SortExpr = Union[Sort, ArrowSort, SortVar]
 
-W = BaseSort("W")
-N = BaseSort("N")
+W = Sort("W")
+N = Sort("N")
 
 
 class SortScheme(Record):

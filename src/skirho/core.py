@@ -140,7 +140,7 @@ class Sort(Record):
     __slots__ = __match_args__ = ("name",)
 
     def __repr__(self) -> str:
-        return f"Sort({self.name!r})"
+        return self.name
 
 
 class ConstructorDecl(Record):

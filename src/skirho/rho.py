@@ -42,6 +42,14 @@ class _Node(Record):
     __slots__ = _caches = ("_key", "_free", "_canon")
     _rank = 0  # the class's place in the order of `process_key`
 
+    def __repr__(self) -> str:
+        """The surface text, or the fields where the grammar cannot print
+        the node, as for a process at a name position."""
+        try:
+            return print_rho_name(self) if isinstance(self, (Quote, Var)) else print_rho(self)
+        except TypeError:
+            return super().__repr__()
+
 
 # the slot setters, which bypass Record.__setattr__
 _set_key = _Node._key.__set__  # type: ignore[attr-defined]
@@ -53,55 +61,34 @@ _CANONICAL = "canonical"
 class Zero(_Node):
     __slots__ = ()
 
-    def __repr__(self) -> str:
-        return "0"
-
 
 class Input(_Node):
     __slots__ = __match_args__ = ("subject", "binder", "body")
     _rank = 3
-
-    def __repr__(self) -> str:
-        return f"for({self.binder} <- {self.subject!r}){self.body!r}"
 
 
 class Output(_Node):
     __slots__ = __match_args__ = ("subject", "body")
     _rank = 2
 
-    def __repr__(self) -> str:
-        return f"{self.subject!r}!({self.body!r})"
-
 
 class Par(_Node):
     __slots__ = __match_args__ = ("left", "right")
     _rank = 4
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} | {self.right!r})"
 
 
 class Deref(_Node):
     __slots__ = __match_args__ = ("name",)
     _rank = 1
 
-    def __repr__(self) -> str:
-        return f"*{self.name!r}"
-
 
 class Quote(_Node):
     __slots__ = __match_args__ = ("process",)
     _rank = 1
 
-    def __repr__(self) -> str:
-        return f"&({self.process!r})"
-
 
 class Var(_Node):
     __slots__ = __match_args__ = ("ident",)
-
-    def __repr__(self) -> str:
-        return self.ident
 
 
 Process = Union[Zero, Input, Output, Par, Deref]

@@ -153,6 +153,11 @@ _TEXT_RUNS = [
     (("reduce", "--calculus", "rho", "for(y <- &0)(*y) | &0!(&0!0)"), 0, "*&(&0!0)\nsteps: 1\nstatus: normal_form\n"),
     (("reduce", "--calculus", "ski", "--fuel", "5000", "(I " * 3000 + "K" + ")" * 3000), 0,
      "K\nsteps: 3000\nstatus: normal_form\n"),
+    # of two unmatched barbs, the witness names the first in the calculus's order
+    (("bisim", "--calculus", "rho", "--depth", "1", "&0!0 | &(&0!0)!0", "0"), 0,
+     "distinguished: left agent shows barb &0 that the other side never shows within 1 steps\n"),
+    (("bisim", "--calculus", "rho-comb", "--depth", "1", "((| ((! (& 0)) 0)) ((! (& ((! (& 0)) 0))) 0))", "0"), 0,
+     "distinguished: left agent shows barb (& 0) that the other side never shows within 1 steps\n"),
 ]
 
 

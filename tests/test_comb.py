@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skirho import comb, rho
+from skirho import comb, rho, ski
 from skirho.comb import (
     AMP_DECL,
     APP_DECL,
@@ -173,6 +173,11 @@ def test_elim_result_has_no_token():
     body = ap(atom(STAR_DECL), name_token("x"))
     eliminated = abstract_elim("x", body)
     assert not any(is_name_token(u) for u in subterms(eliminated))
+
+
+def test_elim_rejects_a_name_token_under_a_non_application():
+    with pytest.raises(TranslationError, match="^name token x under non-application R$"):
+        abstract_elim("x", ski.R(name_token("x")))
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +409,12 @@ def test_backinterp_rejects_unsorted():
         backinterp(ap(z(), z()))
     with pytest.raises(TranslationError):
         backinterp(atom(K_DECL))
+
+
+def test_backinterp_rejects_a_name_token():
+    message = r"^combinator must be translation-complete \(no name tokens\)$"
+    with pytest.raises(TranslationError, match=message):
+        backinterp(ap(atom(STAR_DECL), name_token("x")))
 
 
 def test_backinterp_reduces_spines_first():

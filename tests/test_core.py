@@ -152,6 +152,33 @@ def test_validate_marker_float_with_non_binary_app():
     assert validate_presentation(bad).defects == ["marker float R/R: R is not binary"]
 
 
+def test_validate_metavariable_at_two_sorts():
+    U = Sort("U")
+    rule = RewriteRule("r", Term(ski.APP_DECL, (MetaVar("x", T), MetaVar("x", U))), MetaVar("x", T))
+    bad = Presentation(sorts=(T,), constructors=(ski.I_DECL, ski.APP_DECL), rules=(rule,))
+    assert validate_presentation(bad).defects == [
+        "rule r lhs: child of app has sort U, expected T",
+        "rule r lhs: metavariable x used at two sorts",
+    ]
+
+
+def test_validate_child_of_the_wrong_sort():
+    U = Sort("U")
+    u = ConstructorDecl("u", (), U)
+    rule = RewriteRule("r", Term(ski.APP_DECL, (Term(u), I())), I())
+    bad = Presentation(sorts=(T, U), constructors=(ski.I_DECL, ski.APP_DECL, u), rules=(rule,))
+    assert validate_presentation(bad).defects == ["rule r lhs: child of app has sort U, expected T"]
+
+
+def test_validate_acu_group_with_non_binary_operator():
+    bad = Presentation(
+        sorts=(T,),
+        constructors=(ski.I_DECL, ski.R_DECL),
+        congruence=CongruenceSpec(acu_groups=(AcuGroup(ski.R_DECL, I(), I()),)),
+    )
+    assert validate_presentation(bad).defects == ["ACU group operator R is not binary"]
+
+
 # ---------------------------------------------------------------------------
 # canonicalize / congruent
 

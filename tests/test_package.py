@@ -1,7 +1,7 @@
 """Package layout: no module reads another module's private names, no
 closure refers to itself, no public name is there for the tests alone, no
-value kept on a node is probed for, and the command line maps failures to
-exit codes in one place."""
+value kept on a node is probed for, the command line maps failures to exit
+codes in one place, and a process is printed one way."""
 
 from __future__ import annotations
 
@@ -185,3 +185,17 @@ def test_exit_codes_are_mapped_in_one_place():
                 for stmt in ast.parse((SRC / "cli.py").read_text()).body
                 if any(isinstance(n, tries) for n in ast.walk(stmt))]
     assert sorted(catching) == ["_parse_names", "main"]
+
+
+def test_a_process_has_one_printer():
+    """In `rho` only `_Node` defines `__repr__`, the surface text, and no
+    module orders values by their `repr`: the calculus's own order serves."""
+    tree = ast.parse((SRC / "rho.py").read_text())
+    printers = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                and any(isinstance(f, ast.FunctionDef) and f.name == "__repr__" for f in node.body)]
+    assert printers == ["_Node"]
+    by_repr = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.keyword) and node.arg == "key"
+               and isinstance(node.value, ast.Name) and node.value.id == "repr"]
+    assert by_repr == []

@@ -152,6 +152,8 @@ def test_strip_marker_expects_one_marker():
         strip_marker(K())
     with pytest.raises(ValueError):
         strip_marker(R(R(K())))
+    with pytest.raises(ValueError, match="^R is not on the application spine$"):
+        strip_marker(ap(S(), R(K())))
 
 
 def test_marker_scans_return_on_a_deep_spine():
@@ -199,6 +201,11 @@ def test_oracle_examples():
     assert whnf_oracle(skk_s()) == S()
     assert whnf_oracle(ap(ap(K(), S()), omega())) == S()
     assert whnf_oracle(omega(), fuel=60) is None
+
+
+def test_oracle_rejects_a_marked_term():
+    with pytest.raises(ValueError, match="^term must be R-free$"):
+        whnf_oracle(R(S()))
 
 
 def test_oracle_agrees_with_marked_run():

@@ -20,7 +20,7 @@ from skirho.syntax import (
     print_ski,
 )
 
-from gen import random_process, random_ski_term, random_sorted_comb
+from gen import random_comm_candidate, random_process, random_ski_term, random_sorted_comb
 
 
 def test_parse_ski_application_tree():
@@ -149,6 +149,19 @@ def test_roundtrip_rho_random():
         assert parse_rho(text) == p
         # printing is stable across one more cycle
         assert print_rho(parse_rho(text)) == text
+
+
+def test_a_process_and_its_names_read_back_from_their_repr():
+    rng = random.Random(54)
+    for i in range(1000):
+        p = random_comm_candidate(rng) if i % 2 else random_process(rng, 4)
+        assert parse_rho(repr(p)) == p
+        for n in rho.all_names(p):
+            assert parse_rho_name(repr(n)) == n
+
+
+def test_a_node_the_grammar_cannot_print_shows_its_fields():
+    assert repr(rho.Output(rho.ZERO, rho.ZERO)) == "Output(subject=0, body=0)"
 
 
 def test_roundtrip_comb_random():
@@ -295,4 +308,4 @@ def test_parse_results_and_errors_are_pinned():
     records = list(_parse_records())
     assert sum("'ok'" in r for r in records) > 1000
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == "ded17641b51ba8a90f4b9c39c9194c1f84bbc26c5ab21be0dbb6e6c26f409242"
+    assert digest == "08c58715a98b900398f201d4c2d1dbd2dd2c5bd252292470c2a5870e954ac6b7"
