@@ -20,8 +20,8 @@ parallel group (the remainder is kept), and a rule that mentions a floating
 marker may match with surplus markers peeled off into the surrounding
 context.  Both correspond to matching the rule inside some representative
 of the congruence class, which is exactly where the one-step edges of the
-free model live.  Each presentation compiles its left-hand sides once, on
-first use, into matchers keyed by their group or by the spine key of their
+free model live.  Each presentation compiles its left-hand sides once, when
+it is built, into matchers keyed by their group or by the spine key of their
 leftmost path (the constructor it ends in, its length and markers).
 
 A `Term` carries its hash and, once asked, its order key (`term_key`).  A
@@ -319,19 +319,24 @@ class RewriteRule(Record):
 
 
 class Presentation(Record):
-    """Sorts, constructors, a congruence and rules.  Its rule table, each rule
-    with its left-hand side compiled, and its spine caps are made when it is
-    built; its summaries and rule selections are made on first use and kept.
+    """Sorts, constructors, a congruence and rules.  Its float table (each
+    marker to the applications it floats over), rule table (each rule with
+    its left-hand side compiled) and spine caps are made when it is built;
+    its summaries and rule selections are made on first use and kept.
     The caps are where a term's spine key is clipped, past which no rule
     tells keys apart: one past the longest rule spine, and the most markers a
     rule asks for (at least one).  The summary table stays finite."""
 
     __match_args__ = ("sorts", "constructors", "congruence", "rules")
-    __slots__ = __match_args__ + ("_rule_table", "_spine_caps", "_summaries", "_selections")
+    __slots__ = __match_args__ + ("_floats", "_rule_table", "_spine_caps", "_summaries", "_selections")
 
     def __init__(self, sorts: tuple[Sort, ...], constructors: tuple[ConstructorDecl, ...],
                  congruence: CongruenceSpec = CongruenceSpec(), rules: tuple[RewriteRule, ...] = ()) -> None:
         Record.__init__(self, sorts, constructors, congruence, rules)
+        floats: dict[ConstructorDecl, set[ConstructorDecl]] = {}
+        for f in congruence.marker_floats:
+            floats.setdefault(f.marker, set()).add(f.app)
+        object.__setattr__(self, "_floats", floats)  # read by `_compile_rule` below
         table = tuple(_compile_rule(self, rule, 1 << i) for i, rule in enumerate(rules))
         keys = [r.spine for r in table if r.spine is not None]
         object.__setattr__(self, "_rule_table", table)
@@ -495,7 +500,7 @@ def _canon(p: Presentation, t: Term) -> Term:
     s = t._mark
     if s is not None and s[0] is p:
         return t
-    groups, floats = p.congruence.acu_groups, p.congruence.marker_floats
+    groups, floats = p.congruence.acu_groups, p._floats
     todo: list = [t]  # terms to enter, (node, group, parts) to finish, and marker chains
     done: list[Term] = []  # finished nodes: a node's parts are on top when it finishes
     while todo:
@@ -505,10 +510,10 @@ def _canon(p: Presentation, t: Term) -> Term:
             if s is not None and s[0] is p:
                 done.append(u)
                 continue
-            if floats and len(u.children) == 1 and _is_marker(floats, u):
+            if floats and len(u.children) == 1 and u.head in floats:
                 chain = [u]  # down to the first node that is marked or no marker
                 u = u.children[0]
-                while _is_marker(floats, u) and ((s := u._mark) is None or s[0] is not p):
+                while len(u.children) == 1 and u.head in floats and ((s := u._mark) is None or s[0] is not p):
                     chain.append(u)
                     u = u.children[0]
                 todo += (chain, u)
@@ -536,15 +541,6 @@ def _canon(p: Presentation, t: Term) -> Term:
     return done[0]
 
 
-def _is_marker(floats: tuple[MarkerFloat, ...], u: Term) -> bool:
-    if len(u.children) == 1:
-        h = u.head
-        for f in floats:
-            if h is f.marker or h == f.marker:
-                return True
-    return False
-
-
 def _settle(p: Presentation, u: Term, g: Optional[AcuGroup], kids: Sequence[Term]) -> Term:
     """The canonical form of u, whose parts are canonical and marked (`kids`:
     its elements if it is a g-group node, else its children), marked: the
@@ -555,17 +551,10 @@ def _settle(p: Presentation, u: Term, g: Optional[AcuGroup], kids: Sequence[Term
         kids = sorted(kids, key=term_key)
         u = u if _joins(g, u, kids) else group_join(g, kids)
         g = g if len(kids) > 1 else None  # else the unit or the one element
-    elif len(u.children) == 1 and _floats_over(p.congruence.marker_floats, u.head, u.children[0].head):
+    elif len(u.children) == 1 and u.children[0].head in p._floats.get(u.head, ()):
         return _float_chain(p, [u], u.children[0])
     _summarize(p, u, g, u.children if g is None else kids)
     return u
-
-
-def _floats_over(floats: tuple[MarkerFloat, ...], marker: ConstructorDecl, app: ConstructorDecl) -> bool:
-    for f in floats:
-        if (marker is f.marker or marker == f.marker) and (app is f.app or app == f.app):
-            return True
-    return False
 
 
 def _float_chain(p: Presentation, chain: list[Term], c: Term) -> Term:
@@ -574,8 +563,8 @@ def _float_chain(p: Presentation, chain: list[Term], c: Term) -> Term:
     the application c is, all of them go onto the head of c's spine, which is
     rebuilt once around them; else each settles in turn.  A chain node over
     an unchanged child is kept."""
-    floats, app, args = p.congruence.marker_floats, c.head, []
-    if all(_floats_over(floats, m.head, app) for m in chain):
+    floats, app, args = p._floats, c.head, []
+    if all(app in floats[m.head] for m in chain):
         while c.head is app or c.head == app:
             args.append(c.children[1])
             c = c.children[0]
@@ -802,7 +791,7 @@ def _spine_key(p: Presentation, node: Pattern, first: Optional[tuple]) -> Option
     floating markers and how many are; None past a metavariable or a group."""
     if not node.children:
         return None if node.head is None else (node.head.name, 0, 0)
-    m = any(node.head == f.marker for f in p.congruence.marker_floats)
+    m = node.head in p._floats
     return first and (first[0], first[1] + (not m), first[2] + m)
 
 
@@ -820,8 +809,8 @@ def _summarize(p: Presentation, t: Term, g: Optional[AcuGroup], parts: Sequence[
     """Mark t, canonical under p, with its summary ``(p, spine, group, own,
     below)``: its spine key, its group, and the rules tried at t and in its
     subtree, found from the summaries of `parts`, its elements if it is a
-    g-group node and else its children; a group rule is not tried at a group
-    node that lacks one of its required atoms.  Nodes alike share one tuple."""
+    g-group node and else its children; a group rule's required atoms are
+    tested by `_take`, when it is matched.  Nodes alike share one tuple."""
     below, first = 0, None
     for c in parts:
         s = c._mark
@@ -829,21 +818,16 @@ def _summarize(p: Presentation, t: Term, g: Optional[AcuGroup], parts: Sequence[
             s = _canon(p, c)._mark
         below |= s[4]
         first = first or s
-    # a group node by its group's identity (p holds the group) and the rules of
-    # its group whose required atoms it lacks, any other by its head and first child
-    lack = 0
-    if g is not None:
-        for r in p._rule_table:
-            if r.flat is not None and r.flat.group is g and not all(a in parts for a in r.flat.needs):
-                lack |= r.bit
-    key = (id(g), below, lack) if g is not None else (t.head.name, first[1] if first else (), below)
+    # a group node by its group's identity (p holds the group), any other by
+    # its head and first child
+    key = (id(g), below) if g is not None else (t.head.name, first[1] if first else (), below)
     s = p._summaries.get(key)
     if s is None:
         spine = None if g is not None else _spine_key(p, t, first and first[1])
         if spine:
             n, m = p._spine_caps
             spine = (spine[0], min(spine[1], n), min(spine[2], m))
-        own = _own(p, spine, g) & ~lack
+        own = _own(p, spine, g)
         s = p._summaries[key] = (p, spine, g, own, below | own)
     _set_mark(t, s)
 

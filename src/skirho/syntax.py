@@ -161,8 +161,8 @@ def read_applications(text: str, symbols: tuple[str, ...], atoms: Mapping[str, A
 
 def write_applications(t: Term, app: ConstructorDecl, unary: tuple[ConstructorDecl, ...] = ()) -> str:
     """The text `read_applications` reads back as `t`: ``(f x)`` for an `app`
-    node, ``(u x)`` for a node whose head u is in `unary`, and the head's
-    name for any other node.  The arguments still to write wait on an
+    node, ``(u x)`` for a node whose head u is in `unary`, a leaf's name, and
+    TypeError for any other node.  The arguments still to write wait on an
     explicit stack, each with the number of parentheses that close after it."""
     out: list[str] = []
     emit = out.append
@@ -183,7 +183,7 @@ def write_applications(t: Term, app: ConstructorDecl, unary: tuple[ConstructorDe
                 (u,) = u.children
                 closing += 1
             else:
-                break
+                raise TypeError(f"not a term of this grammar: a node headed {u.head.name}")
         emit(u.head.name)
         if closing:
             emit(")" * closing)

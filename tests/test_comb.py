@@ -188,6 +188,7 @@ def test_sort_examples():
     assert sort_infer(z()) == W
     assert sort_infer(quote(z())) == N
     assert sort_infer(ap(z(), z())) is None
+    assert sort_infer(ski.R(ski.S())) is None  # a head with no sort scheme that is no name token
 
 
 def test_sort_table_atoms():
@@ -667,6 +668,8 @@ def test_elimination_sorts_over_corpus():
 
 def test_wrap_context_examples():
     assert wrap_context(z()) == aps(atom(PAR_DECL), atom(C_DECL), z())
+    for t in (parse_comb("((| C) C)"), z()):  # two context resources, and none
+        assert comb.unwrap_context(t) is None
     rng = random.Random(38)
     for _ in range(30):
         image = interp(random_process(rng, 3))

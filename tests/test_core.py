@@ -428,6 +428,15 @@ def test_reduce_random_reproducible():
     assert [s for _, s in a.steps] == [s for _, s in b.steps]
 
 
+def test_lookups_and_instantiation_fail_on_what_is_missing():
+    with pytest.raises(KeyError):
+        PLAIN.rule("nope")
+    with pytest.raises(KeyError):
+        PLAIN.constructor("nope")
+    with pytest.raises(core.RewriteError, match="metavariable x is unbound"):
+        instantiate(ap(MetaVar("x", ski.T), S()), {})
+
+
 def test_reduce_unknown_strategy():
     with pytest.raises(ValueError):
         reduce(PLAIN, K(), "weird", 1)

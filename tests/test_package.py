@@ -1,7 +1,8 @@
 """Package layout: no module reads another module's private names, no
 closure refers to itself, no public name is there for the tests alone, no
 value kept on a node is probed for, the command line maps failures to exit
-codes in one place, and a process is printed one way."""
+codes in one place, a process is printed one way, and each congruence fact
+is read in one place."""
 
 from __future__ import annotations
 
@@ -199,3 +200,29 @@ def test_a_process_has_one_printer():
                if isinstance(node, ast.keyword) and node.arg == "key"
                and isinstance(node.value, ast.Name) and node.value.id == "repr"]
     assert by_repr == []
+
+
+def attribute_readers(attr: str) -> list[str]:
+    """The top-level function or method (``Class.method``) of every module
+    enclosing each read of ``<value>.<attr>``, once per read."""
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            defs = [(f"{stmt.name}.", f) for f in stmt.body] if isinstance(stmt, ast.ClassDef) else [("", stmt)]
+            readers += [prefix + f.name for prefix, f in defs
+                        if isinstance(f, ast.FunctionDef)
+                        for node in ast.walk(f) if isinstance(node, ast.Attribute) and node.attr == attr]
+    return readers
+
+
+def test_each_congruence_fact_is_read_in_one_place():
+    """A presentation's marker floats are read where it is built (into its
+    float table), compiled and checked, and where `canonicalize` tests for an
+    empty congruence; every walk reads the float table.  A group's rules are
+    tested for their required atoms when matched, not when summarized."""
+    allowed = {"Presentation.__init__", "_compile_rule", "canonicalize", "validate_presentation"}
+    assert sorted(set(attribute_readers("marker_floats")) - allowed) == []
+    summarize = next(f for f in ast.parse((SRC / "core.py").read_text()).body
+                     if isinstance(f, ast.FunctionDef) and f.name == "_summarize")
+    assert [n.lineno for n in ast.walk(summarize)
+            if isinstance(n, ast.Attribute) and n.attr == "_rule_table"] == []

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from skirho import comb, rho, ski
-from skirho.core import canonicalize
+from skirho.core import ConstructorDecl, Term, canonicalize
 from skirho.syntax import (
     ParseError,
     parse_comb,
@@ -162,6 +162,16 @@ def test_a_process_and_its_names_read_back_from_their_repr():
 
 def test_a_node_the_grammar_cannot_print_shows_its_fields():
     assert repr(rho.Output(rho.ZERO, rho.ZERO)) == "Output(subject=0, body=0)"
+
+
+@pytest.mark.parametrize("show, t", [
+    (print_comb, ski.R(ski.S())),
+    (print_ski, Term(ConstructorDecl("f", (ski.T, ski.T), ski.T), (ski.S(), ski.K()))),
+], ids=["comb-R", "ski-f"])
+def test_a_node_outside_the_grammar_is_not_printed(show, t):
+    # its name alone would read back as a leaf, without its children
+    with pytest.raises(TypeError, match=f"headed {t.head.name}"):
+        show(t)
 
 
 def test_roundtrip_comb_random():
